@@ -29,13 +29,7 @@ from .oracle import (
     min_separator_bruteforce,
     path_min_resets,
 )
-from .reachability import (
-    StaticExpansion,
-    TemporalPath,
-    build_expansion,
-    find_temporal_path,
-    reachable_with_earliest_arrival,
-)
+from .reachability import TemporalPath, find_temporal_path, reachable_with_earliest_arrival
 from .solvers import (
     AutoResult,
     NiceTreeDecomposition,
@@ -59,7 +53,6 @@ __all__ = [
     "NiceTreeDecomposition",
     "PeriodicConstraint",
     "Separator",
-    "StaticExpansion",
     "StaticGraph",
     "SteadyConstraint",
     "TemporalGraph",
@@ -68,7 +61,6 @@ __all__ = [
     "UnitIntervalConstraint",
     "XorShift64Star",
     "build",
-    "build_expansion",
     "build_tree_decomposition",
     "check_order_compatible",
     "classify",

@@ -65,19 +65,6 @@ class StaticGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def connected(self) -> bool:
-        """Whether the whole vertex set forms one connected component."""
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self.adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
 
 def static_graph(n: int, pairs: Iterable[tuple[int, int]]) -> StaticGraph:
     """Build a StaticGraph, canonicalizing pair order and dropping duplicates."""
@@ -109,6 +96,20 @@ class TemporalGraph:
         for e in self.edges:
             sets[e.t - 1].add(e.pair)
         return tuple(frozenset(s) for s in sets)
+
+    @cached_property
+    def layer_adjacency(self) -> tuple[dict[int, list[int]], ...]:
+        """Adjacency lists of each layer, indexed 0..tau-1 for labels 1..tau.
+
+        Built once per graph and shared by every reachability sweep; callers
+        must treat the lists as read-only.
+        """
+        layers: list[dict[int, list[int]]] = [{} for _ in range(self.tau)]
+        for e in self.edges:
+            adj = layers[e.t - 1]
+            adj.setdefault(e.u, []).append(e.v)
+            adj.setdefault(e.v, []).append(e.u)
+        return tuple(layers)
 
     @cached_property
     def edge_labels(self) -> Mapping[tuple[int, int], tuple[int, ...]]:

@@ -16,7 +16,6 @@ from .errors import (
     NotAPath,
     OracleScaleError,
     TerminalEdgePresent,
-    TerminalInSeparator,
     VertexOutOfRange,
 )
 from .reachability import find_temporal_path
@@ -70,12 +69,11 @@ class Separator:
 
 
 def is_separator(inst: Instance, candidate: Iterable[int], strict: bool = False) -> bool:
-    """Whether deleting `candidate` leaves no temporal (s,z)-path."""
-    cut = frozenset(candidate)
-    if inst.s in cut or inst.z in cut:
-        raise TerminalInSeparator(f"candidate contains a terminal: {sorted(cut & {inst.s, inst.z})}")
-    reduced, remap = inst.g.delete_vertices(cut)
-    return find_temporal_path(reduced, remap[inst.s], remap[inst.z], strict) is None
+    """Whether deleting `candidate` leaves no temporal (s,z)-path.
+
+    Raises TerminalInSeparator or VertexOutOfRange for a bad candidate.
+    """
+    return find_temporal_path(inst.g, inst.s, inst.z, strict, frozenset(candidate)) is None
 
 
 def min_separator_bruteforce(inst: Instance, strict: bool = False, max_n: int = BRUTE_FORCE_MAX_N) -> Separator:

@@ -1,27 +1,21 @@
 """Temporal (s,z)-path discovery, strict and non-strict.
 
-Path existence is decided by a label-ordered sweep over the sorted edge list:
-within one label the non-strict sweep runs a multi-source BFS over the layer
-(several hops may share a label), while the strict sweep relaxes each layer's
-edges exactly once against arrivals from earlier labels.  Either way the work
-is linear in the number of time-edges.
-
-The explicit time-expanded digraph (one node per vertex/label incidence plus
-terminals, column arcs for waiting) is also provided: directed (s,z)-paths in
-it correspond one-to-one to temporal (s,z)-paths, which makes it a convenient
-cross-check and debugging object.  For the strict variant each vertex/label
-node is split into an entry and an exit half so that entering and leaving a
-vertex at the same label is impossible.
+Path existence is decided by a label-ordered sweep over each layer's cached
+adjacency: within one label the non-strict sweep runs a multi-source BFS over
+the layer (several hops may share a label), while the strict sweep relaxes
+each layer's edges exactly once against arrivals from earlier labels.  Either
+way the work is linear in the number of time-edges.  An optional set of
+blocked vertices is excluded from the sweep, which answers reachability after
+vertex deletion without rebuilding or renumbering the graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import AbstractSet, NamedTuple, Optional
 
 from .core import TemporalGraph
-from .errors import VertexOutOfRange
+from .errors import TerminalInSeparator, VertexOutOfRange
 
 UNREACHED = float("inf")
 
@@ -92,23 +86,33 @@ def _check_terminals(g: TemporalGraph, s: int, z: int) -> None:
         raise VertexOutOfRange(f"terminals must be distinct, both are {s}")
 
 
-def _sweep(g: TemporalGraph, s: int, strict: bool) -> tuple[list[float], dict[int, tuple[int, int]]]:
+def _check_blocked(g: TemporalGraph, s: int, z: int, blocked: AbstractSet[int]) -> None:
+    terminals = sorted(v for v in (s, z) if v in blocked)
+    if terminals:
+        raise TerminalInSeparator(f"candidate contains a terminal: {terminals}")
+    for v in blocked:
+        if not (0 <= v < g.n):
+            raise VertexOutOfRange(f"cannot delete vertex {v}, graph has 0..{g.n - 1}")
+
+
+def _sweep(
+    g: TemporalGraph, s: int, strict: bool, blocked: AbstractSet[int] = frozenset()
+) -> tuple[list[float], dict[int, tuple[int, int]]]:
     """Earliest arrival labels from s, with predecessor links for witnesses.
 
-    Ties are broken deterministically: earliest label first, then fewest hops
-    within the label (non-strict), then smallest predecessor vertex.
+    Blocked vertices start with an arrival after the last label, so they are
+    never reached and never relay.  Ties are broken deterministically:
+    earliest label first, then fewest hops within the label (non-strict),
+    then smallest predecessor vertex.
     """
     arrival: list[float] = [UNREACHED] * g.n
+    for v in blocked:
+        arrival[v] = g.tau + 1
     arrival[s] = 0
     pred: dict[int, tuple[int, int]] = {}
-    for t_idx, pairs in enumerate(g.layer_edge_sets):
-        t = t_idx + 1
-        if not pairs:
+    for t, adj in enumerate(g.layer_adjacency, start=1):
+        if not adj:
             continue
-        adj: dict[int, list[int]] = {}
-        for u, v in pairs:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
         if strict:
             # One hop per label: relax against arrivals from labels < t only.
             updates: dict[int, int] = {}
@@ -147,15 +151,23 @@ def reachable_with_earliest_arrival(g: TemporalGraph, s: int) -> dict[int, int]:
     return {v: int(a) for v, a in enumerate(arrival) if a != UNREACHED}
 
 
-def find_temporal_path(g: TemporalGraph, s: int, z: int, strict: bool = False) -> Optional[TemporalPath]:
+def find_temporal_path(
+    g: TemporalGraph, s: int, z: int, strict: bool = False, blocked: AbstractSet[int] = frozenset()
+) -> Optional[TemporalPath]:
     """A temporal (s,z)-path witness, or None when z is unreachable.
+
+    The path avoids every vertex in `blocked`, exactly as if those vertices
+    and their time-edges were deleted, and vertices keep their ids.  A
+    blocked terminal raises TerminalInSeparator; a blocked vertex outside
+    0..n-1 raises VertexOutOfRange.
 
     The predecessor chain of the arrival sweep is simple by construction
     (each link strictly decreases (label, hop level)), so the extracted
     witness is vertex-disjoint.
     """
     _check_terminals(g, s, z)
-    arrival, pred = _sweep(g, s, strict)
+    _check_blocked(g, s, z, blocked)
+    arrival, pred = _sweep(g, s, strict, blocked)
     if arrival[z] == UNREACHED:
         return None
     steps: list[PathStep] = []
@@ -166,115 +178,3 @@ def find_temporal_path(g: TemporalGraph, s: int, z: int, strict: bool = False) -
         cur = prv
     steps.reverse()
     return TemporalPath(tuple(steps))
-
-
-class ExpNode(NamedTuple):
-    """Descriptor of one expansion node.
-
-    kind is 'source', 'sink', 'node' (non-strict), 'in', or 'out';
-    vertex/label are None for the terminals.
-    """
-
-    kind: str
-    vertex: Optional[int]
-    label: Optional[int]
-
-
-@dataclass(frozen=True)
-class StaticExpansion:
-    """Time-expanded digraph of (g, s, z); see the module docstring."""
-
-    strict: bool
-    nodes: tuple[ExpNode, ...]
-    source: int
-    sink: int
-    layer_arcs: tuple[tuple[int, int], ...]
-    source_arcs: tuple[tuple[int, int], ...]
-    sink_arcs: tuple[tuple[int, int], ...]
-    column_arcs: tuple[tuple[int, int], ...]
-
-    def all_arcs(self) -> tuple[tuple[int, int], ...]:
-        return self.layer_arcs + self.source_arcs + self.sink_arcs + self.column_arcs
-
-    def has_sz_path(self) -> bool:
-        """BFS from source to sink; equivalent to temporal reachability."""
-        adj: dict[int, list[int]] = {}
-        for a, b in self.all_arcs():
-            adj.setdefault(a, []).append(b)
-        seen = {self.source}
-        queue = deque([self.source])
-        while queue:
-            cur = queue.popleft()
-            if cur == self.sink:
-                return True
-            for nxt in adj.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return False
-
-
-def build_expansion(g: TemporalGraph, s: int, z: int, strict: bool = False) -> StaticExpansion:
-    """Construct the time-expanded digraph of (g, s, z).
-
-    A direct s-z time-edge (which separation instances forbid) is represented
-    by a source->sink arc so that reachability on the expansion stays faithful
-    on raw graphs.
-    """
-    _check_terminals(g, s, z)
-    active: dict[int, list[int]] = {}
-    for e in g.edges:
-        for v in (e.u, e.v):
-            if v not in (s, z):
-                ts = active.setdefault(v, [])
-                if not ts or ts[-1] != e.t:
-                    ts.append(e.t)
-
-    nodes: list[ExpNode] = [ExpNode("source", None, None), ExpNode("sink", None, None)]
-    index: dict[tuple[int, int, str], int] = {}
-    kinds = ("in", "out") if strict else ("node",)
-    for v in sorted(active):
-        for t in active[v]:
-            for kind in kinds:
-                index[(v, t, kind)] = len(nodes)
-                nodes.append(ExpNode(kind, v, t))
-
-    enter = lambda v, t: index[(v, t, "in" if strict else "node")]
-    leave = lambda v, t: index[(v, t, "out" if strict else "node")]
-
-    layer_arcs: list[tuple[int, int]] = []
-    source_arcs: list[tuple[int, int]] = []
-    sink_arcs: list[tuple[int, int]] = []
-    column_arcs: list[tuple[int, int]] = []
-    for e in g.edges:
-        u, v, t = e.u, e.v, e.t
-        if {u, v} == {s, z}:
-            source_arcs.append((0, 1))
-        elif u == s or v == s:
-            w = v if u == s else u
-            source_arcs.append((0, enter(w, t)))
-        elif u == z or v == z:
-            w = v if u == z else u
-            sink_arcs.append((leave(w, t), 1))
-        else:
-            layer_arcs.append((leave(u, t), enter(v, t)))
-            layer_arcs.append((leave(v, t), enter(u, t)))
-    for v in sorted(active):
-        ts = active[v]
-        for t, t_next in zip(ts, ts[1:]):
-            if strict:
-                column_arcs.append((enter(v, t), leave(v, t_next)))
-                column_arcs.append((leave(v, t), leave(v, t_next)))
-            else:
-                column_arcs.append((index[(v, t, "node")], index[(v, t_next, "node")]))
-
-    return StaticExpansion(
-        strict=strict,
-        nodes=tuple(nodes),
-        source=0,
-        sink=1,
-        layer_arcs=tuple(layer_arcs),
-        source_arcs=tuple(source_arcs),
-        sink_arcs=tuple(sink_arcs),
-        column_arcs=tuple(column_arcs),
-    )

@@ -1,8 +1,10 @@
 """Budget-bounded branching solver.
 
 Any separator must hit every temporal (s,z)-path, so: find one path, branch
-over its interior vertices, recurse with the budget reduced by one.  The tree
-has depth at most k and fan-out at most the path length minus one, giving
+over its interior vertices, recurse with the budget reduced by one.  Each
+node is one masked sweep over the original graph, with the chosen vertices
+blocked, so the whole search works in the input's vertex ids.  The tree has
+depth at most k and fan-out at most the path length minus one, giving
 O(path_length^k * |edges|) work.  Complete: whenever a separator of size at
 most k exists, some branch extends a subset of it.
 """
@@ -25,15 +27,13 @@ def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separato
     g, s, z = inst.g, inst.s, inst.z
 
     def branch(chosen: frozenset[int], budget: int) -> Optional[frozenset[int]]:
-        reduced, remap = g.delete_vertices(chosen)
-        path = find_temporal_path(reduced, remap[s], remap[z], strict)
+        path = find_temporal_path(g, s, z, strict, chosen)
         if path is None:
             return chosen
         if budget == 0:
             return None
-        back = {new: old for old, new in remap.items()}
         for hop in path.vertices()[1:-1]:
-            found = branch(chosen | {back[hop]}, budget - 1)
+            found = branch(chosen | {hop}, budget - 1)
             if found is not None:
                 return found
         return None

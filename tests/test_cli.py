@@ -225,6 +225,12 @@ class TestGenAndVerify:
         code, _, err = run(capsys, ["verify", g1_file, "--s", "0", "--z", "3", "--separator", "0"])
         assert code == 3
 
+    @pytest.mark.parametrize("separator", [["--separator", "99"], ["--separator=-1"]], ids=["99", "-1"])
+    def test_verify_out_of_range_separator(self, capsys, g1_file, separator):
+        code, out, err = run(capsys, ["verify", g1_file, "--s", "0", "--z", "3", *separator])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_verify_strict(self, capsys, tmp_path):
         p = tmp_path / "eq.tg"
         dump_tg(build(3, 1, [(0, 1, 1), (1, 2, 1)]), p)

@@ -1,10 +1,13 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from temposep import build, build_expansion, find_temporal_path, reachable_with_earliest_arrival
+from temposep import build, find_temporal_path, reachable_with_earliest_arrival
+from temposep.errors import TerminalInSeparator, VertexOutOfRange
 from temposep.oracle import temporal_path_exists_exhaustive
-from temposep.reachability import is_valid_path
+from temposep.reachability import PathStep, TemporalPath, is_valid_path
 
+from expansion import build_expansion
 from strategies import small_graphs
 
 
@@ -52,6 +55,30 @@ class TestFindPath:
             return
         g2 = build(g.n, g.tau, g.raw_triples() + [missing[0]])
         assert reachable_before <= set(reachable_with_earliest_arrival(g2, 0))
+
+
+class TestBlocked:
+    @given(small_graphs(max_n=8, max_tau=4), st.sets(st.integers(1, 6)))
+    @settings(max_examples=150)
+    def test_mask_matches_deletion_step_for_step(self, g, drop):
+        s, z = 0, g.n - 1
+        blocked = frozenset(v for v in drop if v < z)
+        reduced, remap = g.delete_vertices(blocked)
+        back = {new: old for old, new in remap.items()}
+        for strict in (False, True):
+            deleted = find_temporal_path(reduced, remap[s], remap[z], strict)
+            expected = None
+            if deleted is not None:
+                expected = TemporalPath(tuple(PathStep(back[a], back[b], t) for a, b, t in deleted.steps))
+            assert find_temporal_path(g, s, z, strict, blocked) == expected
+
+    @pytest.mark.parametrize(
+        "blocked, error",
+        [({0}, TerminalInSeparator), ({1, 3}, TerminalInSeparator), ({4}, VertexOutOfRange), ({-1}, VertexOutOfRange)],
+    )
+    def test_invalid_mask_is_rejected(self, g1, blocked, error):
+        with pytest.raises(error):
+            find_temporal_path(g1, 0, 3, blocked=blocked)
 
 
 class TestEarliestArrival:
