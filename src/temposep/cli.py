@@ -2,8 +2,8 @@
 
 Line-oriented key=value output so golden files diff cleanly; identical
 invocations produce byte-identical stdout.  Exit codes: 0 = yes, 1 = no,
-2 = usage or input error, 3 = contract violation (for instance a time-edge
-between the terminals).
+2 = usage or input error, 3 = contract violation (a ContractError, for
+instance a time-edge between the terminals).
 """
 
 from __future__ import annotations
@@ -18,18 +18,7 @@ from typing import Optional, Sequence
 from . import fileio
 from .classes import classify
 from .core import TemporalGraph
-from .errors import (
-    DecompositionMismatch,
-    DegreeTooSmall,
-    FormatError,
-    IncompatibleOrdering,
-    LayersNotEqual,
-    NotMonotone,
-    TempoSepError,
-    TerminalEdgePresent,
-    TerminalInSeparator,
-    TerminalsAdjacent,
-)
+from .errors import ContractError, DecompositionMismatch, FormatError, TempoSepError
 from .generators import (
     GenSpec,
     MonotoneConstraint,
@@ -52,17 +41,6 @@ from .solvers import (
 
 USAGE_ERROR = 2
 CONTRACT_ERROR = 3
-
-_CONTRACT_ERRORS = (
-    TerminalEdgePresent,
-    TerminalInSeparator,
-    TerminalsAdjacent,
-    IncompatibleOrdering,
-    DecompositionMismatch,
-    LayersNotEqual,
-    DegreeTooSmall,
-    NotMonotone,
-)
 
 
 @dataclass
@@ -94,7 +72,9 @@ def run_solve(
         raise FormatError(f"--strict is not supported by the {algo} backend")
     td = None
     if td_raw is not None:
-        bags, tree_edges, _ = td_raw
+        bags, tree_edges, td_n = td_raw
+        if td_n != inst.g.n:
+            raise DecompositionMismatch(f"decomposition header declares {td_n} vertices, the graph has {inst.g.n}")
         td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z, external=(bags, tree_edges))
     if algo == "auto":
         if strict:
@@ -336,7 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _CONTRACT_ERRORS as exc:
+    except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONTRACT_ERROR
     except (TempoSepError, OSError, ValueError) as exc:

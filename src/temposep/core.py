@@ -68,12 +68,16 @@ class StaticGraph:
 
 def static_graph(n: int, pairs: Iterable[tuple[int, int]]) -> StaticGraph:
     """Build a StaticGraph, canonicalizing pair order and dropping duplicates."""
-    canon = set()
-    for u, v in pairs:
-        if u == v:
-            raise SelfLoop(f"static edge ({u},{v}) is a self-loop")
-        canon.add((min(u, v), max(u, v)))
-    return StaticGraph(n, frozenset(canon))
+    return StaticGraph(n, frozenset((min(u, v), max(u, v)) for u, v in pairs))
+
+
+def check_terminals(n: int, s: int, z: int) -> None:
+    """Raise VertexOutOfRange unless s and z are distinct vertices of 0..n-1."""
+    for v in (s, z):
+        if not (0 <= v < n):
+            raise VertexOutOfRange(f"terminal {v} outside 0..{n - 1}")
+    if s == z:
+        raise VertexOutOfRange(f"terminals must be distinct, both are {s}")
 
 
 @dataclass(frozen=True)

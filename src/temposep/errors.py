@@ -1,7 +1,10 @@
 """Exception hierarchy for temposep.
 
 Every error carries enough context in its message to identify the offending
-vertex, label, triple, or file location.
+vertex, label, triple, or file location.  ContractError is the family of
+violated problem or backend contracts (a time-edge between the terminals, an
+ordering or decomposition that does not fit the instance); the CLI maps it to
+exit code 3 and every other TempoSepError to exit code 2.
 """
 
 from __future__ import annotations
@@ -9,6 +12,10 @@ from __future__ import annotations
 
 class TempoSepError(Exception):
     """Base class for all temposep errors."""
+
+
+class ContractError(TempoSepError):
+    """Input that is well-formed but violates a problem or backend contract."""
 
 
 class SelfLoop(TempoSepError):
@@ -31,15 +38,15 @@ class NonpositiveExponent(TempoSepError):
     """Temporal graph power with exponent < 1."""
 
 
-class TerminalInSeparator(TempoSepError):
+class TerminalInSeparator(ContractError):
     """A candidate separator containing s or z."""
 
 
-class TerminalEdgePresent(TempoSepError):
+class TerminalEdgePresent(ContractError):
     """A time-edge between the two terminals, which instances forbid."""
 
 
-class TerminalsAdjacent(TempoSepError):
+class TerminalsAdjacent(ContractError):
     """Static vertex cut requested between adjacent terminals."""
 
 
@@ -51,7 +58,7 @@ class NotAPermutation(TempoSepError):
     """An ordering that is not a permutation of the vertex set."""
 
 
-class IncompatibleOrdering(TempoSepError):
+class IncompatibleOrdering(ContractError):
     """A vertex ordering not compatible with every layer."""
 
 
@@ -59,19 +66,19 @@ class InvalidDecomposition(TempoSepError):
     """A tree decomposition violating one of its defining properties."""
 
 
-class DecompositionMismatch(TempoSepError):
+class DecompositionMismatch(ContractError):
     """A tree decomposition that does not fit the instance it is used on."""
 
 
-class NotMonotone(TempoSepError):
+class NotMonotone(ContractError):
     """Peak reduction requested on a graph with incomparable consecutive layers."""
 
 
-class LayersNotEqual(TempoSepError):
+class LayersNotEqual(ContractError):
     """A transformation requiring all layers to be equal."""
 
 
-class DegreeTooSmall(TempoSepError):
+class DegreeTooSmall(ContractError):
     """A transformation requiring underlying minimum degree >= 2."""
 
 

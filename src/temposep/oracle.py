@@ -11,13 +11,8 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .core import TemporalGraph
-from .errors import (
-    NotAPath,
-    OracleScaleError,
-    TerminalEdgePresent,
-    VertexOutOfRange,
-)
+from .core import TemporalGraph, check_terminals
+from .errors import NotAPath, OracleScaleError, TerminalEdgePresent
 from .reachability import find_temporal_path
 
 BRUTE_FORCE_MAX_N = 20
@@ -37,11 +32,7 @@ class Instance:
     k: int
 
     def __post_init__(self) -> None:
-        for v in (self.s, self.z):
-            if not (0 <= v < self.g.n):
-                raise VertexOutOfRange(f"terminal {v} outside 0..{self.g.n - 1}")
-        if self.s == self.z:
-            raise VertexOutOfRange(f"terminals must be distinct, both are {self.s}")
+        check_terminals(self.g.n, self.s, self.z)
         if self.k < 0:
             raise ValueError(f"budget must be non-negative, got {self.k}")
         pair = (min(self.s, self.z), max(self.s, self.z))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, NamedTuple, Optional
 
-from .core import TemporalGraph
+from .core import TemporalGraph, check_terminals
 from .errors import TerminalInSeparator, VertexOutOfRange
 
 UNREACHED = float("inf")
@@ -76,14 +76,6 @@ def is_valid_path(g: TemporalGraph, path: TemporalPath, s: int, z: int, strict: 
             return False
         prev_t, prev_to = st.t, st.to
     return True
-
-
-def _check_terminals(g: TemporalGraph, s: int, z: int) -> None:
-    for v in (s, z):
-        if not (0 <= v < g.n):
-            raise VertexOutOfRange(f"terminal {v} outside 0..{g.n - 1}")
-    if s == z:
-        raise VertexOutOfRange(f"terminals must be distinct, both are {s}")
 
 
 def _check_blocked(g: TemporalGraph, s: int, z: int, blocked: AbstractSet[int]) -> None:
@@ -165,7 +157,7 @@ def find_temporal_path(
     (each link strictly decreases (label, hop level)), so the extracted
     witness is vertex-disjoint.
     """
-    _check_terminals(g, s, z)
+    check_terminals(g.n, s, z)
     _check_blocked(g, s, z, blocked)
     arrival, pred = _sweep(g, s, strict, blocked)
     if arrival[z] == UNREACHED:

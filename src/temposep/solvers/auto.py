@@ -13,7 +13,8 @@ Order of the rules, most specific first:
    the period block: same run-per-period argument (d breaks need d+1
    periods); the measurement enumerates simple paths and is therefore only
    attempted at desk scale.
-5. a compatible vertex ordering was supplied: interval DP.
+5. a vertex ordering was supplied: interval DP, which validates the hint
+   itself; an ordering incompatible with some layer falls through.
 6. a tree decomposition was supplied and its coloring-table size estimate
    fits the work cap: treewidth DP.
 7. otherwise: budget-bounded search tree.
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from ..classes import check_order_compatible, classify
+from ..classes import classify
+from ..errors import IncompatibleOrdering
 from ..oracle import Instance, Separator, distance_to_temporality
 from .decomposition import NiceTreeDecomposition
 from .interval_dp import solve_interval_dp
@@ -69,8 +71,11 @@ def solve_auto(
         # d breaks need d+1 periods, one monotone run each.
         if profile.periodic_r >= distance_to_temporality(block, inst.s, inst.z) + 1:
             return AutoResult(_static_cut_result(inst), "static-cut")
-    if ordering is not None and check_order_compatible(inst.g, tuple(ordering)).ok:
-        return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
+    if ordering is not None:
+        try:
+            return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
+        except IncompatibleOrdering:
+            pass
     if td is not None and treewidth_work_estimate(td, inst.g.tau) <= work_cap:
         return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")
     return AutoResult(solve_search_tree(inst), "search-tree")

@@ -120,8 +120,11 @@ def validate_tree_decomposition(
                 stack.append(nxt)
     if len(seen) != count:
         raise InvalidDecomposition("bag tree is not connected")
-    for v in range(g.n):
-        occurrence = {i for i, bag in enumerate(bags) if v in bag}
+    occurrences: list[set[int]] = [set() for _ in range(g.n)]
+    for i, bag in enumerate(bags):
+        for v in bag:
+            occurrences[v].add(i)
+    for v, occurrence in enumerate(occurrences):
         if not occurrence:
             raise InvalidDecomposition(f"vertex {v} appears in no bag")
         start = next(iter(occurrence))
@@ -135,7 +138,7 @@ def validate_tree_decomposition(
         if seen_v != occurrence:
             raise InvalidDecomposition(f"bags containing vertex {v} are not connected in the tree")
     for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in bags):
+        if not occurrences[u] & occurrences[v]:
             raise InvalidDecomposition(f"edge ({u},{v}) is contained in no bag")
 
 
@@ -184,18 +187,30 @@ def _nicify(bags: list[set[int]], tree_edges: list[tuple[int, int]], s: int, z: 
             cur = emit("introduce", bag, (cur,), v)
         return cur
 
-    def build(raw: int, parent: Optional[int]) -> int:
+    # Depth-first over the raw tree with an explicit stack, so deep trees do
+    # not hit the recursion limit.  A frame is (raw bag, its children, the
+    # tops of the children finished so far, each morphed into this bag).
+    # Each child's subtree is emitted, then morphed, before the next child
+    # starts; joins follow the last child.
+    root = -1
+    stack: list[tuple[int, list[int], list[int]]] = [(0, tree_adj[0], [])]
+    while stack:
+        raw, child_raws, tops = stack[-1]
+        if len(tops) < len(child_raws):
+            c = child_raws[len(tops)]
+            stack.append((c, [d for d in tree_adj[c] if d != raw], []))
+            continue
+        stack.pop()
         bag = frozenset(bags[raw])
-        child_raws = [c for c in tree_adj[raw] if c != parent]
         if not child_raws:
-            leaf = emit("leaf", base, ())
-            return morph(leaf, base, bag)
-        tops = [morph(build(c, raw), frozenset(bags[c]), bag) for c in child_raws]
-        cur = tops[0]
-        for other in tops[1:]:
-            cur = emit("join", bag, (cur, other))
-        return cur
-
-    root = build(0, None)
+            cur = morph(emit("leaf", base, ()), base, bag)
+        else:
+            cur = tops[0]
+            for other in tops[1:]:
+                cur = emit("join", bag, (cur, other))
+        if stack:
+            stack[-1][2].append(morph(cur, bag, frozenset(bags[stack[-1][0]])))
+        else:
+            root = cur
     width = max(len(node.bag) for node in nodes) - 1
     return NiceTreeDecomposition(tuple(nodes), root, width)

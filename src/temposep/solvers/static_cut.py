@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..core import StaticGraph
-from ..errors import TerminalsAdjacent, VertexOutOfRange
+from ..core import StaticGraph, check_terminals
+from ..errors import TerminalsAdjacent
 
 
 def static_min_vertex_cut(g: StaticGraph, s: int, z: int) -> frozenset[int]:
     """A minimum vertex set disjoint from {s,z} disconnecting s from z."""
-    for v in (s, z):
-        if not (0 <= v < g.n):
-            raise VertexOutOfRange(f"terminal {v} outside 0..{g.n - 1}")
-    if s == z:
-        raise VertexOutOfRange(f"terminals must be distinct, both are {s}")
+    check_terminals(g.n, s, z)
     if g.has_edge(s, z):
         raise TerminalsAdjacent(f"vertices {s} and {z} are adjacent, no cut exists")
 

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import DecompositionMismatch
+from ..errors import DecompositionMismatch, InvalidDecomposition
 from ..oracle import Instance, Separator
-from .decomposition import NiceTreeDecomposition
+from .decomposition import NiceTreeDecomposition, validate_tree_decomposition
 
 
 def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
@@ -42,26 +42,11 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
     for i, bag in enumerate(bags):
         if inst.s not in bag or inst.z not in bag:
             raise DecompositionMismatch(f"node {i} bag misses a terminal")
-        for v in bag:
-            if not (0 <= v < inst.g.n):
-                raise DecompositionMismatch(f"node {i} bag contains out-of-range vertex {v}")
-    parent: dict[int, int] = {}
-    for i, node in enumerate(td.nodes):
-        for child in node.children:
-            parent[child] = i
-    roots_of: dict[int, int] = {}
-    for i, bag in enumerate(bags):
-        for v in bag:
-            if parent.get(i) is None or v not in bags[parent[i]]:
-                roots_of[v] = roots_of.get(v, 0) + 1
-    for v in range(inst.g.n):
-        if roots_of.get(v, 0) == 0:
-            raise DecompositionMismatch(f"vertex {v} appears in no bag")
-        if roots_of[v] > 1:
-            raise DecompositionMismatch(f"bags containing vertex {v} are not connected")
-    for pair in inst.g.edge_labels:
-        if not any(pair[0] in bag and pair[1] in bag for bag in bags):
-            raise DecompositionMismatch(f"underlying edge {pair} is contained in no bag")
+    tree_edges = [(i, child) for i, node in enumerate(td.nodes) for child in node.children]
+    try:
+        validate_tree_decomposition(bags, tree_edges, inst.g.underlying())
+    except InvalidDecomposition as exc:
+        raise DecompositionMismatch(str(exc)) from exc
 
 
 class _DPRun:

@@ -111,6 +111,28 @@ class TestSolve:
         )
         assert code == 0 and "verdict=yes" in out
 
+    def test_td_header_vertex_count_must_match_graph(self, capsys, tmp_path, g1):
+        p = tmp_path / "g.tg"
+        dump_tg(g1, p)
+        td = tmp_path / "g.td"
+        td.write_text("td 1 4 9\nb 1 0 1 2 3\n")
+        code, out, err = run(
+            capsys,
+            ["solve", str(p), "--s", "0", "--z", "3", "--k", "1", "--algo", "treewidth", "--td", str(td)],
+        )
+        assert code == 3 and out == ""
+        assert err == "error: decomposition header declares 9 vertices, the graph has 4\n"
+
+    def test_deep_decomposition_solves(self, capsys, tmp_path):
+        n = 1000
+        p = tmp_path / "path1000.tg"
+        dump_tg(build(n, 1, [(v, v + 1, 1) for v in range(n - 1)]), p)
+        code, out, err = run(
+            capsys, ["solve", str(p), "--s", "0", "--z", str(n - 1), "--k", "1", "--algo", "treewidth"]
+        )
+        assert code == 0 and err == ""
+        assert out == "verdict=yes separator=998 backend=treewidth-dp\n"
+
 
 class TestPath:
     def test_yes(self, capsys, g1_file):
@@ -268,3 +290,25 @@ def test_work_cap_env_override(monkeypatch, capsys, tmp_path):
     code, out, _ = run(capsys, ["solve", str(p), "--s", "0", "--z", "4", "--k", "1", "--td", str(td)])
     assert code == 0
     assert "backend=search-tree" in out
+
+
+def test_contract_errors_are_exactly_the_exit_3_family():
+    import inspect
+
+    from temposep import errors
+
+    family = {
+        name
+        for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.ContractError) and cls is not errors.ContractError
+    }
+    assert family == {
+        "DecompositionMismatch",
+        "DegreeTooSmall",
+        "IncompatibleOrdering",
+        "LayersNotEqual",
+        "NotMonotone",
+        "TerminalEdgePresent",
+        "TerminalInSeparator",
+        "TerminalsAdjacent",
+    }

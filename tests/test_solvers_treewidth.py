@@ -32,12 +32,28 @@ def test_no_path_zero_budget(g2_inst):
     assert found is not None and found.size == 0
 
 
-def test_mismatched_decomposition_rejected():
-    edgeless = build(4, 1, [])
-    td = build_tree_decomposition(edgeless.underlying(), 0, 3)
-    with_inner_edge = Instance(g=build(4, 1, [(1, 2, 1)]), s=0, z=3, k=0)
-    with pytest.raises(DecompositionMismatch):
-        solve_treewidth_dp(with_inner_edge, td)
+@pytest.mark.parametrize(
+    "td_graph, inst, message",
+    [
+        (build(4, 1, []), Instance(g=build(4, 1, [(1, 2, 1)]), s=0, z=3, k=0), "contained in no bag"),
+        (build(4, 1, [(1, 2, 1)]), Instance(g=build(4, 1, [(1, 2, 1)]), s=1, z=3, k=0), "misses a terminal"),
+        (build(4, 1, [(1, 2, 1)]), Instance(g=build(5, 1, [(1, 2, 1)]), s=0, z=3, k=0), "appears in no bag"),
+    ],
+    ids=["uncovered-edge", "other-terminals", "fewer-vertices"],
+)
+def test_mismatched_decomposition_rejected(td_graph, inst, message):
+    """Each decomposition is built for terminals 0 and 3 and does not fit `inst`."""
+    td = build_tree_decomposition(td_graph.underlying(), 0, 3)
+    with pytest.raises(DecompositionMismatch, match=message):
+        solve_treewidth_dp(inst, td)
+
+
+def test_deep_decomposition_solves():
+    # A 1000-vertex path nicifies into a chain about 2000 nodes deep.
+    n = 1000
+    inst = Instance(g=build(n, 1, [(v, v + 1, 1) for v in range(n - 1)]), s=0, z=n - 1, k=1)
+    td = build_tree_decomposition(inst.g.underlying(), 0, n - 1)
+    assert solve_treewidth_dp(inst, td).vertices == {n - 2}
 
 
 @given(instance_graphs(max_n=6, max_tau=3))
