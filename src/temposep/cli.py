@@ -71,7 +71,9 @@ def run_solve(
     if strict and algo in ("treewidth", "interval", "static-cut"):
         raise FormatError(f"--strict is not supported by the {algo} backend")
     td = None
-    if td_raw is not None:
+    # Only the treewidth backend reads a decomposition, so it is checked and
+    # built only where that backend can run.
+    if td_raw is not None and (algo == "treewidth" or (algo == "auto" and not strict)):
         bags, tree_edges, td_n = td_raw
         if td_n != inst.g.n:
             raise DecompositionMismatch(f"decomposition header declares {td_n} vertices, the graph has {inst.g.n}")

@@ -154,11 +154,6 @@ class TemporalGraph:
         )
         return TemporalGraph(self.n - len(dropped), self.tau, kept), remap
 
-    def induced(self, keep: Iterable[int]) -> tuple["TemporalGraph", dict[int, int]]:
-        """Induced temporal subgraph on `keep` (deletion of the complement)."""
-        keep_set = set(keep)
-        return self.delete_vertices(v for v in range(self.n) if v not in keep_set)
-
     def slice_labels(self, a: int, b: int) -> "TemporalGraph":
         """The temporal graph of labels a..b, renumbered to 1..b-a+1."""
         if not (1 <= a <= b <= self.tau):

@@ -17,10 +17,19 @@ With position 1 = s and position n = z:
               T[t'][i'] + the largest larger-neighborhood of i over labels
               t'+1..t, for every t' < t and i' < i.
 
-The larger-neighborhood family of a position is replaced by the infeasible
-sentinel (all non-terminals) whenever that position is adjacent to z inside
-the label window, so the arithmetic needs no special cases.  The answer is
-yes iff some |T[tau][i]| fits the budget; that entry is the witness.
+"Largest" breaks ties towards the smallest label; "min" orders sets by size,
+then by their sorted position tuples.  The larger-neighborhood family of a
+position is replaced by the infeasible sentinel (all non-terminals) whenever
+that position is adjacent to z inside the label window, so the arithmetic
+needs no special cases.  The answer is yes iff some |T[tau][i]| fits the
+budget; that entry is the witness.
+
+Sets of positions are int bitmasks: position q is bit n - q, so z is bit 0
+and a larger-neighborhood with bit 0 set marks a label at which the position
+touches z.  Between two distinct sets of equal size, the smallest position in
+only one of them is the highest bit of their XOR; that set has the smaller
+sorted tuple and the larger mask.  Ordering masks by (popcount, -mask)
+therefore orders sets exactly as (size, sorted tuple) does.
 """
 
 from __future__ import annotations
@@ -32,16 +41,12 @@ from ..errors import IncompatibleOrdering
 from ..oracle import Instance, Separator
 
 
-def _set_key(s: frozenset[int]) -> tuple[int, tuple[int, ...]]:
-    return (len(s), tuple(sorted(s)))
+def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The table as masks, T[t][i] for t in 1..tau, i in 1..n-1, plus the window.
 
-
-def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[frozenset[int]]], dict[int, int]]:
-    """Fill the full table; returns (T, position->original-vertex map).
-
-    T is 1-based in both dimensions: T[t][i] for t in 1..tau, i in 1..n-1.
-    The ordering is reversed when s comes after z, and vertices outside the
-    s..z ordering window are deleted up front; neither changes the answer.
+    window[q - 1] is the original vertex at position q.  The ordering is
+    reversed when s comes after z; edges with an end outside the s..z window
+    are skipped, which does not change the answer.
     """
     order = tuple(ordering)
     checked = check_order_compatible(inst.g, order)
@@ -50,70 +55,95 @@ def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[lis
             f"layer {checked.violation.layer} violates indifference at positions "
             f"({checked.violation.i},{checked.violation.j},{checked.violation.k})"
         )
-    pos = {v: i for i, v in enumerate(order)}
-    if pos[inst.s] > pos[inst.z]:
-        order = tuple(reversed(order))
-        pos = {v: i for i, v in enumerate(order)}
-    window = [order[i] for i in range(pos[inst.s], pos[inst.z] + 1)]
-    g, remap = inst.g.induced(window)
-    back = {new: old for old, new in remap.items()}
-
-    # Position q (1-based) holds the window vertex with new id by_pos[q].
-    by_pos = [None] + [remap[v] for v in window]
-    pos_of = {vid: q for q, vid in enumerate(by_pos) if vid is not None}
+    index = [0] * inst.g.n
+    for i, v in enumerate(order):
+        index[v] = i
+    lo, hi = index[inst.s], index[inst.z]
+    if lo > hi:
+        order = order[::-1]
+        lo, hi = inst.g.n - 1 - lo, inst.g.n - 1 - hi
+        index = [inst.g.n - 1 - i for i in index]
+    window = order[lo : hi + 1]
     n = len(window)
-    tau = g.tau
-    to_original = {q: back[by_pos[q]] for q in range(1, n + 1)}
+    tau = inst.g.tau
 
-    larger: list[list[frozenset[int]]] = [[frozenset()] * (n + 1) for _ in range(tau + 1)]
-    z_labels: list[set[int]] = [set() for _ in range(n + 1)]
+    # larger[t][q]: positions above q adjacent to q at label t, as a mask.
+    larger = [[0] * (n + 1) for _ in range(tau + 1)]
+    for e in inst.g.edges:
+        a, b = index[e.u] - lo + 1, index[e.v] - lo + 1
+        if a > b:
+            a, b = b, a
+        if a >= 1 and b <= n:
+            larger[e.t][a] |= 1 << (n - b)
+
+    sentinel = (1 << (n - 1)) - 2  # every non-terminal position: bits 1..n-2
+    table = [[0] * n for _ in range(tau + 1)]
+    tails = [0] * (tau + 1)
     for t in range(1, tau + 1):
-        adj: dict[int, set[int]] = {}
-        for u, v in g.layer_edge_sets[t - 1]:
-            qu, qv = pos_of[u], pos_of[v]
-            adj.setdefault(qu, set()).add(qv)
-            adj.setdefault(qv, set()).add(qu)
-        for q in range(1, n + 1):
-            nbrs = adj.get(q, set())
-            larger[t][q] = frozenset(w for w in nbrs if w > q)
-            if n in nbrs:
-                z_labels[q].add(t)
-
-    sentinel = frozenset(range(2, n))  # every non-terminal position
-
-    def best_nbhd(q: int, a: int, b: int) -> frozenset[int]:
-        """argmax by size over the window family; ties to the smallest label."""
-        if any(t in z_labels[q] for t in range(a, b + 1)):
-            return sentinel
-        best = larger[a][q]
-        for t in range(a + 1, b + 1):
-            if len(larger[t][q]) > len(best):
-                best = larger[t][q]
-        return best
-
-    table: list[list[frozenset[int]]] = [[frozenset()] * n for _ in range(tau + 1)]
-    for t in range(1, tau + 1):
-        table[t][1] = best_nbhd(1, 1, t)
-    for i in range(2, n):
-        table[1][i] = min((table[1][i - 1], best_nbhd(i, 1, 1)), key=_set_key)
-    for t in range(2, tau + 1):
-        for i in range(2, n):
-            candidates = [table[t][i - 1], best_nbhd(i, 1, t)]
-            for t_prev in range(1, t):
-                tail = best_nbhd(i, t_prev + 1, t)
+        row = table[t]
+        for i in range(1, n):
+            # tails[a]: the largest larger-neighborhood of i over labels a..t,
+            # a running max while a walks down from t.  Equal sizes go to the
+            # new, smaller label; once z is touched the sentinel stays.
+            tail, tail_count = 0, -1
+            for a in range(t, 0, -1):
+                if tail != sentinel:
+                    m = larger[a][i]
+                    if m & 1:
+                        tail, tail_count = sentinel, n - 2
+                    elif (c := m.bit_count()) >= tail_count:
+                        tail, tail_count = m, c
+                tails[a] = tail
+            if i == 1:
+                row[1] = tails[1]
+                continue
+            best = row[i - 1]
+            best_count = best.bit_count()
+            m = tails[1]
+            c = m.bit_count()
+            if c < best_count or (c == best_count and m > best):
+                best, best_count = m, c
+            # Every entry is a subset of the sentinel, so a sentinel tail
+            # never beats T[t][i-1]; the tails are sentinel from some label
+            # down, so the loop stops at the first one.
+            for t_prev in range(t - 1, 0, -1):
+                tail = tails[t_prev + 1]
+                if tail == sentinel:
+                    break
+                prev_row = table[t_prev]
                 for i_prev in range(1, i):
-                    candidates.append(table[t_prev][i_prev] | tail)
-            table[t][i] = min(candidates, key=_set_key)
-    return table, to_original
+                    m = prev_row[i_prev] | tail
+                    c = m.bit_count()
+                    if c < best_count or (c == best_count and m > best):
+                        best, best_count = m, c
+            row[i] = best
+    return table, window
+
+
+def _positions(mask: int, n: int) -> frozenset[int]:
+    return frozenset(n - b for b in range(n) if mask >> b & 1)
+
+
+def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[frozenset[int]]], dict[int, int]]:
+    """Fill the full table; returns (T, position->original-vertex map).
+
+    T is 1-based in both dimensions: T[t][i] for t in 1..tau, i in 1..n-1,
+    each entry a frozenset of positions.  The ordering is reversed when s
+    comes after z, and vertices outside the s..z ordering window are left
+    out; neither changes the answer.
+    """
+    masks, window = _mask_table(inst, ordering)
+    n = len(window)
+    table = [[_positions(m, n) for m in row] for row in masks]
+    return table, {q: v for q, v in enumerate(window, start=1)}
 
 
 def solve_interval_dp(inst: Instance, ordering: Sequence[int]) -> Optional[Separator]:
     """A minimum separator via the ordering table, or None above budget."""
     if inst.g.tau == 0 or not inst.g.edges:
         return Separator(frozenset())
-    table, to_original = interval_dp_table(inst, ordering)
-    tau = len(table) - 1
-    best = min(table[tau][1:], key=_set_key)
-    if len(best) > inst.k:
+    masks, window = _mask_table(inst, ordering)
+    best = min(masks[-1][1:], key=lambda m: (m.bit_count(), -m))
+    if best.bit_count() > inst.k:
         return None
-    return Separator(frozenset(to_original[q] for q in best))
+    return Separator(frozenset(window[q - 1] for q in _positions(best, len(window))))

@@ -80,8 +80,7 @@ class _DPRun:
     def _run(self) -> dict[int, int]:
         inst, td = self.inst, self.td
         g, s, z = inst.g, inst.s, inst.z
-        base, s_color, z_color = self.base, self.s_color, self.z_color
-        tau, pows = self.tau, self.pows
+        base, s_color, z_color, pows = self.base, self.s_color, self.z_color, self.pows
         tables: dict[int, dict[int, int]] = {}
 
         for x in td.postorder():
@@ -95,59 +94,38 @@ class _DPRun:
             elif node.kind == "introduce":
                 v = node.vertex
                 child = node.children[0]
-                child_bag = self.sorted_bags[child]
                 p = bag.index(v)
-                incident: list[tuple[int, int]] = []  # (child position of w, label)
-                for q, w in enumerate(child_bag):
-                    labels = g.edge_labels.get((min(v, w), max(v, w)), ())
-                    incident.extend((q, t) for t in labels)
-                memo: dict[tuple[tuple[int, ...], int], bool] = {}
-
-                def valid(w_colors: tuple[int, ...], v_color: int) -> bool:
-                    cached = memo.get((w_colors, v_color))
-                    if cached is not None:
-                        return cached
-                    ok = True
-                    if v_color == z_color:
-                        for (_, t), wc in zip(incident, w_colors):
-                            if wc < tau and t > wc:  # an A_{wc+1} neighbor reaches v at t >= wc+1
-                                ok = False
-                                break
-                    elif v_color < tau:
-                        i = v_color + 1
-                        for (_, t), wc in zip(incident, w_colors):
-                            if t >= i:
-                                if not (wc < t or wc == s_color):
-                                    ok = False
-                                    break
-                            elif wc < t:
-                                ok = False
-                                break
-                    memo[(w_colors, v_color)] = ok
-                    return ok
-
+                unit, high_unit = pows[p], pows[p + 1]
+                nbr_units: list[int] = []  # pows[q] for each child position q of a neighbor of v
+                nbr_labels: list[tuple[int, ...]] = []
+                for q, w in enumerate(self.sorted_bags[child]):
+                    labels = g.edge_labels.get((min(v, w), max(v, w)))
+                    if labels:
+                        nbr_units.append(pows[q])
+                        nbr_labels.append(labels)
+                memo: dict[tuple[int, ...], list[tuple[int, int]]] = {}
                 table: dict[int, int] = {}
+                # (child key, color of v) -> key is injective, so no new key repeats.
                 for child_key, cost in tables.pop(child).items():
-                    w_colors = tuple(self.digit(child_key, q) for q, _ in incident)
-                    shifted = self.insert_digit(child_key, p, 0)
-                    for v_color in range(base):
-                        if not valid(w_colors, v_color):
-                            continue
-                        new_key = shifted + v_color * pows[p]
-                        new_cost = cost + (1 if v_color == s_color else 0)
-                        old = table.get(new_key)
-                        if old is None or new_cost < old:
-                            table[new_key] = new_cost
+                    w_colors = tuple([child_key // u % base for u in nbr_units])
+                    allowed = memo.get(w_colors)
+                    if allowed is None:
+                        allowed = memo[w_colors] = self._allowed(w_colors, nbr_labels, unit)
+                    high, low = divmod(child_key, unit)
+                    shifted = high * high_unit + low
+                    for offset, extra in allowed:
+                        table[shifted + offset] = cost + extra
                 tables[x] = table
             elif node.kind == "forget":
                 v = node.vertex
                 child = node.children[0]
-                p = self.sorted_bags[child].index(v)
+                unit = pows[self.sorted_bags[child].index(v)]
                 table = {}
                 choice: dict[int, int] = {}
                 for child_key, cost in sorted(tables.pop(child).items()):
-                    color = self.digit(child_key, p)
-                    new_key = self.remove_digit(child_key, p)
+                    high, low = divmod(child_key, unit)
+                    high, color = divmod(high, base)
+                    new_key = high * unit + low
                     old = table.get(new_key)
                     if old is None or cost < old or (cost == old and color < choice[new_key]):
                         table[new_key] = cost
@@ -164,10 +142,28 @@ class _DPRun:
                 for key, lcost in lt.items():
                     rcost = rt.get(key)
                     if rcost is not None:
-                        in_sep = sum(1 for p in range(bag_size) if self.digit(key, p) == s_color)
+                        in_sep, rest = 0, key
+                        for _ in range(bag_size):
+                            rest, color = divmod(rest, base)
+                            if color == s_color:
+                                in_sep += 1
                         table[key] = lcost + rcost - in_sep
                 tables[x] = table
         return tables[self.td.root]
+
+    def _allowed(self, w_colors: tuple[int, ...], nbr_labels: list[tuple[int, ...]], unit: int) -> list[tuple[int, int]]:
+        """(color * unit, cost) for each color of an introduced vertex that the
+        introduce rule allows next to neighbors colored `w_colors`."""
+        tau, s_color = self.tau, self.s_color
+        pairs = [(wc, t) for wc, labels in zip(w_colors, nbr_labels) for t in labels]
+        allowed = []
+        for i in range(1, tau + 1):
+            if all((wc < t or wc == s_color) if t >= i else wc >= t for wc, t in pairs):
+                allowed.append(((i - 1) * unit, 0))
+        allowed.append((s_color * unit, 1))
+        if all(wc >= tau or t <= wc for wc, t in pairs):
+            allowed.append((self.z_color * unit, 0))
+        return allowed
 
     def best_root_entry(self) -> Optional[tuple[int, int]]:
         best_key, best_cost = None, None

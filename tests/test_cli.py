@@ -123,6 +123,23 @@ class TestSolve:
         assert code == 3 and out == ""
         assert err == "error: decomposition header declares 9 vertices, the graph has 4\n"
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--algo", "search-tree"], ["--algo", "interval"], ["--algo", "static-cut"], ["--algo", "brute"], ["--strict"]],
+    )
+    def test_td_ignored_by_backends_that_cannot_read_it(self, capsys, tmp_path, extra):
+        p = tmp_path / "path.tg"
+        dump_tg(build(4, 3, [(0, 1, 1), (1, 2, 2), (2, 3, 3)]), p)
+        td = tmp_path / "bad.td"
+        td.write_text("td 1 2 4\nb 1 0 1\n")
+        argv = ["solve", str(p), "--s", "0", "--z", "3", "--k", "1"]
+        without_td = run(capsys, argv + extra)
+        assert without_td[0] == 0 and without_td[2] == ""
+        assert run(capsys, argv + extra + ["--td", str(td)]) == without_td
+        code, out, err = run(capsys, argv + ["--algo", "treewidth", "--td", str(td)])
+        assert (code, out) == (2, "")
+        assert err == "error: vertex 2 appears in no bag\n"
+
     def test_deep_decomposition_solves(self, capsys, tmp_path):
         n = 1000
         p = tmp_path / "path1000.tg"
