@@ -78,41 +78,27 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
 
     sentinel = (1 << (n - 1)) - 2  # every non-terminal position: bits 1..n-2
     table = [[0] * n for _ in range(tau + 1)]
-    tails = [0] * (tau + 1)
     for t in range(1, tau + 1):
         row = table[t]
         for i in range(1, n):
-            # tails[a]: the largest larger-neighborhood of i over labels a..t,
-            # a running max while a walks down from t.  Equal sizes go to the
-            # new, smaller label; once z is touched the sentinel stays.
+            best = row[i - 1] if i > 1 else sentinel
+            best_count = best.bit_count()
+            # tail: the largest larger-neighborhood of i over labels a..t, a
+            # running max while a walks down from t; equal sizes go to the
+            # new, smaller label.  It joins T[a-1][i'] for every i' < i, or
+            # stands alone at a = 1.  Once i touches z the family is the
+            # sentinel for every smaller a, and the sentinel contains every
+            # entry, so it never beats `best`.
             tail, tail_count = 0, -1
             for a in range(t, 0, -1):
-                if tail != sentinel:
-                    m = larger[a][i]
-                    if m & 1:
-                        tail, tail_count = sentinel, n - 2
-                    elif (c := m.bit_count()) >= tail_count:
-                        tail, tail_count = m, c
-                tails[a] = tail
-            if i == 1:
-                row[1] = tails[1]
-                continue
-            best = row[i - 1]
-            best_count = best.bit_count()
-            m = tails[1]
-            c = m.bit_count()
-            if c < best_count or (c == best_count and m > best):
-                best, best_count = m, c
-            # Every entry is a subset of the sentinel, so a sentinel tail
-            # never beats T[t][i-1]; the tails are sentinel from some label
-            # down, so the loop stops at the first one.
-            for t_prev in range(t - 1, 0, -1):
-                tail = tails[t_prev + 1]
-                if tail == sentinel:
+                m = larger[a][i]
+                if m & 1:
                     break
-                prev_row = table[t_prev]
-                for i_prev in range(1, i):
-                    m = prev_row[i_prev] | tail
+                c = m.bit_count()
+                if c >= tail_count:
+                    tail, tail_count = m, c
+                for prev in table[a - 1][1:i] if a > 1 else (0,):
+                    m = prev | tail
                     c = m.bit_count()
                     if c < best_count or (c == best_count and m > best):
                         best, best_count = m, c
