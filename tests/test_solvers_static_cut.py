@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from temposep import static_min_vertex_cut
 from temposep.core import StaticGraph, static_graph
 from temposep.errors import TerminalsAdjacent
+from temposep.generators import GenSpec, PeriodicConstraint, generate
 
 
 def test_four_cycle():
@@ -98,3 +100,68 @@ def test_duality_with_disjoint_paths(g):
         return
     cut = static_min_vertex_cut(g, 0, g.n - 1)
     assert len(cut) == _vertex_disjoint_path_count(g, 0, g.n - 1)
+
+
+def _s_side(g: StaticGraph, s: int, cut) -> frozenset[int]:
+    """The vertices s reaches once the cut is deleted."""
+    blocked = set(cut)
+    seen, stack = {s}, [s]
+    while stack:
+        for w in g.adjacency[stack.pop()]:
+            if w not in blocked and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+@given(small_static())
+@settings(max_examples=80, deadline=None)
+def test_cut_is_the_source_side_minimal_minimum_cut(g):
+    s, z = 0, g.n - 1
+    cut = static_min_vertex_cut(g, s, z)
+    side = _s_side(g, s, cut)
+    others = [v for v in range(g.n) if v not in (s, z)]
+    for other in combinations(others, len(cut)):
+        if _separates(g, s, z, other):
+            assert side <= _s_side(g, s, other)
+
+
+# Seeded generator graphs whose underlying cuts are pinned in GOLDEN: general
+# sparse layers and identical layers, n from 20 to 400, three terminal pairs.
+GOLDEN = Path(__file__).parent / "golden" / "static_cut_witnesses.txt"
+
+GOLDEN_CORPUS = [
+    GenSpec(n=n, tau=2 + j % 3, edge_prob=(2.0 + j % 4) / n, seed=1100 + j)
+    for j, n in enumerate(range(20, 401, 20))
+] + [
+    GenSpec(n=n, tau=3, edge_prob=(3.0 + j % 3) / n, constraint=PeriodicConstraint(1, 3), seed=1200 + j)
+    for j, n in enumerate(range(40, 401, 40))
+]
+
+
+def _golden_lines() -> list[str]:
+    lines = []
+    for j, spec in enumerate(GOLDEN_CORPUS):
+        g = generate(spec).g.underlying()
+        n = g.n
+        for s, z in ((0, n - 1), (1, n // 2), (n // 3, 2 * n // 3)):
+            label = f"cut g-{j:02d} n={n} m={len(g.edges)} s={s} z={z}"
+            if g.has_edge(s, z):
+                lines.append(f"{label} terminals-adjacent")
+            else:
+                cut = sorted(static_min_vertex_cut(g, s, z))
+                lines.append(f"{label} size={len(cut)} " + (",".join(map(str, cut)) or "-"))
+    return lines
+
+
+def transcript() -> str:
+    return "\n".join(_golden_lines()) + "\n"
+
+
+def record() -> None:
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(transcript(), encoding="ascii")
+
+
+def test_cuts_match_golden():
+    assert transcript() == GOLDEN.read_text(encoding="ascii")
