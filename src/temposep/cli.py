@@ -59,6 +59,16 @@ def _work_cap() -> int:
     return int(raw) if raw else DEFAULT_WORK_CAP
 
 
+def _reads_td(algo: str, strict: bool) -> bool:
+    """Only the treewidth backend reads a decomposition; non-strict auto may pick it."""
+    return algo == "treewidth" or (algo == "auto" and not strict)
+
+
+def _reads_ordering(algo: str, strict: bool) -> bool:
+    """Only the interval backend reads an ordering; non-strict auto may pick it."""
+    return algo == "interval" or (algo == "auto" and not strict)
+
+
 def run_solve(
     inst: Instance,
     algo: str = "auto",
@@ -71,9 +81,7 @@ def run_solve(
     if strict and algo in ("treewidth", "interval", "static-cut"):
         raise FormatError(f"--strict is not supported by the {algo} backend")
     td = None
-    # Only the treewidth backend reads a decomposition, so it is checked and
-    # built only where that backend can run.
-    if td_raw is not None and (algo == "treewidth" or (algo == "auto" and not strict)):
+    if td_raw is not None and _reads_td(algo, strict):
         bags, tree_edges, td_n = td_raw
         if td_n != inst.g.n:
             raise DecompositionMismatch(f"decomposition header declares {td_n} vertices, the graph has {inst.g.n}")
@@ -216,9 +224,9 @@ def _cmd_solve(args) -> int:
         g = fileio.load_tg(input_path)
         if first_graph is None:
             first_graph = g
-            if args.ordering:
+            if args.ordering and _reads_ordering(args.algo, args.strict):
                 ordering = fileio.load_ordering(args.ordering, g.n)
-            if args.td:
+            if args.td and _reads_td(args.algo, args.strict):
                 td_raw = fileio.load_td(args.td)
         inst = Instance(g=g, s=args.s, z=args.z, k=args.k)
         result = run_solve(inst, args.algo, ordering, td_raw, args.strict)

@@ -181,9 +181,7 @@ def distance_to_temporality(g: TemporalGraph, s: int, z: int) -> int:
     0 when no (s,z)-path exists.  Enumerates simple paths, so only suitable
     at desk scale.
     """
-    under = g.underlying()
-    adj = [sorted(under.adjacency[v]) for v in range(g.n)]
     best = 0
-    for p in simple_paths(adj, s, z):
+    for p in simple_paths(g.underlying().adjacency, s, z):
         best = max(best, path_min_resets(g, p))
     return best

@@ -93,9 +93,10 @@ def _sweep(
     """Earliest arrival labels from s, with predecessor links for witnesses.
 
     Blocked vertices start with an arrival after the last label, so they are
-    never reached and never relay.  Ties are broken deterministically:
-    earliest label first, then fewest hops within the label (non-strict),
-    then smallest predecessor vertex.
+    never reached and never relay.  Ties are settled by rule, not by the
+    order frontiers or adjacency lists are scanned in: earliest label first,
+    then fewest hops within the label (non-strict), then smallest
+    predecessor vertex.
     """
     arrival: list[float] = [UNREACHED] * g.n
     for v in blocked:
@@ -118,7 +119,7 @@ def _sweep(
                 pred[b] = (a, t)
         else:
             # Level-synchronized multi-source BFS inside the layer.
-            frontier = sorted(v for v in adj if arrival[v] <= t)
+            frontier = [v for v in adj if arrival[v] <= t]
             while frontier:
                 found: dict[int, int] = {}
                 for a in frontier:
@@ -128,7 +129,7 @@ def _sweep(
                 for b, a in found.items():
                     arrival[b] = t
                     pred[b] = (a, t)
-                frontier = sorted(found)
+                frontier = found.keys()
     return arrival, pred
 
 

@@ -26,7 +26,6 @@ class ReductionReport:
 
     kind: str
     input_summary: dict[str, int]
-    output: Instance
     budget_delta: int
     checks: dict[str, bool]
     details: dict[str, int | str]
@@ -40,11 +39,10 @@ def _summary(inst: Instance) -> dict[str, int]:
     return {"n": inst.g.n, "m": len(inst.g.edges), "tau": inst.g.tau, "k": inst.k}
 
 
-def _report(kind: str, inst: Instance, out: Instance, delta: int, checks, details) -> ReductionReport:
+def _report(kind: str, inst: Instance, delta: int, checks, details) -> ReductionReport:
     return ReductionReport(
         kind=kind,
         input_summary=_summary(inst),
-        output=out,
         budget_delta=delta,
         checks=checks,
         details=details,
@@ -80,7 +78,7 @@ def one_edge_per_layer(inst: Instance) -> tuple[Instance, ReductionReport]:
         "underlying_preserved": out_g.underlying() == g.underlying(),
     }
     details = {"tau_out": out_g.tau, "tau_bound": g.tau * g.n**4}
-    return out, _report("one-edge", inst, out, 0, checks, details)
+    return out, _report("one-edge", inst, 0, checks, details)
 
 
 def complete_but_one(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -112,7 +110,7 @@ def complete_but_one(inst: Instance) -> tuple[Instance, ReductionReport]:
         "tau_is_input_plus_two": out_g.tau == g.tau + 2,
     }
     details = {"underlying_edges": len(under.edges), "expected_edges": expected}
-    return out, _report("complete-but-one", inst, out, 0, checks, details)
+    return out, _report("complete-but-one", inst, 0, checks, details)
 
 
 def pad_monotone(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -139,7 +137,7 @@ def pad_monotone(inst: Instance) -> tuple[Instance, ReductionReport]:
         "even_layers_empty": even_empty,
     }
     details = {"tau_out": out_g.tau}
-    return out, _report("pad-monotone", inst, out, 0, checks, details)
+    return out, _report("pad-monotone", inst, 0, checks, details)
 
 
 def add_universal_vertex(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -164,7 +162,7 @@ def add_universal_vertex(inst: Instance) -> tuple[Instance, ReductionReport]:
         ),
     }
     details = {"hub": hub, "max_window": profile.interval_connected_max_t}
-    return out, _report("universal", inst, out, +1, checks, details)
+    return out, _report("universal", inst, +1, checks, details)
 
 
 def steadyify(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -196,14 +194,13 @@ def steadyify(inst: Instance) -> tuple[Instance, ReductionReport]:
         "underlying_preserved": out_g.underlying() == g.underlying(),
     }
     details = {"steady_lambda": lam, "tau_out": out_g.tau}
-    return out, _report("steady", inst, out, 0, checks, details)
+    return out, _report("steady", inst, 0, checks, details)
 
 
 def is_claw_free(g: StaticGraph) -> bool:
     """No induced star with three leaves anywhere."""
     for v in range(g.n):
-        nbrs = sorted(g.adjacency[v])
-        for a, b, c in combinations(nbrs, 3):
+        for a, b, c in combinations(g.adjacency[v], 3):
             if not g.has_edge(a, b) and not g.has_edge(a, c) and not g.has_edge(b, c):
                 return False
     return True
@@ -299,7 +296,7 @@ def line_graph_gadget(inst: Instance) -> tuple[Instance, ReductionReport]:
         "tau_is_2tau_plus_2": out_g.tau == 2 * g.tau + 2,
     }
     details = {"n_out": out_g.n, "tau_out": out_g.tau}
-    return out, _report("line-graph", inst, out, 0, checks, details)
+    return out, _report("line-graph", inst, 0, checks, details)
 
 
 REDUCTIONS: dict[str, Callable[[Instance], tuple[Instance, ReductionReport]]] = {

@@ -3,7 +3,13 @@
 Each non-terminal vertex is split into an entry and an exit node joined by a
 unit arc; undirected edges become infinite-capacity arc pairs.  Max flow from
 the exit of s to the entry of z then equals the minimum number of internally
-vertex-disjoint (s,z)-paths, and the residual frontier yields the cut.
+vertex-disjoint (s,z)-paths, and the cut is every vertex whose entry, but not
+exit, the source still reaches in the residual graph.
+
+That residual-reachable set is the same for every maximum flow: it is the
+source side of the minimum cut that lies inside the source side of every
+other minimum cut.  So the returned cut does not depend on which augmenting
+paths the searches happen to find, and they visit arcs in any order.
 """
 
 from __future__ import annotations
@@ -15,67 +21,47 @@ from ..errors import TerminalsAdjacent
 
 
 def static_min_vertex_cut(g: StaticGraph, s: int, z: int) -> frozenset[int]:
-    """A minimum vertex set disjoint from {s,z} disconnecting s from z."""
+    """A minimum vertex set disjoint from {s,z} disconnecting s from z.
+
+    Of all minimum cuts it returns the one closest to s: the vertices s
+    reaches once it is deleted lie on s's side of every other minimum cut.
+    """
     check_terminals(g.n, s, z)
     if g.has_edge(s, z):
         raise TerminalsAdjacent(f"vertices {s} and {z} are adjacent, no cut exists")
 
-    # Node 2v = entry of v, 2v+1 = exit of v.
+    # Node 2v = entry of v, 2v+1 = exit of v.  No two arcs join the same node
+    # pair, so each residual capacity is assigned once, its reverse at 0.
     inf = g.n + 1
-    cap: dict[int, dict[int, int]] = {}
-
-    def add_arc(a: int, b: int, c: int) -> None:
-        cap.setdefault(a, {})[b] = cap.setdefault(a, {}).get(b, 0) + c
-        cap.setdefault(b, {}).setdefault(a, 0)
-
+    cap: list[dict[int, int]] = [{} for _ in range(2 * g.n)]
     for v in range(g.n):
-        if v not in (s, z):
-            add_arc(2 * v, 2 * v + 1, 1)
-    for u, v in sorted(g.edges):
-        add_arc(2 * u + 1, 2 * v, inf)
-        add_arc(2 * v + 1, 2 * u, inf)
+        if v != s and v != z:
+            cap[2 * v][2 * v + 1] = 1
+            cap[2 * v + 1][2 * v] = 0
+    for u, v in g.edges:
+        for a, b in ((u, v), (v, u)):
+            cap[2 * a + 1][2 * b] = inf
+            cap[2 * b][2 * a + 1] = 0
 
     source, sink = 2 * s + 1, 2 * z
-
-    def bfs_augment() -> int:
-        parent: dict[int, int] = {source: source}
+    while True:
+        parent = {source: source}
         queue = deque([source])
-        while queue:
+        while queue and sink not in parent:
             cur = queue.popleft()
-            if cur == sink:
-                break
-            for nxt in sorted(cap.get(cur, {})):
-                if nxt not in parent and cap[cur][nxt] > 0:
+            for nxt, c in cap[cur].items():
+                if c > 0 and nxt not in parent:
                     parent[nxt] = cur
                     queue.append(nxt)
         if sink not in parent:
-            return 0
-        bottleneck = inf
+            break
+        # Capacities are integers, so one unit always fits along the path.
         node = sink
         while node != source:
             prv = parent[node]
-            bottleneck = min(bottleneck, cap[prv][node])
+            cap[prv][node] -= 1
+            cap[node][prv] += 1
             node = prv
-        node = sink
-        while node != source:
-            prv = parent[node]
-            cap[prv][node] -= bottleneck
-            cap[node][prv] += bottleneck
-            node = prv
-        return bottleneck
 
-    while bfs_augment():
-        pass
-
-    # Residual-reachable side of the cut.
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        for nxt, c in cap.get(cur, {}).items():
-            if c > 0 and nxt not in reach:
-                reach.add(nxt)
-                queue.append(nxt)
-    return frozenset(
-        v for v in range(g.n) if v not in (s, z) and 2 * v in reach and 2 * v + 1 not in reach
-    )
+    # The last, failed search reached exactly the residual-reachable side.
+    return frozenset(v for v in range(g.n) if v != s and v != z and 2 * v in parent and 2 * v + 1 not in parent)

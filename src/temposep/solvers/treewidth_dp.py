@@ -122,7 +122,8 @@ class _DPRun:
                 unit = pows[self.sorted_bags[child].index(v)]
                 table = {}
                 choice: dict[int, int] = {}
-                for child_key, cost in sorted(tables.pop(child).items()):
+                # Any order: a tie on cost goes to the smallest color of v.
+                for child_key, cost in tables.pop(child).items():
                     high, low = divmod(child_key, unit)
                     high, color = divmod(high, base)
                     new_key = high * unit + low
@@ -166,13 +167,9 @@ class _DPRun:
         return allowed
 
     def best_root_entry(self) -> Optional[tuple[int, int]]:
-        best_key, best_cost = None, None
-        for key, cost in sorted(self.root_table.items()):
-            if best_cost is None or cost < best_cost:
-                best_key, best_cost = key, cost
-        if best_key is None:
-            return None
-        return best_key, best_cost
+        """(key, cost) of the cheapest root entry, the smallest key on ties."""
+        best = min(((cost, key) for key, cost in self.root_table.items()), default=None)
+        return None if best is None else (best[1], best[0])
 
     def reconstruct(self, root_key: int) -> frozenset[int]:
         separator: set[int] = set()

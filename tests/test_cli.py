@@ -130,15 +130,34 @@ class TestSolve:
     def test_td_ignored_by_backends_that_cannot_read_it(self, capsys, tmp_path, extra):
         p = tmp_path / "path.tg"
         dump_tg(build(4, 3, [(0, 1, 1), (1, 2, 2), (2, 3, 3)]), p)
-        td = tmp_path / "bad.td"
-        td.write_text("td 1 2 4\nb 1 0 1\n")
         argv = ["solve", str(p), "--s", "0", "--z", "3", "--k", "1"]
         without_td = run(capsys, argv + extra)
         assert without_td[0] == 0 and without_td[2] == ""
-        assert run(capsys, argv + extra + ["--td", str(td)]) == without_td
-        code, out, err = run(capsys, argv + ["--algo", "treewidth", "--td", str(td)])
-        assert (code, out) == (2, "")
-        assert err == "error: vertex 2 appears in no bag\n"
+        td = tmp_path / "bad.td"
+        for text, error in (
+            ("td 1 2 4\nb 1 0 1\n", "vertex 2 appears in no bag"),
+            ("garbage\n", f"{td}:1: bad header 'garbage', expected 'td <num_bags> <max_bag_size> <n>'"),
+        ):
+            td.write_text(text)
+            assert run(capsys, argv + extra + ["--td", str(td)]) == without_td
+            assert run(capsys, argv + ["--algo", "treewidth", "--td", str(td)]) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--algo", "search-tree"], ["--algo", "treewidth"], ["--algo", "static-cut"], ["--algo", "brute"], ["--strict"]],
+    )
+    def test_ordering_ignored_by_backends_that_cannot_read_it(self, capsys, tmp_path, extra):
+        p = tmp_path / "path.tg"
+        dump_tg(build(4, 3, [(0, 1, 1), (1, 2, 2), (2, 3, 3)]), p)
+        argv = ["solve", str(p), "--s", "0", "--z", "3", "--k", "1"]
+        without_ordering = run(capsys, argv + extra)
+        assert without_ordering[0] == 0 and without_ordering[2] == ""
+        ordering = tmp_path / "bad.ord"
+        ordering.write_text("garbage\n")
+        assert run(capsys, argv + extra + ["--ordering", str(ordering)]) == without_ordering
+        for algo in ("interval", "auto"):
+            code, out, err = run(capsys, argv + ["--algo", algo, "--ordering", str(ordering)])
+            assert (code, out, err) == (2, "", f"error: {ordering}: ordering file must contain only integers\n")
 
     def test_deep_decomposition_solves(self, capsys, tmp_path):
         n = 1000
