@@ -35,7 +35,7 @@ def static_min_vertex_cut(g: StaticGraph, s: int, z: int) -> frozenset[int]:
     inf = g.n + 1
     cap: list[dict[int, int]] = [{} for _ in range(2 * g.n)]
     for v in range(g.n):
-        if v != s and v != z:
+        if v not in (s, z):
             cap[2 * v][2 * v + 1] = 1
             cap[2 * v + 1][2 * v] = 0
     for u, v in g.edges:
@@ -64,4 +64,4 @@ def static_min_vertex_cut(g: StaticGraph, s: int, z: int) -> frozenset[int]:
             node = prv
 
     # The last, failed search reached exactly the residual-reachable side.
-    return frozenset(v for v in range(g.n) if v != s and v != z and 2 * v in parent and 2 * v + 1 not in parent)
+    return frozenset(v for v in range(g.n) if v not in (s, z) and 2 * v in parent and 2 * v + 1 not in parent)

@@ -168,8 +168,7 @@ class _DPRun:
 
     def best_root_entry(self) -> Optional[tuple[int, int]]:
         """(key, cost) of the cheapest root entry, the smallest key on ties."""
-        best = min(((cost, key) for key, cost in self.root_table.items()), default=None)
-        return None if best is None else (best[1], best[0])
+        return min(self.root_table.items(), key=lambda entry: (entry[1], entry[0]), default=None)
 
     def reconstruct(self, root_key: int) -> frozenset[int]:
         separator: set[int] = set()

@@ -32,7 +32,8 @@ def test_adjacent_terminals_rejected():
         static_min_vertex_cut(g, 0, 1)
 
 
-def _separates(g: StaticGraph, s: int, z: int, cut) -> bool:
+def _s_side(g: StaticGraph, s: int, cut) -> frozenset[int]:
+    """The vertices s reaches once the cut is deleted."""
     blocked = set(cut)
     seen, stack = {s}, [s]
     while stack:
@@ -40,7 +41,11 @@ def _separates(g: StaticGraph, s: int, z: int, cut) -> bool:
             if w not in blocked and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return z not in seen
+    return frozenset(seen)
+
+
+def _separates(g: StaticGraph, s: int, z: int, cut) -> bool:
+    return z not in _s_side(g, s, cut)
 
 
 def _brute_min_cut_size(g: StaticGraph, s: int, z: int) -> int:
@@ -102,18 +107,6 @@ def test_duality_with_disjoint_paths(g):
     assert len(cut) == _vertex_disjoint_path_count(g, 0, g.n - 1)
 
 
-def _s_side(g: StaticGraph, s: int, cut) -> frozenset[int]:
-    """The vertices s reaches once the cut is deleted."""
-    blocked = set(cut)
-    seen, stack = {s}, [s]
-    while stack:
-        for w in g.adjacency[stack.pop()]:
-            if w not in blocked and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
-
-
 @given(small_static())
 @settings(max_examples=80, deadline=None)
 def test_cut_is_the_source_side_minimal_minimum_cut(g):
@@ -128,6 +121,8 @@ def test_cut_is_the_source_side_minimal_minimum_cut(g):
 
 # Seeded generator graphs whose underlying cuts are pinned in GOLDEN: general
 # sparse layers and identical layers, n from 20 to 400, three terminal pairs.
+# To re-record after an intended output change:
+#     PYTHONPATH=src:tests python -c "import test_solvers_static_cut as t; t.record()"
 GOLDEN = Path(__file__).parent / "golden" / "static_cut_witnesses.txt"
 
 GOLDEN_CORPUS = [
