@@ -38,3 +38,27 @@ def instance_graphs(max_n: int = 6, max_tau: int = 3):
         return build(g.n, g.tau, [t for t in g.raw_triples() if (t[0], t[1]) != sz])
 
     return _graphs()
+
+
+def indifference_graphs(max_n: int = 7, max_tau: int = 3):
+    """(graph, ordering) pairs with every layer compatible with the ordering.
+
+    Each layer joins position i to every position in i+1..r(i) for a
+    non-decreasing r with r(i) >= i; the positions are then dealt to the
+    vertices by a random permutation, which becomes the ordering.
+    """
+
+    @st.composite
+    def _cases(draw):
+        n = draw(st.integers(2, max_n))
+        tau = draw(st.integers(1, max_tau))
+        ordering = tuple(draw(st.permutations(range(n))))
+        triples = []
+        for t in range(1, tau + 1):
+            reach = 0
+            for i in range(n):
+                reach = max(reach, i + draw(st.integers(0, n - 1 - i)))
+                triples.extend((ordering[i], ordering[j], t) for j in range(i + 1, reach + 1))
+        return build(n, tau, triples), ordering
+
+    return _cases()

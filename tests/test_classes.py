@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings
-from strategies import instance_graphs, small_graphs
+from hypothesis import strategies as st
+from order_reference import scan_order_compatible
+from strategies import indifference_graphs, instance_graphs, small_graphs
 
 from temposep import (
     Instance,
@@ -155,6 +157,27 @@ class TestOrderCompatibility:
     def test_not_a_permutation(self, g1):
         with pytest.raises(NotAPermutation):
             check_order_compatible(g1, (0, 1, 2, 2))
+
+    @given(small_graphs(max_n=7, max_tau=3), st.data())
+    @settings(max_examples=150)
+    def test_matches_triple_scan_on_random_orderings(self, g, data):
+        shuffled = tuple(data.draw(st.permutations(range(g.n))))
+        for ordering in (shuffled, shuffled[::-1], tuple(range(g.n))):
+            assert check_order_compatible(g, ordering) == scan_order_compatible(g, ordering)
+
+    @given(indifference_graphs(), st.data())
+    @settings(max_examples=150)
+    def test_matches_triple_scan_on_compatible_orderings(self, case, data):
+        g, ordering = case
+        for order in (ordering, ordering[::-1]):
+            assert check_order_compatible(g, order) == scan_order_compatible(g, order) == (True, None)
+        # Toggling one time-edge usually breaks compatibility somewhere.
+        u, v = sorted(data.draw(st.permutations(range(g.n)))[:2])
+        t = data.draw(st.integers(1, g.tau))
+        toggled = set(g.raw_triples()) ^ {(u, v, t)}
+        g2 = build(g.n, g.tau, toggled)
+        for order in (ordering, ordering[::-1]):
+            assert check_order_compatible(g2, order) == scan_order_compatible(g2, order)
 
 
 @given(instance_graphs(max_n=5, max_tau=4))

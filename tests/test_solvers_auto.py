@@ -12,7 +12,18 @@ from temposep import (
     power,
     solve_auto,
 )
-from temposep.generators import GenSpec, MonotoneConstraint, generate
+from temposep.errors import IncompatibleOrdering
+from temposep.generators import (
+    GenSpec,
+    MonotoneConstraint,
+    PeriodicConstraint,
+    SteadyConstraint,
+    UnitIntervalConstraint,
+    generate,
+)
+from temposep.oracle import Separator, distance_to_temporality
+from temposep.solvers import solve_interval_dp, solve_search_tree, solve_treewidth_dp, static_min_vertex_cut
+from temposep.solvers.auto import DISTANCE_PROBE_MAX_N, AutoResult, treewidth_work_estimate
 
 
 def test_single_peaked_dispatches_to_static_cut():
@@ -148,3 +159,67 @@ def test_all_applicable_backends_agree(seed):
     assert {sep.size for sep in found.values()} == {oracle_size}, found
     for sep in found.values():
         assert is_separator(inst, sep.vertices)
+
+
+def _reference_auto(inst, ordering=None, td=None, work_cap=10**8):
+    """The dispatcher's rules, in order, read off the full `classify` profile."""
+    profile = classify(inst.g)
+    collapses = (
+        profile.single_peaked
+        or profile.periodic_p in (0, 1)
+        or profile.periodic_r >= inst.g.n
+        or (
+            inst.g.n <= DISTANCE_PROBE_MAX_N
+            and profile.periodic_r
+            >= distance_to_temporality(inst.g.slice_labels(1, profile.periodic_p), inst.s, inst.z) + 1
+        )
+    )
+    if collapses:
+        cut = static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z)
+        return AutoResult(Separator(cut) if len(cut) <= inst.k else None, "static-cut")
+    if ordering is not None:
+        try:
+            return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
+        except IncompatibleOrdering:
+            pass
+    if td is not None and treewidth_work_estimate(td, inst.g.tau) <= work_cap:
+        return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")
+    return AutoResult(solve_search_tree(inst), "search-tree")
+
+
+_FAMILIES = [
+    lambda n, tau: None,
+    lambda n, tau: UnitIntervalConstraint(),
+    lambda n, tau: PeriodicConstraint(2, tau // 2),
+    lambda n, tau: PeriodicConstraint(1, tau),
+    lambda n, tau: SteadyConstraint(2),
+    lambda n, tau: MonotoneConstraint(1),
+    lambda n, tau: MonotoneConstraint(2),
+]
+_MONOTONE_N, _MONOTONE_TAU = 5, 4  # few vertices cannot realize long monotone runs
+
+
+def _differential_instances(seed):
+    """Seeded generator graphs of every family, n 3..12, with tau = 0 cases."""
+    n = 3 + seed % 10
+    if seed % 17 == 0:
+        return [Instance(g=build(n, 0, []), s=0, z=n - 1, k=0)]
+    family = _FAMILIES[seed % len(_FAMILIES)]
+    tau = 2 * (1 + seed % 5) if seed % 3 else 2 * n
+    if isinstance(family(n, tau), MonotoneConstraint):
+        n, tau = max(n, _MONOTONE_N), _MONOTONE_TAU
+    spec = GenSpec(n=n, tau=tau, edge_prob=0.2 + 0.1 * (seed % 4), constraint=family(n, tau), seed=700 + seed)
+    inst = generate(spec)
+    return [inst.with_budget(k) for k in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(70))
+def test_dispatch_matches_reference_over_classify(seed):
+    """Same witness and backend as the dispatcher written over `classify`."""
+    for inst in _differential_instances(seed):
+        identity = tuple(range(inst.g.n))
+        hints = [{}, {"ordering": identity}, {"ordering": identity[::-1]}]
+        if inst.g.n <= 6:
+            hints.append({"td": build_tree_decomposition(inst.g.underlying(), inst.s, inst.z), "work_cap": 10**6})
+        for hint in hints:
+            assert solve_auto(inst, **hint) == _reference_auto(inst, **hint), (seed, inst.k, sorted(hint))
