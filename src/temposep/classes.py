@@ -13,6 +13,7 @@ notion would collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import le
 from typing import NamedTuple, Optional
 
 from .core import TemporalGraph, from_layers
@@ -51,31 +52,21 @@ class ClassProfile:
         return self.monotone is not None and len(self.monotone.peaks) == 1
 
 
-def _compress_layers(g: TemporalGraph) -> tuple[list[int], list[frozenset]]:
-    """Collapse consecutive equal layers; returns (first labels, edge sets)."""
-    labels: list[int] = []
+def monotone_shape(g: TemporalGraph) -> Optional[MonotoneShape]:
+    """Segment count and peaks; None if some pair is incomparable, (0, ()) for no layers."""
+    labels: list[int] = []  # first label of each run of equal layers
     sets: list[frozenset] = []
     for idx, es in enumerate(g.layer_edge_sets):
         if not sets or es != sets[-1]:
             labels.append(idx + 1)
             sets.append(es)
-    return labels, sets
-
-
-def _detect_monotone(g: TemporalGraph) -> Optional[MonotoneShape]:
-    labels, sets = _compress_layers(g)
-    dirs: list[int] = []  # +1 growing, -1 shrinking, between compressed layers
-    for a, b in zip(sets, sets[1:]):
-        if a < b:
-            dirs.append(+1)
-        elif a > b:
-            dirs.append(-1)
-        else:
-            return None  # incomparable
-    runs = 1
-    for d, d_next in zip(dirs, dirs[1:]):
-        if d != d_next:
-            runs += 1
+    if not sets:
+        return MonotoneShape(0, ())
+    # +1 growing, -1 shrinking, 0 incomparable, between compressed layers
+    dirs = [(a < b) - (a > b) for a, b in zip(sets, sets[1:])]
+    if 0 in dirs:
+        return None
+    runs = 1 + sum(d != d_next for d, d_next in zip(dirs, dirs[1:]))
     peaks = [
         labels[m]
         for m in range(len(sets))
@@ -84,13 +75,14 @@ def _detect_monotone(g: TemporalGraph) -> Optional[MonotoneShape]:
     return MonotoneShape(p=runs, peaks=tuple(peaks))
 
 
-def _detect_periodic(g: TemporalGraph) -> tuple[int, int]:
+def periodicity(g: TemporalGraph) -> tuple[int, int]:
+    """(p, r) with p * r = tau and p minimal; (0, 0) for a graph with no layers."""
     sets = g.layer_edge_sets
     tau = g.tau
+    if tau == 0:
+        return 0, 0
     for p in range(1, tau + 1):
-        if tau % p != 0:
-            continue
-        if all(sets[j] == sets[j % p] for j in range(tau)):
+        if tau % p == 0 and all(sets[j] == sets[j % p] for j in range(tau)):
             return p, tau // p
     return tau, 1
 
@@ -98,15 +90,6 @@ def _detect_periodic(g: TemporalGraph) -> tuple[int, int]:
 def _detect_steady(g: TemporalGraph) -> int:
     sets = g.layer_edge_sets
     return max((len(a ^ b) for a, b in zip(sets, sets[1:])), default=0)
-
-
-def _window_connected(g: TemporalGraph, window: int) -> bool:
-    sets = g.layer_edge_sets
-    for start in range(g.tau - window + 1):
-        common = frozenset.intersection(*sets[start : start + window])
-        if not _connected_on_all(g.n, common):
-            return False
-    return True
 
 
 def _connected_on_all(n: int, pairs: frozenset[tuple[int, int]]) -> bool:
@@ -127,21 +110,19 @@ def _connected_on_all(n: int, pairs: frozenset[tuple[int, int]]) -> bool:
 
 
 def _detect_interval_connected(g: TemporalGraph) -> int:
-    best = 0
+    sets = g.layer_edge_sets
     for window in range(1, g.tau + 1):
-        if not _window_connected(g, window):
-            break
-        best = window
-    return best
+        starts = range(g.tau - window + 1)
+        if not all(_connected_on_all(g.n, frozenset.intersection(*sets[a : a + window])) for a in starts):
+            return window - 1
+    return g.tau
 
 
 def classify(g: TemporalGraph) -> ClassProfile:
     """Run all four class detectors on one graph."""
-    if g.tau == 0:
-        return ClassProfile(MonotoneShape(0, ()), 0, 0, 0, 0)
-    p, r = _detect_periodic(g)
+    p, r = periodicity(g)
     return ClassProfile(
-        monotone=_detect_monotone(g),
+        monotone=monotone_shape(g),
         periodic_p=p,
         periodic_r=r,
         steady_lambda=_detect_steady(g),
@@ -155,7 +136,7 @@ def reduce_to_peaks(inst: Instance) -> Instance:
     Every non-peak layer is a subset of an adjacent peak layer, so deleting
     it (and renumbering) changes no separator.
     """
-    shape = classify(inst.g).monotone
+    shape = monotone_shape(inst.g)
     if shape is None:
         raise NotMonotone("graph has an incomparable consecutive layer pair")
     sets = inst.g.layer_edge_sets
@@ -184,12 +165,32 @@ def check_order_compatible(g: TemporalGraph, ordering: tuple[int, ...]) -> Order
     positions i < j < k have the edge (i,k) in a layer, that layer also has
     (i,j) and (j,k).  It characterizes unit-interval layers whose interval
     positions are monotone in the ordering.
+
+    A layer is tested in O(n + m_t) by umbrellas (Looges & Olariu, 1993):
+    with r(i) the highest neighbour of i above it (i if none), the layer
+    passes iff the higher neighbours of each i are exactly i+1..r(i) and r
+    is non-decreasing.  That is exact: (i,k) and i < j < k give (i,j) from
+    the run and (j,k) from r(j) >= r(i) >= k; conversely the property forces
+    both.  As no i has more than r(i) - i higher neighbours, one edge count
+    checks every run.  Only the first failing layer is scanned for its
+    first violating triple.
     """
     if sorted(ordering) != list(range(g.n)):
         raise NotAPermutation(f"ordering is not a permutation of 0..{g.n - 1}")
-    pos = {v: i for i, v in enumerate(ordering)}
+    pos = [0] * g.n
+    for i, v in enumerate(ordering):
+        pos[v] = i
     for t_idx, pairs in enumerate(g.layer_edge_sets):
-        by_pos = {tuple(sorted((pos[u], pos[v]))) for u, v in pairs}
+        reach = list(range(g.n))
+        for u, v in pairs:
+            a, b = pos[u], pos[v]
+            if a > b:
+                a, b = b, a
+            if b > reach[a]:
+                reach[a] = b
+        if len(pairs) == sum(reach) - g.n * (g.n - 1) // 2 and all(map(le, reach, reach[1:])):
+            continue
+        by_pos = {(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in pairs}
         for i, k in sorted(by_pos):
             for j in range(i + 1, k):
                 if (i, j) not in by_pos or (j, k) not in by_pos:

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from . import fileio
 from .classes import classify
-from .core import TemporalGraph
 from .errors import ContractError, DecompositionMismatch, FormatError, TempoSepError
 from .generators import (
     GenSpec,
@@ -41,6 +40,7 @@ from .solvers import (
 
 USAGE_ERROR = 2
 CONTRACT_ERROR = 3
+_INPUT_ERRORS = (TempoSepError, OSError, ValueError)
 
 
 @dataclass
@@ -201,12 +201,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_path(args) -> int:
     g = fileio.load_tg(args.input)
-    from .reachability import find_temporal_path
+    from .reachability import find_temporal_path, is_valid_path
 
     path = find_temporal_path(g, args.s, args.z, args.strict)
     if path is None:
         print("no" if args.quiet else "verdict=no")
         return 1
+    if not is_valid_path(g, path, args.s, args.z, args.strict):
+        raise AssertionError(f"reachability produced an invalid path {path.steps}")
     if args.quiet:
         print("yes")
     else:
@@ -216,20 +218,30 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    """Solve each input; a batch skips a failed input, but not a failed --ordering or --td file."""
     ordering = None
     td_raw = None
-    first_graph: Optional[TemporalGraph] = None
+    hints_read = False
     exit_code = 0
     for input_path in args.inputs:
-        g = fileio.load_tg(input_path)
-        if first_graph is None:
-            first_graph = g
-            if args.ordering and _reads_ordering(args.algo, args.strict):
-                ordering = fileio.load_ordering(args.ordering, g.n)
-            if args.td and _reads_td(args.algo, args.strict):
-                td_raw = fileio.load_td(args.td)
-        inst = Instance(g=g, s=args.s, z=args.z, k=args.k)
-        result = run_solve(inst, args.algo, ordering, td_raw, args.strict)
+        g = None
+        try:
+            g = fileio.load_tg(input_path)
+            if not hints_read:
+                if args.ordering and _reads_ordering(args.algo, args.strict):
+                    ordering = fileio.load_ordering(args.ordering, g.n)
+                if args.td and _reads_td(args.algo, args.strict):
+                    td_raw = fileio.load_td(args.td)
+                hints_read = True
+            inst = Instance(g=g, s=args.s, z=args.z, k=args.k)
+            result = run_solve(inst, args.algo, ordering, td_raw, args.strict)
+        except _INPUT_ERRORS as exc:
+            # A graph that loaded with the hints unread means a hint file failed.
+            if len(args.inputs) == 1 or (g is not None and not hints_read):
+                raise
+            print(f"error: {input_path}: {exc}", file=sys.stderr)
+            exit_code = max(exit_code, CONTRACT_ERROR if isinstance(exc, ContractError) else USAGE_ERROR)
+            continue
         prefix = f"file={input_path} " if len(args.inputs) > 1 else ""
         if result.verdict:
             if args.quiet:
@@ -241,7 +253,7 @@ def _cmd_solve(args) -> int:
                 )
         else:
             print("no" if args.quiet else f"{prefix}verdict=no")
-            exit_code = 1
+            exit_code = max(exit_code, 1)
         if args.stats:
             print(
                 f"n={result.n} m={result.m} tau={result.tau} backend={result.backend} "
@@ -329,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONTRACT_ERROR
-    except (TempoSepError, OSError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .classes import classify
+from .classes import monotone_shape, periodicity
 from .core import from_layers
 from .errors import InvalidSpec
 from .oracle import Instance
@@ -186,8 +186,7 @@ def generate(spec: GenSpec) -> Instance:
         for _ in range(_MAX_ATTEMPTS):
             block = [_random_layer(rng, pairs, spec.edge_prob) for _ in range(c.p)]
             candidate = from_layers(spec.n, block * c.r)
-            profile = classify(candidate)
-            if profile.periodic_p == c.p and profile.periodic_r == c.r:
+            if periodicity(candidate) == (c.p, c.r):
                 g = candidate
                 break
         if g is None:
@@ -209,7 +208,7 @@ def generate(spec: GenSpec) -> Instance:
         for _ in range(_MAX_ATTEMPTS):
             layers = _monotone_layers(rng, spec, pairs)
             if layers is not None:
-                shape = classify(from_layers(spec.n, layers)).monotone
+                shape = monotone_shape(from_layers(spec.n, layers))
                 if shape is not None and shape.p == c.p:
                     break
                 layers = None

@@ -1,10 +1,14 @@
 """Backend dispatch from detected structure.
 
-Order of the rules, most specific first:
+Order of the rules, most specific first.  A rule computes only the evidence
+it reads, and only when no earlier rule fired: rule 1 `monotone_shape`,
+rules 2-4 `periodicity`, rule 4 the distance to temporality, rule 5 the
+order check.  The other detectors of `classify` never run here.
 
 1. single-peaked layer sequence: the one peak layer dominates every other,
    so temporal separation equals static separation in the underlying graph.
-2. all layers identical (period 1): same collapse.
+2. all layers identical (period 1), or no layers at all (period 0): same
+   collapse.
 3. periodic with at least as many periods as vertices: any underlying
    (s,z)-path splits into at most n-1 monotone label runs, and with one
    period per run it realizes as a temporal path, so the static cut is
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from ..classes import classify
+from ..classes import monotone_shape, periodicity
 from ..errors import IncompatibleOrdering
 from ..oracle import Instance, Separator, distance_to_temporality
 from .decomposition import NiceTreeDecomposition
@@ -59,17 +63,16 @@ def solve_auto(
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> AutoResult:
     """Solve the (non-strict) instance with the cheapest applicable backend."""
-    profile = classify(inst.g)
-    if profile.single_peaked:
+    shape = monotone_shape(inst.g)
+    if shape is not None and len(shape.peaks) == 1:
         return AutoResult(_static_cut_result(inst), "static-cut")
-    if profile.periodic_p in (0, 1):
-        return AutoResult(_static_cut_result(inst), "static-cut")
-    if profile.periodic_r >= inst.g.n:
+    p, r = periodicity(inst.g)
+    if p <= 1 or r >= inst.g.n:
         return AutoResult(_static_cut_result(inst), "static-cut")
     if inst.g.n <= DISTANCE_PROBE_MAX_N:
-        block = inst.g.slice_labels(1, profile.periodic_p)
+        block = inst.g.slice_labels(1, p)
         # d breaks need d+1 periods, one monotone run each.
-        if profile.periodic_r >= distance_to_temporality(block, inst.s, inst.z) + 1:
+        if r >= distance_to_temporality(block, inst.s, inst.z) + 1:
             return AutoResult(_static_cut_result(inst), "static-cut")
     if ordering is not None:
         try:

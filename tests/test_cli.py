@@ -72,6 +72,38 @@ class TestSolve:
         assert lines[0].startswith(f"file={a} ") and lines[1].startswith(f"file={b} ")
         assert code == 0
 
+    def test_batch_continues_after_a_failed_file(self, capsys, tmp_path, g1):
+        good1, bad, good2 = tmp_path / "a.tg", tmp_path / "bad.tg", tmp_path / "c.tg"
+        dump_tg(g1, good1)
+        bad.write_text("tg 3 1\n0 1\n")
+        dump_tg(g1, good2)
+        code, out, err = run(capsys, ["solve", str(good1), str(bad), str(good2), "--s", "0", "--z", "3", "--k", "1"])
+        assert out.splitlines() == [
+            f"file={good1} verdict=yes separator=1 backend=search-tree",
+            f"file={good2} verdict=yes separator=1 backend=search-tree",
+        ]
+        assert err.startswith(f"error: {bad}: ") and ":2:" in err
+        assert code == 2
+
+    def test_batch_exit_code_is_the_highest_seen(self, capsys, tmp_path, g1):
+        good, contract = tmp_path / "a.tg", tmp_path / "terminal-edge.tg"
+        dump_tg(g1, good)
+        dump_tg(build(4, 1, [(0, 3, 1)]), contract)
+        code, out, err = run(capsys, ["solve", str(contract), str(good), "--s", "0", "--z", "3", "--k", "0"])
+        assert out == f"file={good} verdict=no\n"
+        assert err.startswith(f"error: {contract}: ") and "time-edge between terminals" in err
+        assert code == 3
+
+    def test_batch_aborts_on_a_bad_ordering_file(self, capsys, tmp_path, g1):
+        good1, good2, bad_order = tmp_path / "a.tg", tmp_path / "b.tg", tmp_path / "bad.ord"
+        dump_tg(g1, good1)
+        dump_tg(g1, good2)
+        bad_order.write_text("garbage\n")
+        code, out, err = run(
+            capsys, ["solve", str(good1), str(good2), "--s", "0", "--z", "3", "--k", "1", "--ordering", str(bad_order)]
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_backend_choices(self, capsys, g1_file):
         for algo, expected in [("brute", "brute"), ("treewidth", "treewidth-dp"), ("search-tree", "search-tree")]:
             code, out, _ = run(capsys, ["solve", g1_file, "--s", "0", "--z", "3", "--k", "1", "--algo", algo])
@@ -181,6 +213,13 @@ class TestPath:
         dump_tg(build(3, 1, [(0, 1, 1), (1, 2, 1)]), p)
         code, out, _ = run(capsys, ["path", str(p), "--s", "0", "--z", "2", "--strict"])
         assert code == 1 and out == "verdict=no\n"
+
+
+    def test_invalid_witness_is_an_assertion_not_output(self, capsys, monkeypatch, g1_file):
+        monkeypatch.setattr("temposep.reachability.is_valid_path", lambda *args: False)
+        with pytest.raises(AssertionError, match="invalid path"):
+            main(["path", g1_file, "--s", "0", "--z", "3"])
+        assert capsys.readouterr().out == ""
 
 
 class TestClassify:

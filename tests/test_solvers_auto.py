@@ -1,6 +1,8 @@
 import pytest
 from conftest import random_instances
 
+import temposep.classes
+
 from temposep import (
     Instance,
     build,
@@ -223,3 +225,16 @@ def test_dispatch_matches_reference_over_classify(seed):
             hints.append({"td": build_tree_decomposition(inst.g.underlying(), inst.s, inst.z), "work_cap": 10**6})
         for hint in hints:
             assert solve_auto(inst, **hint) == _reference_auto(inst, **hint), (seed, inst.k, sorted(hint))
+
+
+def test_dispatch_never_runs_the_detectors_it_does_not_read(monkeypatch):
+    def refuse(g):
+        raise AssertionError("solve_auto ran a detector none of its rules reads")
+
+    monkeypatch.setattr(temposep.classes, "_detect_steady", refuse)
+    monkeypatch.setattr(temposep.classes, "_detect_interval_connected", refuse)
+    backends = set()
+    for seed in range(70):
+        for inst in _differential_instances(seed):
+            backends.add(solve_auto(inst, ordering=tuple(range(inst.g.n))).backend)
+    assert backends == {"static-cut", "interval-dp", "search-tree"}
