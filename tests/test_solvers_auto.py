@@ -25,7 +25,7 @@ from temposep.generators import (
 )
 from temposep.oracle import Separator, distance_to_temporality
 from temposep.solvers import solve_interval_dp, solve_search_tree, solve_treewidth_dp, static_min_vertex_cut
-from temposep.solvers.auto import DISTANCE_PROBE_MAX_N, AutoResult, treewidth_work_estimate
+from temposep.solvers.auto import DEFAULT_WORK_CAP, DISTANCE_PROBE_MAX_N, AutoResult, treewidth_work_estimate
 
 
 def test_single_peaked_dispatches_to_static_cut():
@@ -163,7 +163,7 @@ def test_all_applicable_backends_agree(seed):
         assert is_separator(inst, sep.vertices)
 
 
-def _reference_auto(inst, ordering=None, td=None, work_cap=10**8):
+def _reference_auto(inst, ordering=None, td=None, work_cap=DEFAULT_WORK_CAP):
     """The dispatcher's rules, in order, read off the full `classify` profile."""
     profile = classify(inst.g)
     collapses = (
