@@ -9,7 +9,7 @@ classes, and applies class-targeted instance transformations whose
 guarantees are machine-checked.
 """
 
-from .classes import ClassProfile, MonotoneShape, check_order_compatible, classify, reduce_to_peaks
+from .classes import ClassProfile, MonotoneShape, check_order_compatible, classify
 from .core import StaticGraph, TemporalGraph, TimeEdge, build, concat, from_layers, power
 from .fileio import dump_tg, load_tg
 from .generators import (
@@ -76,7 +76,6 @@ __all__ = [
     "path_min_resets",
     "power",
     "reachable_with_earliest_arrival",
-    "reduce_to_peaks",
     "solve_auto",
     "solve_interval_dp",
     "solve_search_tree",

@@ -1,4 +1,4 @@
-"""Detectors for temporal graph classes and the peak reduction rule.
+"""Detectors for temporal graph classes.
 
 Layer-sequence shape (monotone runs and their peaks), periodicity, steadiness,
 and window connectivity are all read off the layer edge sets.  The monotone
@@ -12,13 +12,12 @@ notion would collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import le
 from typing import NamedTuple, Optional
 
-from .core import TemporalGraph, from_layers
-from .errors import NotAPermutation, NotMonotone
-from .oracle import Instance
+from .core import TemporalGraph
+from .errors import NotAPermutation
 
 
 @dataclass(frozen=True)
@@ -128,20 +127,6 @@ def classify(g: TemporalGraph) -> ClassProfile:
         steady_lambda=_detect_steady(g),
         interval_connected_max_t=_detect_interval_connected(g),
     )
-
-
-def reduce_to_peaks(inst: Instance) -> Instance:
-    """Shrink a monotone instance to its peak layers, preserving the answer.
-
-    Every non-peak layer is a subset of an adjacent peak layer, so deleting
-    it (and renumbering) changes no separator.
-    """
-    shape = monotone_shape(inst.g)
-    if shape is None:
-        raise NotMonotone("graph has an incomparable consecutive layer pair")
-    sets = inst.g.layer_edge_sets
-    g2 = from_layers(inst.g.n, (sets[t - 1] for t in shape.peaks))
-    return replace(inst, g=g2)
 
 
 class OrderViolation(NamedTuple):

@@ -35,8 +35,8 @@ from .solvers import (
     solve_interval_dp,
     solve_search_tree,
     solve_treewidth_dp,
-    static_min_vertex_cut,
 )
+from .solvers.auto import _static_cut_result
 
 USAGE_ERROR = 2
 CONTRACT_ERROR = 3
@@ -104,8 +104,7 @@ def run_solve(
         order = tuple(ordering) if ordering is not None else tuple(range(inst.g.n))
         sep, backend = solve_interval_dp(inst, order), "interval-dp"
     elif algo == "static-cut":
-        cut = static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z)
-        sep, backend = (Separator(cut) if len(cut) <= inst.k else None), "static-cut"
+        sep, backend = _static_cut_result(inst), "static-cut"
     else:
         raise FormatError(f"unknown algorithm {algo!r}")
     if sep is not None and not is_separator(inst, sep.vertices, strict):
@@ -239,7 +238,8 @@ def _cmd_solve(args) -> int:
             # A graph that loaded with the hints unread means a hint file failed.
             if len(args.inputs) == 1 or (g is not None and not hints_read):
                 raise
-            print(f"error: {input_path}: {exc}", file=sys.stderr)
+            named = isinstance(exc, FormatError) and exc.path == input_path
+            print(f"error: {exc}" if named else f"error: {input_path}: {exc}", file=sys.stderr)
             exit_code = max(exit_code, CONTRACT_ERROR if isinstance(exc, ContractError) else USAGE_ERROR)
             continue
         prefix = f"file={input_path} " if len(args.inputs) > 1 else ""

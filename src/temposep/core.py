@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     LabelOutOfRange,
@@ -24,17 +24,15 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class TimeEdge:
-    """An undirected edge {u, v} active at time label t, stored with u < v."""
+class TimeEdge(NamedTuple):
+    """An undirected edge {u, v} active at time label t, stored with u < v.
+
+    A plain tuple: it unpacks as (t, u, v) and orders as that tuple.
+    """
 
     t: int
     u: int
     v: int
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,8 @@ class TemporalGraph:
     def layer_edge_sets(self) -> tuple[frozenset[tuple[int, int]], ...]:
         """Edge set of each layer, indexed 0..tau-1 for labels 1..tau."""
         sets: list[set[tuple[int, int]]] = [set() for _ in range(self.tau)]
-        for e in self.edges:
-            sets[e.t - 1].add(e.pair)
+        for t, u, v in self.edges:
+            sets[t - 1].add((u, v))
         return tuple(frozenset(s) for s in sets)
 
     @cached_property
@@ -109,18 +107,18 @@ class TemporalGraph:
         must treat the lists as read-only.
         """
         layers: list[dict[int, list[int]]] = [{} for _ in range(self.tau)]
-        for e in self.edges:
-            adj = layers[e.t - 1]
-            adj.setdefault(e.u, []).append(e.v)
-            adj.setdefault(e.v, []).append(e.u)
+        for t, u, v in self.edges:
+            adj = layers[t - 1]
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         return tuple(layers)
 
     @cached_property
     def edge_labels(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
         """Sorted labels at which each underlying edge is active."""
         labels: dict[tuple[int, int], list[int]] = {}
-        for e in self.edges:
-            labels.setdefault(e.pair, []).append(e.t)
+        for t, u, v in self.edges:
+            labels.setdefault((u, v), []).append(t)
         return {pair: tuple(ts) for pair, ts in labels.items()}
 
     def layer(self, t: int) -> StaticGraph:
@@ -147,23 +145,19 @@ class TemporalGraph:
         for v in range(self.n):
             if v not in dropped:
                 remap[v] = len(remap)
-        kept = tuple(
-            TimeEdge(e.t, remap[e.u], remap[e.v])
-            for e in self.edges
-            if e.u in remap and e.v in remap
-        )
+        kept = tuple(TimeEdge(t, remap[u], remap[v]) for t, u, v in self.edges if u in remap and v in remap)
         return TemporalGraph(self.n - len(dropped), self.tau, kept), remap
 
     def slice_labels(self, a: int, b: int) -> "TemporalGraph":
         """The temporal graph of labels a..b, renumbered to 1..b-a+1."""
         if not (1 <= a <= b <= self.tau):
             raise LabelOutOfRange(f"label window [{a},{b}] outside 1..{self.tau}")
-        kept = tuple(TimeEdge(e.t - a + 1, e.u, e.v) for e in self.edges if a <= e.t <= b)
+        kept = tuple(TimeEdge(t - a + 1, u, v) for t, u, v in self.edges if a <= t <= b)
         return TemporalGraph(self.n, b - a + 1, kept)
 
     def raw_triples(self) -> list[tuple[int, int, int]]:
         """The edge list as (u, v, t) triples in canonical order."""
-        return [(e.u, e.v, e.t) for e in self.edges]
+        return [(u, v, t) for t, u, v in self.edges]
 
 
 def build(n: int, tau: int, raw_edges: Iterable[tuple[int, int, int]]) -> TemporalGraph:
@@ -176,7 +170,7 @@ def build(n: int, tau: int, raw_edges: Iterable[tuple[int, int, int]]) -> Tempor
         raise VertexOutOfRange(f"vertex count {n} is negative")
     if tau < 0:
         raise LabelOutOfRange(f"max label {tau} is negative")
-    canon: set[TimeEdge] = set()
+    canon: set[tuple[int, int, int]] = set()
     for u, v, t in raw_edges:
         if u == v:
             raise SelfLoop(f"time-edge ({u},{v},{t}) is a self-loop")
@@ -184,8 +178,8 @@ def build(n: int, tau: int, raw_edges: Iterable[tuple[int, int, int]]) -> Tempor
             raise VertexOutOfRange(f"time-edge ({u},{v},{t}) has a vertex outside 0..{n - 1}")
         if not (1 <= t <= tau):
             raise LabelOutOfRange(f"time-edge ({u},{v},{t}) has label outside 1..{tau}")
-        canon.add(TimeEdge(t, min(u, v), max(u, v)))
-    return TemporalGraph(n, tau, tuple(sorted(canon)))
+        canon.add((t, u, v) if u < v else (t, v, u))
+    return TemporalGraph(n, tau, tuple(map(TimeEdge._make, sorted(canon))))
 
 
 def from_layers(n: int, layer_sets: Iterable[Iterable[tuple[int, int]]]) -> TemporalGraph:
@@ -202,7 +196,7 @@ def concat(g1: TemporalGraph, g2: TemporalGraph) -> TemporalGraph:
     """g1 followed by g2: g2's labels are shifted up by g1.tau."""
     if g1.n != g2.n:
         raise VertexCountMismatch(f"cannot concatenate graphs on {g1.n} and {g2.n} vertices")
-    shifted = tuple(TimeEdge(e.t + g1.tau, e.u, e.v) for e in g2.edges)
+    shifted = tuple(TimeEdge(t + g1.tau, u, v) for t, u, v in g2.edges)
     return TemporalGraph(g1.n, g1.tau + g2.tau, g1.edges + shifted)
 
 

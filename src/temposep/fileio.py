@@ -68,7 +68,7 @@ def load_tg(path: str | os.PathLike) -> TemporalGraph:
 
 def format_tg(g: TemporalGraph) -> str:
     lines = [f"tg {g.n} {g.tau}"]
-    lines.extend(f"{e.u} {e.v} {e.t}" for e in g.edges)
+    lines.extend(f"{u} {v} {t}" for t, u, v in g.edges)
     return "\n".join(lines) + "\n"
 
 

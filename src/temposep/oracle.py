@@ -92,9 +92,9 @@ def enumerate_temporal_paths(
     time-edge sequences; the independent oracle for path existence.
     """
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
-    for e in g.edges:
-        incident[e.u].append((e.v, e.t))
-        incident[e.v].append((e.u, e.t))
+    for t, u, v in g.edges:
+        incident[u].append((v, t))
+        incident[v].append((u, t))
 
     def extend(cur: int, last_t: int, visited: set[int], steps: list[tuple[int, int, int]]):
         for nxt, t in incident[cur]:

@@ -34,18 +34,6 @@ class TemporalPath:
 
     steps: tuple[PathStep, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
-    def departure(self) -> int:
-        return self.steps[0].t
-
-    @property
-    def arrival(self) -> int:
-        return self.steps[-1].t
-
     def vertices(self) -> list[int]:
         """All visited vertices, in visiting order."""
         if not self.steps:

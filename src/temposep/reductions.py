@@ -90,7 +90,7 @@ def complete_but_one(inst: Instance) -> tuple[Instance, ReductionReport]:
     one-to-one.
     """
     g = inst.g
-    triples = [(e.u, e.v, e.t + 1) for e in g.edges]
+    triples = [(u, v, t + 1) for t, u, v in g.edges]
     present = g.underlying().edges
     for u in range(g.n):
         for v in range(u + 1, g.n):

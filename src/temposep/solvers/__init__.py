@@ -21,10 +21,10 @@ from .decomposition import (
     minfill_tree_decomposition,
     validate_tree_decomposition,
 )
-from .interval_dp import interval_dp_table, solve_interval_dp
+from .interval_dp import solve_interval_dp
 from .search_tree import solve_search_tree
 from .static_cut import static_min_vertex_cut
-from .treewidth_dp import solve_treewidth_dp, treewidth_root_table
+from .treewidth_dp import solve_treewidth_dp
 
 __all__ = [
     "AutoResult",
@@ -32,14 +32,12 @@ __all__ = [
     "NiceNode",
     "NiceTreeDecomposition",
     "build_tree_decomposition",
-    "interval_dp_table",
     "minfill_tree_decomposition",
     "solve_auto",
     "solve_interval_dp",
     "solve_search_tree",
     "solve_treewidth_dp",
     "static_min_vertex_cut",
-    "treewidth_root_table",
     "treewidth_work_estimate",
     "validate_tree_decomposition",
 ]

@@ -124,18 +124,16 @@ def validate_tree_decomposition(
     for i, bag in enumerate(bags):
         for v in bag:
             occurrences[v].add(i)
+    # In a tree, the bags holding v are connected iff exactly
+    # len(occurrence) - 1 tree edges join two of them.
+    joined = [0] * g.n
+    for a, b in tree_edges:
+        for v in set(bags[a]).intersection(bags[b]):
+            joined[v] += 1
     for v, occurrence in enumerate(occurrences):
         if not occurrence:
             raise InvalidDecomposition(f"vertex {v} appears in no bag")
-        start = next(iter(occurrence))
-        seen_v = {start}
-        stack = [start]
-        while stack:
-            for nxt in tree_adj[stack.pop()]:
-                if nxt in occurrence and nxt not in seen_v:
-                    seen_v.add(nxt)
-                    stack.append(nxt)
-        if seen_v != occurrence:
+        if joined[v] != len(occurrence) - 1:
             raise InvalidDecomposition(f"bags containing vertex {v} are not connected in the tree")
     for u, v in sorted(g.edges):
         if not occurrences[u] & occurrences[v]:

@@ -69,12 +69,12 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
 
     # larger[t][q]: positions above q adjacent to q at label t, as a mask.
     larger = [[0] * (n + 1) for _ in range(tau + 1)]
-    for e in inst.g.edges:
-        a, b = index[e.u] - lo + 1, index[e.v] - lo + 1
+    for t, u, v in inst.g.edges:
+        a, b = index[u] - lo + 1, index[v] - lo + 1
         if a > b:
             a, b = b, a
         if a >= 1 and b <= n:
-            larger[e.t][a] |= 1 << (n - b)
+            larger[t][a] |= 1 << (n - b)
 
     sentinel = (1 << (n - 1)) - 2  # every non-terminal position: bits 1..n-2
     table = [[0] * n for _ in range(tau + 1)]
@@ -108,20 +108,6 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
 
 def _positions(mask: int, n: int) -> frozenset[int]:
     return frozenset(n - b for b in range(n) if mask >> b & 1)
-
-
-def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[frozenset[int]]], dict[int, int]]:
-    """Fill the full table; returns (T, position->original-vertex map).
-
-    T is 1-based in both dimensions: T[t][i] for t in 1..tau, i in 1..n-1,
-    each entry a frozenset of positions.  The ordering is reversed when s
-    comes after z, and vertices outside the s..z ordering window are left
-    out; neither changes the answer.
-    """
-    masks, window = _mask_table(inst, ordering)
-    n = len(window)
-    table = [[_positions(m, n) for m in row] for row in masks]
-    return table, {q: v for q, v in enumerate(window, start=1)}
 
 
 def solve_interval_dp(inst: Instance, ordering: Sequence[int]) -> Optional[Separator]:

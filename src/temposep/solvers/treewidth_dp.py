@@ -201,17 +201,3 @@ def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Optional[Se
     if cost > inst.k:
         return None
     return Separator(run.reconstruct(key))
-
-
-def treewidth_root_table(inst: Instance, td: NiceTreeDecomposition) -> dict[tuple[tuple[int, int], ...], int]:
-    """Finite root entries, decoded as ((vertex, color), ...) -> cost.
-
-    Color indices: i-1 for A_i, tau for S, tau+1 for Z.  Intended for
-    cross-checking the table semantics against exhaustive search.
-    """
-    run = _DPRun(inst, td)
-    bag = run.sorted_bags[td.root]
-    decoded = {}
-    for key, cost in run.root_table.items():
-        decoded[tuple((v, run.digit(key, p)) for p, v in enumerate(bag))] = cost
-    return decoded

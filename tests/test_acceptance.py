@@ -12,6 +12,7 @@ import time
 from itertools import combinations, product
 
 import pytest
+from decoders import interval_dp_table
 
 from temposep import (
     Instance,
@@ -47,7 +48,6 @@ from temposep.reductions import (
     line_graph_gadget,
     one_edge_per_layer,
 )
-from temposep.solvers.interval_dp import interval_dp_table
 from temposep.core import static_graph
 
 

@@ -1,4 +1,5 @@
 import pytest
+from decoders import reduce_to_peaks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from order_reference import scan_order_compatible
@@ -12,7 +13,6 @@ from temposep import (
     from_layers,
     min_separator_bruteforce,
     power,
-    reduce_to_peaks,
 )
 from temposep.errors import NotAPermutation, NotMonotone
 from temposep.generators import GenSpec, MonotoneConstraint, generate

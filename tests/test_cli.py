@@ -82,7 +82,7 @@ class TestSolve:
             f"file={good1} verdict=yes separator=1 backend=search-tree",
             f"file={good2} verdict=yes separator=1 backend=search-tree",
         ]
-        assert err.startswith(f"error: {bad}: ") and ":2:" in err
+        assert err == f"error: {bad}:2: bad edge line '0 1', expected '<u> <v> <t>'\n"
         assert code == 2
 
     def test_batch_exit_code_is_the_highest_seen(self, capsys, tmp_path, g1):

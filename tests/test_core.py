@@ -148,3 +148,27 @@ def test_from_layers_round_trip(g1):
 
 def test_time_edge_ordering():
     assert TimeEdge(1, 0, 2) < TimeEdge(1, 1, 2) < TimeEdge(2, 0, 1)
+
+
+def test_time_edge_is_a_t_u_v_tuple():
+    e = TimeEdge(2, 0, 1)
+    t, u, v = e
+    assert (t, u, v) == (2, 0, 1) and e == (2, 0, 1)
+    assert (e.t, e.u, e.v) == (2, 0, 1)
+    assert repr(e) == "TimeEdge(t=2, u=0, v=1)"
+    edges = [TimeEdge(2, 0, 1), TimeEdge(1, 1, 2), TimeEdge(1, 0, 2)]
+    assert sorted(edges) == sorted(tuple(x) for x in edges) == [(1, 0, 2), (1, 1, 2), (2, 0, 1)]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 4)), max_size=30).map(
+        lambda raw: [e for e in raw if e[0] != e[1]]
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_build_sorts_canonical_triples(raw, rng):
+    noisy = [(v, u, t) if rng.random() < 0.5 else (u, v, t) for u, v, t in raw + raw]
+    rng.shuffle(noisy)
+    g = build(6, 4, noisy)
+    assert all(type(e) is TimeEdge for e in g.edges)
+    assert list(g.edges) == sorted({(t, min(u, v), max(u, v)) for u, v, t in raw})

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from decoders import interval_dp_table, treewidth_root_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from interval_dp_reference import reference_interval_dp_table
 
 from temposep import Instance, build, build_tree_decomposition, solve_interval_dp, solve_treewidth_dp
 from temposep.generators import GenSpec, UnitIntervalConstraint, XorShift64Star, generate
-from temposep.solvers.interval_dp import interval_dp_table
-from temposep.solvers.treewidth_dp import treewidth_root_table
 
 GOLDEN = Path(__file__).parent / "golden" / "dp_witnesses.txt"
 

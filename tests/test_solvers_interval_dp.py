@@ -2,6 +2,7 @@
 (order-monotone rerouting, window trimming, forced larger-neighborhoods)."""
 
 import pytest
+from decoders import interval_dp_table
 from strategies import instance_graphs
 from hypothesis import given, settings
 
@@ -18,7 +19,6 @@ from temposep.errors import IncompatibleOrdering
 from temposep.generators import GenSpec, UnitIntervalConstraint, generate
 from temposep.oracle import enumerate_temporal_paths
 from temposep.reachability import reachable_with_earliest_arrival
-from temposep.solvers.interval_dp import interval_dp_table
 
 
 def unit_interval_corpus(count, *, n_max=8, tau_max=4, seed0=500):

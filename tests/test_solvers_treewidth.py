@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from decoders import treewidth_root_table
 from strategies import instance_graphs
 from hypothesis import given, settings
 
@@ -16,7 +17,6 @@ from temposep import (
 )
 from temposep.errors import DecompositionMismatch
 from temposep.reachability import reachable_with_earliest_arrival
-from temposep.solvers.treewidth_dp import treewidth_root_table
 
 
 def test_g1_budget_one(g1_inst):
