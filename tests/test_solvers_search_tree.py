@@ -1,7 +1,16 @@
 from hypothesis import given, settings
+from search_tree_reference import reference_search_tree
 from strategies import instance_graphs
 
 from temposep import Instance, is_separator, min_separator_bruteforce, solve_search_tree
+from temposep.generators import (
+    GenSpec,
+    MonotoneConstraint,
+    PeriodicConstraint,
+    SteadyConstraint,
+    UnitIntervalConstraint,
+    generate,
+)
 
 
 def test_g1_with_budget_one(g1_inst):
@@ -44,3 +53,27 @@ def test_strict_variant_against_strict_oracle(g):
     assert is_separator(inst, found.vertices, strict=True)
     if best.size > 0:
         assert solve_search_tree(inst.with_budget(best.size - 1), strict=True) is None
+
+
+def family_specs(seed):
+    """One spec per generator family: general, unit-interval, periodic, steady, monotone."""
+    n = 7 + seed % 8
+    prob = 0.25 + 0.05 * (seed % 4)
+    yield GenSpec(n, 3 + seed % 3, prob, seed=seed)
+    yield GenSpec(n, 3, prob, UnitIntervalConstraint(), seed=seed)
+    yield GenSpec(n, 6, prob, PeriodicConstraint(2, 3), seed=seed)
+    yield GenSpec(n, 4, prob, SteadyConstraint(2), seed=seed)
+    yield GenSpec(n, 4, prob, MonotoneConstraint(2), seed=seed)
+
+
+def test_same_separator_as_the_unpruned_search_on_every_family():
+    for seed in range(1, 25):
+        for spec in family_specs(seed):
+            inst = generate(spec)
+            for strict in (False, True):
+                minimum = 0
+                while reference_search_tree(inst.with_budget(minimum), strict) is None:
+                    minimum += 1
+                for k in range(minimum + 2):
+                    expected = reference_search_tree(inst.with_budget(k), strict)
+                    assert solve_search_tree(inst.with_budget(k), strict) == expected, (spec, strict, k)
