@@ -107,6 +107,8 @@ def validate_tree_decomposition(
                 raise InvalidDecomposition(f"bag {i} contains out-of-range vertex {v}")
     tree_adj: dict[int, set[int]] = {i: set() for i in range(count)}
     for a, b in tree_edges:
+        if a not in tree_adj or b not in tree_adj:
+            raise InvalidDecomposition(f"tree edge ({a},{b}) references unknown bag")
         tree_adj[a].add(b)
         tree_adj[b].add(a)
     if len(tree_edges) != count - 1:

@@ -1,12 +1,33 @@
-"""Budget-bounded branching solver.
+"""Budget-bounded branch-and-bound solver.
 
 Any separator must hit every temporal (s,z)-path, so: find one path, branch
 over its interior vertices, recurse with the budget reduced by one.  Each
-node is one masked sweep over the original graph, with the chosen vertices
-blocked, so the whole search works in the input's vertex ids.  The tree has
-depth at most k and fan-out at most the path length minus one, giving
-O(path_length^k * |edges|) work.  Complete: whenever a separator of size at
-most k exists, some branch extends a subset of it.
+path query is one masked sweep over the original graph, with the chosen
+vertices blocked, so the whole search works in the input's vertex ids.
+
+Pruning.  Each node also keeps a packing: temporal (s,z)-paths whose
+interiors are pairwise disjoint and avoid the chosen vertices.  A separator
+that extends the chosen set must take a distinct unchosen vertex from each
+packed interior, so a node whose packing holds more paths than its budget
+has no separator below it and returns None at once.  The packing is only a
+lower bound: Menger's theorem fails for temporal paths (Kempe, Kleinberg and
+Kumar, 2000), so a node that is not pruned may still hold no separator.
+
+A child inherits its parent's packing minus the one path whose interior
+holds the vertex just branched on; the rest still avoid the child's chosen
+set.  The node's branching path joins the packing for free when its
+interior is disjoint from the packed ones.  Then the packing grows greedily,
+one masked sweep per path with the chosen set and every packed interior
+blocked, until it holds budget+1 paths or no further path exists.
+
+The witness is unchanged by pruning: the branching path and the branch order
+are those of the plain search, and a pruned subtree provably returns None
+there, so the depth-first search meets the same first separator.  That
+separator fits the budget; it is not proven minimum.  The tree has depth at
+most k and fan-out at most the path length minus one; pruning does not
+change the worst case of O(path_length^k * |edges|) work.  Complete:
+whenever a separator of size at most k exists, some branch extends a subset
+of it.
 """
 
 from __future__ import annotations
@@ -26,17 +47,34 @@ def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separato
     """
     g, s, z = inst.g, inst.s, inst.z
 
-    def branch(chosen: frozenset[int], budget: int) -> Optional[frozenset[int]]:
+    def branch(
+        chosen: frozenset[int], budget: int, packing: tuple[frozenset[int], ...]
+    ) -> Optional[frozenset[int]]:
         path = find_temporal_path(g, s, z, strict, chosen)
         if path is None:
             return chosen
         if budget == 0:
             return None
-        for hop in path.vertices()[1:-1]:
-            found = branch(chosen | {hop}, budget - 1)
+        hops = path.vertices()[1:-1]
+        packed = list(packing)
+        used = chosen.union(*packed)
+        if used.isdisjoint(hops):
+            packed.append(frozenset(hops))
+            used = used.union(hops)
+        while len(packed) <= budget:
+            extra = find_temporal_path(g, s, z, strict, used)
+            if extra is None:
+                break
+            interior = frozenset(extra.vertices()[1:-1])
+            packed.append(interior)
+            used = used | interior
+        if len(packed) > budget:
+            return None
+        for hop in hops:
+            found = branch(chosen | {hop}, budget - 1, tuple(p for p in packed if hop not in p))
             if found is not None:
                 return found
         return None
 
-    result = branch(frozenset(), inst.k)
+    result = branch(frozenset(), inst.k, ())
     return None if result is None else Separator(result)

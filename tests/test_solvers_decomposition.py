@@ -90,6 +90,14 @@ def test_external_validation_names_uncovered_edge():
         validate_tree_decomposition(bags, edges, g)
 
 
+@pytest.mark.parametrize("edge", [(0, 5), (-1, 1)])
+def test_external_validation_names_unknown_bag(edge):
+    g = static_graph(3, [(0, 1), (1, 2)])
+    message = rf"tree edge \({edge[0]},{edge[1]}\) references unknown bag"
+    with pytest.raises(InvalidDecomposition, match=message):
+        build_tree_decomposition(g, 0, 2, external=([{0, 1}, {1, 2}], [edge]))
+
+
 def test_external_decomposition_accepted_and_nicified():
     g = static_graph(4, [(0, 1), (1, 2), (2, 3)])
     bags = [{0, 1}, {1, 2}, {2, 3}]

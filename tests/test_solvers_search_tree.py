@@ -2,7 +2,8 @@ from hypothesis import given, settings
 from search_tree_reference import reference_search_tree
 from strategies import instance_graphs
 
-from temposep import Instance, is_separator, min_separator_bruteforce, solve_search_tree
+import temposep.solvers.search_tree as search_tree
+from temposep import Instance, build, is_separator, min_separator_bruteforce, solve_search_tree
 from temposep.generators import (
     GenSpec,
     MonotoneConstraint,
@@ -77,3 +78,31 @@ def test_same_separator_as_the_unpruned_search_on_every_family():
                 for k in range(minimum + 2):
                     expected = reference_search_tree(inst.with_budget(k), strict)
                     assert solve_search_tree(inst.with_budget(k), strict) == expected, (spec, strict, k)
+
+
+def disjoint_paths_instance(width, interior, k):
+    """`width` internally disjoint (s,z)-paths, labels rising 1, 2, ... along each."""
+    z = width * interior + 1
+    triples = []
+    for i in range(width):
+        verts = [0] + [1 + i * interior + j for j in range(interior)] + [z]
+        triples += [(a, b, t) for t, (a, b) in enumerate(zip(verts, verts[1:]), start=1)]
+    return Instance(g=build(z + 1, interior + 1, triples), s=0, z=z, k=k)
+
+
+def test_packing_prunes_at_the_root(monkeypatch):
+    calls = []
+    real = search_tree.find_temporal_path
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search_tree, "find_temporal_path", counting)
+    w = 4
+    assert solve_search_tree(disjoint_paths_instance(w, 5, w - 1)) is None
+    # The unpruned search takes 1 + 5 + 25 + 125 sweeps here.
+    assert len(calls) <= w + 1
+    inst = disjoint_paths_instance(w, 5, w)
+    found = solve_search_tree(inst)
+    assert found is not None and found == reference_search_tree(inst)
