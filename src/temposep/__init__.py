@@ -2,11 +2,16 @@
 
 A temporal graph keeps its vertex set fixed while edges carry discrete time
 labels; a temporal (s,z)-path traverses edges with non-decreasing labels
-(strictly increasing in the strict variant).  This package decides and
-constructs minimum vertex sets whose removal destroys all such paths, via
-four interchangeable backends, detects membership in several temporal graph
-classes, and applies class-targeted instance transformations whose
+(strictly increasing in the strict variant).  This package decides whether
+at most k vertices destroy all such paths and constructs such a separator,
+via four interchangeable backends, detects membership in several temporal
+graph classes, and applies class-targeted instance transformations whose
 guarantees are machine-checked.
+
+Every returned separator fits the budget.  The static cut, interval DP and
+treewidth DP return minimum separators on the instances they are exact for;
+the search tree (and `solve_auto` when it dispatches there) returns the first
+separator of size at most k it meets, which is not proven minimum.
 """
 
 from .classes import ClassProfile, MonotoneShape, check_order_compatible, classify
