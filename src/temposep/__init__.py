@@ -12,78 +12,66 @@ Every returned separator fits the budget.  The static cut, interval DP and
 treewidth DP return minimum separators on the instances they are exact for;
 the search tree (and `solve_auto` when it dispatches there) returns the first
 separator of size at most k it meets, which is not proven minimum.
+
+Importing the package loads no submodule: each name in `__all__` imports its
+defining submodule on first access (PEP 562), so `from temposep import
+Instance` costs only the modules `Instance` needs.
 """
 
-from .classes import ClassProfile, MonotoneShape, check_order_compatible, classify
-from .core import StaticGraph, TemporalGraph, TimeEdge, build, concat, from_layers, power
-from .fileio import dump_tg, load_tg
-from .generators import (
-    GenSpec,
-    MonotoneConstraint,
-    PeriodicConstraint,
-    SteadyConstraint,
-    UnitIntervalConstraint,
-    XorShift64Star,
-    generate,
-)
-from .oracle import (
-    Instance,
-    Separator,
-    distance_to_temporality,
-    is_separator,
-    min_separator_bruteforce,
-    path_min_resets,
-)
-from .reachability import TemporalPath, find_temporal_path, reachable_with_earliest_arrival
-from .solvers import (
-    AutoResult,
-    NiceTreeDecomposition,
-    build_tree_decomposition,
-    solve_auto,
-    solve_interval_dp,
-    solve_search_tree,
-    solve_treewidth_dp,
-    static_min_vertex_cut,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AutoResult",
-    "ClassProfile",
-    "GenSpec",
-    "Instance",
-    "MonotoneConstraint",
-    "MonotoneShape",
-    "NiceTreeDecomposition",
-    "PeriodicConstraint",
-    "Separator",
-    "StaticGraph",
-    "SteadyConstraint",
-    "TemporalGraph",
-    "TemporalPath",
-    "TimeEdge",
-    "UnitIntervalConstraint",
-    "XorShift64Star",
-    "build",
-    "build_tree_decomposition",
-    "check_order_compatible",
-    "classify",
-    "concat",
-    "distance_to_temporality",
-    "dump_tg",
-    "find_temporal_path",
-    "from_layers",
-    "generate",
-    "is_separator",
-    "load_tg",
-    "min_separator_bruteforce",
-    "path_min_resets",
-    "power",
-    "reachable_with_earliest_arrival",
-    "solve_auto",
-    "solve_interval_dp",
-    "solve_search_tree",
-    "solve_treewidth_dp",
-    "static_min_vertex_cut",
-]
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 `__getattr__` and `__dir__` for `package`, and its `__all__`.
+
+    `exports` maps a submodule (relative to `package`) to the names it
+    defines.  A name is looked up on its submodule at every access, never
+    copied into the package, so it is always the submodule's current value.
+    """
+    table = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(import_module(f".{table[name]}", package), name)
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(import_module(package))) | set(table))
+
+    return __getattr__, __dir__, sorted(table)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "classes": ("ClassProfile", "MonotoneShape", "check_order_compatible", "classify"),
+        "core": ("StaticGraph", "TemporalGraph", "TimeEdge", "build", "concat", "from_layers", "power"),
+        "fileio": ("dump_tg", "load_tg"),
+        "generators": (
+            "GenSpec",
+            "MonotoneConstraint",
+            "PeriodicConstraint",
+            "SteadyConstraint",
+            "UnitIntervalConstraint",
+            "XorShift64Star",
+            "generate",
+        ),
+        "oracle": (
+            "Instance",
+            "Separator",
+            "distance_to_temporality",
+            "is_separator",
+            "min_separator_bruteforce",
+            "path_min_resets",
+        ),
+        "reachability": ("TemporalPath", "find_temporal_path", "reachable_with_earliest_arrival"),
+        "solvers.auto": ("AutoResult", "solve_auto"),
+        "solvers.decomposition": ("NiceTreeDecomposition", "build_tree_decomposition"),
+        "solvers.interval_dp": ("solve_interval_dp",),
+        "solvers.search_tree": ("solve_search_tree",),
+        "solvers.static_cut": ("static_min_vertex_cut",),
+        "solvers.treewidth_dp": ("solve_treewidth_dp",),
+    },
+)

@@ -12,7 +12,6 @@ notion would collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le
 from typing import NamedTuple, Optional
 
@@ -20,16 +19,14 @@ from .core import TemporalGraph
 from .errors import NotAPermutation
 
 
-@dataclass(frozen=True)
-class MonotoneShape:
+class MonotoneShape(NamedTuple):
     """Monotone segment count p and the peak labels (1-based, time order)."""
 
     p: int
     peaks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClassProfile:
+class ClassProfile(NamedTuple):
     """All four class detections for one temporal graph.
 
     monotone is None when some consecutive layer pair is incomparable.

@@ -12,39 +12,25 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+# Whatever only one command or backend uses is imported where it is used,
+# so a solve loads no generator, reduction or backend that it does not run.
 from . import fileio
-from .classes import classify
 from .errors import ContractError, DecompositionMismatch, FormatError, TempoSepError
-from .generators import (
-    GenSpec,
-    MonotoneConstraint,
-    PeriodicConstraint,
-    SteadyConstraint,
-    UnitIntervalConstraint,
-    generate,
-)
-from .oracle import Instance, Separator, is_separator, min_separator_bruteforce
-from .reductions import REDUCTIONS
-from .solvers import (
-    DEFAULT_WORK_CAP,
-    build_tree_decomposition,
-    solve_auto,
-    solve_interval_dp,
-    solve_search_tree,
-    solve_treewidth_dp,
-)
-from .solvers.auto import _static_cut_result
+from .oracle import Instance, Separator, is_separator
+from .solvers.auto import DEFAULT_WORK_CAP, _static_cut_result, solve_auto
+from .solvers.search_tree import solve_search_tree
 
 USAGE_ERROR = 2
 CONTRACT_ERROR = 3
 _INPUT_ERRORS = (TempoSepError, OSError, ValueError)
+# The keys of reductions.REDUCTIONS, sorted; spelled out so that parsing
+# arguments does not import the reductions.
+REDUCTION_KINDS = ("complete-but-one", "line-graph", "one-edge", "pad-monotone", "steady", "universal")
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     verdict: bool
     separator: Optional[Separator]
     backend: str
@@ -85,6 +71,8 @@ def run_solve(
         bags, tree_edges, td_n = td_raw
         if td_n != inst.g.n:
             raise DecompositionMismatch(f"decomposition header declares {td_n} vertices, the graph has {inst.g.n}")
+        from .solvers.decomposition import build_tree_decomposition
+
         td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z, external=(bags, tree_edges))
     if algo == "auto":
         if strict:
@@ -92,15 +80,22 @@ def run_solve(
         else:
             sep, backend = solve_auto(inst, ordering=ordering, td=td, work_cap=_work_cap())
     elif algo == "brute":
+        from .oracle import min_separator_bruteforce
+
         best = min_separator_bruteforce(inst, strict)
         sep, backend = (best if best.size <= inst.k else None), "brute"
     elif algo == "search-tree":
         sep, backend = solve_search_tree(inst, strict), "search-tree"
     elif algo == "treewidth":
+        from .solvers.decomposition import build_tree_decomposition
+        from .solvers.treewidth_dp import solve_treewidth_dp
+
         if td is None:
             td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z)
         sep, backend = solve_treewidth_dp(inst, td), "treewidth-dp"
     elif algo == "interval":
+        from .solvers.interval_dp import solve_interval_dp
+
         order = tuple(ordering) if ordering is not None else tuple(range(inst.g.n))
         sep, backend = solve_interval_dp(inst, order), "interval-dp"
     elif algo == "static-cut":
@@ -126,6 +121,8 @@ def _fmt_vertices(vertices) -> str:
 
 
 def _parse_class(text: str):
+    from .generators import MonotoneConstraint, PeriodicConstraint, SteadyConstraint, UnitIntervalConstraint
+
     name, _, params = text.partition(":")
     if name == "none":
         return None
@@ -173,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="apply an instance transformation")
     p_reduce.add_argument("input")
-    p_reduce.add_argument("--kind", required=True, choices=sorted(REDUCTIONS))
+    p_reduce.add_argument("--kind", required=True, choices=REDUCTION_KINDS)
     p_reduce.add_argument("-o", "--output", required=True)
     p_reduce.add_argument("--s", type=int, default=None)
     p_reduce.add_argument("--z", type=int, default=None)
@@ -264,6 +261,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classes import classify
+
     g = fileio.load_tg(args.input)
     profile = classify(g)
     if profile.monotone is None:
@@ -278,6 +277,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import REDUCTIONS
+
     g = fileio.load_tg(args.input)
     s = args.s if args.s is not None else 0
     z = args.z if args.z is not None else g.n - 1
@@ -301,6 +302,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import GenSpec, generate
+
     constraint = _parse_class(args.klass)
     spec = GenSpec(n=args.n, tau=args.tau, edge_prob=args.p, constraint=constraint, seed=args.seed)
     inst = generate(spec)

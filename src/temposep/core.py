@@ -11,7 +11,6 @@ function, so values are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -35,19 +34,24 @@ class TimeEdge(NamedTuple):
     v: int
 
 
-@dataclass(frozen=True)
-class StaticGraph:
-    """A simple undirected graph on vertices 0..n-1."""
-
+class _StaticGraphFields(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
+
+class StaticGraph(_StaticGraphFields):
+    """A simple undirected graph on vertices 0..n-1.
+
+    A named tuple subclass without `__slots__`, so cached views can be kept.
+    """
+
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]) -> "StaticGraph":
+        for u, v in edges:
             if u == v:
                 raise SelfLoop(f"static edge ({u},{v}) is a self-loop")
-            if not (0 <= u < v < self.n):
-                raise VertexOutOfRange(f"static edge ({u},{v}) outside 0..{self.n - 1} or not canonical")
+            if not (0 <= u < v < n):
+                raise VertexOutOfRange(f"static edge ({u},{v}) outside 0..{n - 1} or not canonical")
+        return super().__new__(cls, n, edges)
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -78,18 +82,20 @@ def check_terminals(n: int, s: int, z: int) -> None:
         raise VertexOutOfRange(f"terminals must be distinct, both are {s}")
 
 
-@dataclass(frozen=True)
-class TemporalGraph:
+class _TemporalGraphFields(NamedTuple):
+    n: int
+    tau: int
+    edges: tuple[TimeEdge, ...]
+
+
+class TemporalGraph(_TemporalGraphFields):
     """A temporal graph: n vertices, max label tau, sorted time-edge list.
 
     Invariants: edges sorted ascending by (t, u, v); no duplicates; every
     label in [1, tau].  tau may exceed the largest label present, so empty
-    layers are representable.
+    layers are representable.  Like StaticGraph, a named tuple subclass that
+    keeps its derived views in cached properties.
     """
-
-    n: int
-    tau: int
-    edges: tuple[TimeEdge, ...]
 
     @cached_property
     def layer_edge_sets(self) -> tuple[frozenset[tuple[int, int]], ...]:

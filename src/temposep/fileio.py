@@ -90,7 +90,8 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
         num_bags, max_bag, n = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
         raise FormatError(f"non-integer header fields in {header!r}", path, lineno) from None
-    bags: list[set[int] | None] = [None] * num_bags
+    # Keyed by id, so a header's bag count allocates nothing before bags are read.
+    bags: dict[int, set[int]] = {}
     tree_edges: list[tuple[int, int]] = []
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -99,10 +100,9 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
                 bag_id = int(parts[1])
                 if not (1 <= bag_id <= num_bags):
                     raise FormatError(f"bag id {bag_id} outside 1..{num_bags}", path, lineno)
-                if bags[bag_id - 1] is not None:
+                if bag_id in bags:
                     raise FormatError(f"duplicate bag id {bag_id}", path, lineno)
-                verts = {int(p) for p in parts[2:]}
-                bags[bag_id - 1] = verts
+                bags[bag_id] = {int(p) for p in parts[2:]}
             elif len(parts) == 2:
                 a, b = int(parts[0]), int(parts[1])
                 if not (1 <= a <= num_bags and 1 <= b <= num_bags):
@@ -112,14 +112,15 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
                 raise FormatError(f"unrecognized line {line!r}", path, lineno)
         except (ValueError, IndexError):
             raise FormatError(f"unrecognized line {line!r}", path, lineno) from None
-    out_bags: list[set[int]] = []
-    for i, bag in enumerate(bags):
-        if bag is None:
-            raise FormatError(f"bag {i + 1} never declared", path)
-        if len(bag) > max_bag:
-            raise FormatError(f"bag {i + 1} has {len(bag)} vertices, header allows {max_bag}", path)
-        out_bags.append(bag)
-    return out_bags, tree_edges, n
+    missing = 1
+    while missing in bags:
+        missing += 1
+    for i in range(1, missing):
+        if len(bags[i]) > max_bag:
+            raise FormatError(f"bag {i} has {len(bags[i])} vertices, header allows {max_bag}", path)
+    if missing <= num_bags:
+        raise FormatError(f"bag {missing} never declared", path)
+    return [bags[i] for i in range(1, num_bags + 1)], tree_edges, n
 
 
 def load_td(path: str | os.PathLike) -> tuple[list[set[int]], list[tuple[int, int]], int]:

@@ -7,9 +7,8 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import TemporalGraph, check_terminals
 from .errors import NotAPath, OracleScaleError, TerminalEdgePresent
@@ -18,36 +17,41 @@ from .reachability import find_temporal_path
 BRUTE_FORCE_MAX_N = 20
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A separation query: graph, two terminals, and a deletion budget.
-
-    Construction rejects a time-edge between the terminals, which the
-    problem definition forbids.
-    """
-
+class _InstanceFields(NamedTuple):
     g: TemporalGraph
     s: int
     z: int
     k: int
 
-    def __post_init__(self) -> None:
-        check_terminals(self.g.n, self.s, self.z)
-        if self.k < 0:
-            raise ValueError(f"budget must be non-negative, got {self.k}")
-        pair = (min(self.s, self.z), max(self.s, self.z))
-        if pair in self.g.edge_labels:
-            raise TerminalEdgePresent(
-                f"time-edge between terminals {self.s} and {self.z} at labels {self.g.edge_labels[pair]}"
-            )
+
+class Instance(_InstanceFields):
+    """A separation query: graph, two terminals, and a deletion budget.
+
+    Construction rejects a time-edge between the terminals, which the
+    problem definition forbids.  Build a changed copy through the
+    constructor, never `_replace`, which skips this check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, g: TemporalGraph, s: int, z: int, k: int) -> "Instance":
+        check_terminals(g.n, s, z)
+        if k < 0:
+            raise ValueError(f"budget must be non-negative, got {k}")
+        pair = (min(s, z), max(s, z))
+        if pair in g.edge_labels:
+            raise TerminalEdgePresent(f"time-edge between terminals {s} and {z} at labels {g.edge_labels[pair]}")
+        return super().__new__(cls, g, s, z, k)
 
     def with_budget(self, k: int) -> "Instance":
-        return replace(self, k=k)
+        return Instance(self.g, self.s, self.z, k)
 
 
-@dataclass(frozen=True)
-class Separator:
-    """A vertex set whose deletion removes all temporal (s,z)-paths."""
+class Separator(NamedTuple):
+    """A vertex set whose deletion removes all temporal (s,z)-paths.
+
+    A one-field tuple, so `len()` of it is 1: its size is `.size`.
+    """
 
     vertices: frozenset[int]
 

@@ -11,7 +11,6 @@ vertex deletion without rebuilding or renumbering the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, NamedTuple, Optional
 
 from .core import TemporalGraph, check_terminals
@@ -28,8 +27,7 @@ class PathStep(NamedTuple):
     t: int
 
 
-@dataclass(frozen=True)
-class TemporalPath:
+class TemporalPath(NamedTuple):
     """A label-monotone, vertex-disjoint sequence of oriented time-edges."""
 
     steps: tuple[PathStep, ...]

@@ -10,7 +10,7 @@ which charges +1 for the unavoidable hub.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -71,7 +71,7 @@ def one_edge_per_layer(inst: Instance) -> tuple[Instance, ReductionReport]:
             out_g = concat(out_g, part)
     else:
         out_g = TemporalGraph(g.n, 0, ())
-    out = replace(inst, g=out_g)
+    out = Instance(out_g, inst.s, inst.z, inst.k)
     checks = {
         "at_most_one_edge_per_layer": all(len(es) <= 1 for es in out_g.layer_edge_sets),
         "tau_within_n4_bound": out_g.tau <= g.tau * g.n**4,
@@ -101,7 +101,7 @@ def complete_but_one(inst: Instance) -> tuple[Instance, ReductionReport]:
             else:
                 triples.append((u, v, 1))
     out_g = build(g.n, g.tau + 2, triples)
-    out = replace(inst, g=out_g)
+    out = Instance(out_g, inst.s, inst.z, inst.k)
     under = out_g.underlying()
     expected = g.n * (g.n - 1) // 2 - 1
     checks = {
@@ -124,7 +124,7 @@ def pad_monotone(inst: Instance) -> tuple[Instance, ReductionReport]:
             layers.append(g.layer_edge_sets[t - 1])
             if t < g.tau:
                 layers.append(frozenset())
-        out = replace(inst, g=from_layers(g.n, layers))
+        out = Instance(from_layers(g.n, layers), inst.s, inst.z, inst.k)
     out_g = out.g
     odd_match = all(
         out_g.layer_edge_sets[2 * i] == g.layer_edge_sets[i] for i in range(g.tau)
@@ -185,7 +185,7 @@ def steadyify(inst: Instance) -> tuple[Instance, ReductionReport]:
             current.discard(e)
             layers.append(frozenset(current))
     out_g = from_layers(g.n, layers)
-    out = replace(inst, g=out_g)
+    out = Instance(out_g, inst.s, inst.z, inst.k)
     lam = classify(out_g).steady_lambda
     total_edges = sum(len(es) for es in g.layer_edge_sets)
     checks = {

@@ -11,33 +11,27 @@ Four interchangeable backends plus a dispatcher:
   layer (order-preserving unit-interval layers).
 - treewidth DP: coloring tables over a nice tree decomposition of the
   underlying graph.
+
+Like the top-level package, each name imports its backend module on first
+access.
 """
 
-from .auto import AutoResult, solve_auto, treewidth_work_estimate, DEFAULT_WORK_CAP
-from .decomposition import (
-    NiceNode,
-    NiceTreeDecomposition,
-    build_tree_decomposition,
-    minfill_tree_decomposition,
-    validate_tree_decomposition,
-)
-from .interval_dp import solve_interval_dp
-from .search_tree import solve_search_tree
-from .static_cut import static_min_vertex_cut
-from .treewidth_dp import solve_treewidth_dp
+from .. import _lazy_exports
 
-__all__ = [
-    "AutoResult",
-    "DEFAULT_WORK_CAP",
-    "NiceNode",
-    "NiceTreeDecomposition",
-    "build_tree_decomposition",
-    "minfill_tree_decomposition",
-    "solve_auto",
-    "solve_interval_dp",
-    "solve_search_tree",
-    "solve_treewidth_dp",
-    "static_min_vertex_cut",
-    "treewidth_work_estimate",
-    "validate_tree_decomposition",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "auto": ("AutoResult", "DEFAULT_WORK_CAP", "solve_auto", "treewidth_work_estimate"),
+        "decomposition": (
+            "NiceNode",
+            "NiceTreeDecomposition",
+            "build_tree_decomposition",
+            "minfill_tree_decomposition",
+            "validate_tree_decomposition",
+        ),
+        "interval_dp": ("solve_interval_dp",),
+        "search_tree": ("solve_search_tree",),
+        "static_cut": ("static_min_vertex_cut",),
+        "treewidth_dp": ("solve_treewidth_dp",),
+    },
+)

@@ -26,16 +26,16 @@ order check.  The other detectors of `classify` never run here.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ..classes import monotone_shape, periodicity
 from ..errors import IncompatibleOrdering
 from ..oracle import Instance, Separator, distance_to_temporality
-from .decomposition import NiceTreeDecomposition
-from .interval_dp import solve_interval_dp
 from .search_tree import solve_search_tree
 from .static_cut import static_min_vertex_cut
-from .treewidth_dp import solve_treewidth_dp
+
+if TYPE_CHECKING:
+    from .decomposition import NiceTreeDecomposition
 
 DEFAULT_WORK_CAP = 10**8
 DISTANCE_PROBE_MAX_N = 9
@@ -74,11 +74,16 @@ def solve_auto(
         # d breaks need d+1 periods, one monotone run each.
         if r >= distance_to_temporality(block, inst.s, inst.z) + 1:
             return AutoResult(_static_cut_result(inst), "static-cut")
+    # The DP backends are imported by the rule that runs them.
     if ordering is not None:
+        from .interval_dp import solve_interval_dp
+
         try:
             return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
         except IncompatibleOrdering:
             pass
     if td is not None and treewidth_work_estimate(td, inst.g.tau) <= work_cap:
+        from .treewidth_dp import solve_treewidth_dp
+
         return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")
     return AutoResult(solve_search_tree(inst), "search-tree")

@@ -8,7 +8,6 @@ against the oracle.  No solver calls any of them.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from temposep import Instance, from_layers
@@ -57,4 +56,4 @@ def reduce_to_peaks(inst: Instance) -> Instance:
         raise NotMonotone("graph has an incomparable consecutive layer pair")
     sets = inst.g.layer_edge_sets
     g2 = from_layers(inst.g.n, (sets[t - 1] for t in shape.peaks))
-    return replace(inst, g=g2)
+    return Instance(g2, inst.s, inst.z, inst.k)

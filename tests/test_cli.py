@@ -155,6 +155,14 @@ class TestSolve:
         assert code == 3 and out == ""
         assert err == "error: decomposition header declares 9 vertices, the graph has 4\n"
 
+    def test_td_header_bag_count_allocates_nothing(self, capsys, tmp_path):
+        p = tmp_path / "p4.tg"
+        dump_tg(build(4, 3, [(0, 1, 1), (1, 2, 2), (2, 3, 3)]), p)
+        td = tmp_path / "huge.td"
+        td.write_text(f"td {2**61 + 12345} 4 4\nb 1 0 1 2 3\n")
+        argv = ["solve", str(p), "--s", "0", "--z", "3", "--k", "1", "--algo", "treewidth", "--td", str(td)]
+        assert run(capsys, argv) == (2, "", f"error: {td}: bag 2 never declared\n")
+
     @pytest.mark.parametrize(
         "extra",
         [["--algo", "search-tree"], ["--algo", "interval"], ["--algo", "static-cut"], ["--algo", "brute"], ["--strict"]],

@@ -1,0 +1,111 @@
+"""The package's lazy exports and what a `tempo-sep solve` process imports."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import temposep
+import temposep.solvers
+from temposep.cli import REDUCTION_KINDS
+from temposep.fileio import dump_tg
+from temposep.generators import GenSpec, UnitIntervalConstraint, generate
+
+PACKAGES = [temposep, temposep.solvers]
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
+def test_every_export_is_its_defining_modules_attribute(package):
+    for name in package.__all__:
+        obj = getattr(package, name)
+        module = "temposep.solvers.auto" if name == "DEFAULT_WORK_CAP" else obj.__module__
+        assert module.startswith("temposep."), name
+        assert obj is getattr(sys.modules[module], name), name
+
+
+def test_exports_follow_a_patched_submodule_attribute(monkeypatch):
+    import temposep.solvers.auto as auto
+
+    sentinel = object()
+    monkeypatch.setattr(auto, "solve_auto", sentinel)
+    assert temposep.solve_auto is sentinel
+    assert temposep.solvers.solve_auto is sentinel
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
+def test_dir_lists_all_and_unknown_names_raise(package):
+    assert set(package.__all__) <= set(dir(package))
+    assert package.__all__ == sorted(package.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name
+    assert not hasattr(package, "solve_everything")
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from temposep import *", namespace)
+    assert set(temposep.__all__) <= set(namespace)
+    assert namespace["Instance"] is temposep.oracle.Instance
+
+
+def test_reduce_kinds_are_the_registered_reductions():
+    from temposep.reductions import REDUCTIONS
+
+    assert REDUCTION_KINDS == tuple(sorted(REDUCTIONS))
+
+
+OFF_THE_SOLVE_PATH = [
+    "dataclasses",
+    "temposep.generators",
+    "temposep.reductions",
+    "temposep.solvers.interval_dp",
+    "temposep.solvers.treewidth_dp",
+    "temposep.solvers.decomposition",
+]
+
+# Solves one general instance, records which of OFF_THE_SOLVE_PATH got
+# imported, then runs the commands and backends that import them.
+CHILD = """
+import json, sys
+import temposep.cli as cli
+
+general, interval, out = sys.argv[1:]
+codes = [cli.main(["solve", general, "--s", "0", "--z", "11", "--k", "8", "--quiet"])]
+loaded = [m for m in json.loads(sys.stdin.read()) if m in sys.modules]
+for argv in (
+    ["solve", general, "--s", "0", "--z", "11", "--k", "8", "--algo", "treewidth", "--quiet"],
+    ["solve", interval, "--s", "0", "--z", "7", "--k", "2", "--algo", "interval", "--quiet"],
+    ["gen", "--n", "6", "--tau", "3", "--p", "0.4", "--class", "periodic:1,3", "-o", out],
+    ["reduce", general, "--kind", "universal", "--s", "0", "--z", "11", "-o", out],
+):
+    codes.append(cli.main(argv))
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_a_solve_imports_no_generator_reduction_or_unused_backend(tmp_path):
+    general = tmp_path / "general.tg"
+    dump_tg(generate(GenSpec(n=12, tau=4, edge_prob=0.3, seed=7)).g, general)
+    interval = tmp_path / "interval.tg"
+    dump_tg(generate(GenSpec(n=8, tau=3, edge_prob=0.5, constraint=UnitIntervalConstraint(), seed=3)).g, interval)
+    src = str(Path(temposep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(general), str(interval), str(tmp_path / "out.tg")],
+        input=json.dumps(OFF_THE_SOLVE_PATH),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["loaded"] == []
+    assert report["codes"][:2] == [0, 0]  # the minimum separator has 8 vertices
+    assert report["codes"][2] in (0, 1)
+    assert report["codes"][3:] == [0, 0]
