@@ -11,15 +11,13 @@ join.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..core import StaticGraph
 from ..errors import InvalidDecomposition
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     """One node of a nice tree decomposition.
 
     kind is 'leaf', 'introduce', 'forget', or 'join'; vertex is the
@@ -32,26 +30,16 @@ class NiceNode:
     vertex: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class NiceTreeDecomposition:
-    """A rooted nice tree decomposition; width is max bag size minus one."""
+class NiceTreeDecomposition(NamedTuple):
+    """A rooted nice tree decomposition; width is max bag size minus one.
+
+    Every child comes before its parent in nodes and the root is the last
+    node, so index order is a bottom-up order.
+    """
 
     nodes: tuple[NiceNode, ...]
     root: int
     width: int
-
-    def postorder(self) -> list[int]:
-        order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node_id, expanded = stack.pop()
-            if expanded:
-                order.append(node_id)
-            else:
-                stack.append((node_id, True))
-                for child in self.nodes[node_id].children:
-                    stack.append((child, False))
-        return order
 
 
 def minfill_tree_decomposition(g: StaticGraph) -> tuple[list[set[int]], list[tuple[int, int]]]:
@@ -191,8 +179,8 @@ def _nicify(bags: list[set[int]], tree_edges: list[tuple[int, int]], s: int, z: 
     # not hit the recursion limit.  A frame is (raw bag, its children, the
     # tops of the children finished so far, each morphed into this bag).
     # Each child's subtree is emitted, then morphed, before the next child
-    # starts; joins follow the last child.
-    root = -1
+    # starts; joins follow the last child.  So every child is emitted before
+    # its parent, and the root last.
     stack: list[tuple[int, list[int], list[int]]] = [(0, tree_adj[0], [])]
     while stack:
         raw, child_raws, tops = stack[-1]
@@ -210,7 +198,5 @@ def _nicify(bags: list[set[int]], tree_edges: list[tuple[int, int]], s: int, z: 
                 cur = emit("join", bag, (cur, other))
         if stack:
             stack[-1][2].append(morph(cur, bag, frozenset(bags[stack[-1][0]])))
-        else:
-            root = cur
     width = max(len(node.bag) for node in nodes) - 1
-    return NiceTreeDecomposition(tuple(nodes), root, width)
+    return NiceTreeDecomposition(tuple(nodes), len(nodes) - 1, width)

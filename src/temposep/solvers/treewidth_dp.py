@@ -47,157 +47,147 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
         validate_tree_decomposition(bags, tree_edges, inst.g.underlying())
     except InvalidDecomposition as exc:
         raise DecompositionMismatch(str(exc)) from exc
+    # The tables are filled in index order, so that order must be bottom-up.
+    # With n - 1 tree edges and no node listed twice, every non-root node is
+    # then exactly one node's child.
+    if td.root != len(bags) - 1:
+        raise DecompositionMismatch(f"root {td.root} is not the last node {len(bags) - 1}")
+    parent: dict[int, int] = {}
+    for i, child in tree_edges:
+        if child >= i:
+            raise DecompositionMismatch(f"node {i} lists child {child}, which does not come before it")
+        if child in parent:
+            raise DecompositionMismatch(f"node {child} is a child of both node {parent[child]} and node {i}")
+        parent[child] = i
+    # Each node must have the children and the bag its kind says.
+    for i, (kind, bag, children, v) in enumerate(td.nodes):
+        if kind == "leaf" and bag != {inst.s, inst.z}:
+            raise DecompositionMismatch(f"leaf bag {set(bag)} is not exactly the terminal pair")
+        nice = {"leaf": [], "introduce": [bag - {v}], "forget": [bag | {v}], "join": [bag, bag]}.get(kind)
+        if [bags[c] for c in children] != nice or (v in bag) != (kind == "introduce"):
+            raise DecompositionMismatch(f"node {i} is not a nice {kind} node")
 
 
-class _DPRun:
-    """One bottom-up execution; keeps only what reconstruction needs."""
+def _fill_tables(
+    inst: Instance, td: NiceTreeDecomposition
+) -> tuple[dict[int, int], list[tuple[int, ...]], dict[int, dict[int, int]]]:
+    """Fill the tables bottom-up, in node-index order.
 
-    def __init__(self, inst: Instance, td: NiceTreeDecomposition):
-        _check_fit(inst, td)
-        self.inst = inst
-        self.td = td
-        self.tau = inst.g.tau
-        self.base = self.tau + 2
-        self.s_color = self.tau
-        self.z_color = self.tau + 1
-        self.sorted_bags = {x: tuple(sorted(td.nodes[x].bag)) for x in range(len(td.nodes))}
-        max_bag = max(len(b) for b in self.sorted_bags.values())
-        self.pows = [self.base**i for i in range(max_bag + 1)]
-        self.forget_choice: dict[int, dict[int, int]] = {}
-        self.root_table = self._run()
+    Returns the root table, every bag in sorted vertex order, and for each
+    forget node the color its forgotten vertex takes under each of its keys.
+    """
+    _check_fit(inst, td)
+    g, z, tau = inst.g, inst.z, inst.g.tau
+    base, s_color, z_color = tau + 2, tau, tau + 1
+    bags = [tuple(sorted(node.bag)) for node in td.nodes]
+    pows = [base**i for i in range(max(len(bag) for bag in bags) + 1)]
+    tables: dict[int, dict[int, int]] = {}
+    forget_choice: dict[int, dict[int, int]] = {}
 
-    def digit(self, key: int, p: int) -> int:
-        return (key // self.pows[p]) % self.base
+    for x, node in enumerate(td.nodes):
+        bag = bags[x]
+        if node.kind == "leaf":
+            tables[x] = {z_color * pows[bag.index(z)]: 0}  # s=A_1 (digit 0), z=Z
+        elif node.kind == "introduce":
+            v = node.vertex
+            child = node.children[0]
+            p = bag.index(v)
+            unit, high_unit = pows[p], pows[p + 1]
+            nbr_units: list[int] = []  # pows[q] for each child position q of a neighbor of v
+            nbr_labels: list[tuple[int, ...]] = []
+            for q, w in enumerate(bags[child]):
+                labels = g.edge_labels.get((min(v, w), max(v, w)))
+                if labels:
+                    nbr_units.append(pows[q])
+                    nbr_labels.append(labels)
+            memo: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            table: dict[int, int] = {}
+            # (child key, color of v) -> key is injective, so no new key repeats.
+            for child_key, cost in tables.pop(child).items():
+                w_colors = tuple([child_key // u % base for u in nbr_units])
+                allowed = memo.get(w_colors)
+                if allowed is None:
+                    allowed = memo[w_colors] = _allowed(w_colors, nbr_labels, unit, tau)
+                high, low = divmod(child_key, unit)
+                shifted = high * high_unit + low
+                for offset, extra in allowed:
+                    table[shifted + offset] = cost + extra
+            tables[x] = table
+        elif node.kind == "forget":
+            v = node.vertex
+            child = node.children[0]
+            unit = pows[bags[child].index(v)]
+            table = {}
+            choice: dict[int, int] = {}
+            # Any order: a tie on cost goes to the smallest color of v.
+            for child_key, cost in tables.pop(child).items():
+                high, low = divmod(child_key, unit)
+                high, color = divmod(high, base)
+                new_key = high * unit + low
+                old = table.get(new_key)
+                if old is None or cost < old or (cost == old and color < choice[new_key]):
+                    table[new_key] = cost
+                    choice[new_key] = color
+            tables[x] = table
+            forget_choice[x] = choice
+        else:  # join
+            lt = tables.pop(node.children[0])
+            rt = tables.pop(node.children[1])
+            if len(lt) > len(rt):
+                lt, rt = rt, lt
+            table = {}
+            for key, lcost in lt.items():
+                rcost = rt.get(key)
+                if rcost is not None:
+                    in_sep, rest = 0, key
+                    for _ in bag:
+                        rest, color = divmod(rest, base)
+                        if color == s_color:
+                            in_sep += 1
+                    table[key] = lcost + rcost - in_sep
+            tables[x] = table
+    return tables[td.root], bags, forget_choice
 
-    def insert_digit(self, key: int, p: int, color: int) -> int:
-        low = key % self.pows[p]
-        return (key // self.pows[p]) * self.pows[p + 1] + color * self.pows[p] + low
 
-    def remove_digit(self, key: int, p: int) -> int:
-        low = key % self.pows[p]
-        return (key // self.pows[p + 1]) * self.pows[p] + low
-
-    def _run(self) -> dict[int, int]:
-        inst, td = self.inst, self.td
-        g, s, z = inst.g, inst.s, inst.z
-        base, s_color, z_color, pows = self.base, self.s_color, self.z_color, self.pows
-        tables: dict[int, dict[int, int]] = {}
-
-        for x in td.postorder():
-            node = td.nodes[x]
-            bag = self.sorted_bags[x]
-            if node.kind == "leaf":
-                if set(bag) != {s, z}:
-                    raise DecompositionMismatch(f"leaf bag {set(bag)} is not exactly the terminal pair")
-                key = 0 * pows[bag.index(s)] + z_color * pows[bag.index(z)]  # s=A_1, z=Z
-                tables[x] = {key: 0}
-            elif node.kind == "introduce":
-                v = node.vertex
-                child = node.children[0]
-                p = bag.index(v)
-                unit, high_unit = pows[p], pows[p + 1]
-                nbr_units: list[int] = []  # pows[q] for each child position q of a neighbor of v
-                nbr_labels: list[tuple[int, ...]] = []
-                for q, w in enumerate(self.sorted_bags[child]):
-                    labels = g.edge_labels.get((min(v, w), max(v, w)))
-                    if labels:
-                        nbr_units.append(pows[q])
-                        nbr_labels.append(labels)
-                memo: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-                table: dict[int, int] = {}
-                # (child key, color of v) -> key is injective, so no new key repeats.
-                for child_key, cost in tables.pop(child).items():
-                    w_colors = tuple([child_key // u % base for u in nbr_units])
-                    allowed = memo.get(w_colors)
-                    if allowed is None:
-                        allowed = memo[w_colors] = self._allowed(w_colors, nbr_labels, unit)
-                    high, low = divmod(child_key, unit)
-                    shifted = high * high_unit + low
-                    for offset, extra in allowed:
-                        table[shifted + offset] = cost + extra
-                tables[x] = table
-            elif node.kind == "forget":
-                v = node.vertex
-                child = node.children[0]
-                unit = pows[self.sorted_bags[child].index(v)]
-                table = {}
-                choice: dict[int, int] = {}
-                # Any order: a tie on cost goes to the smallest color of v.
-                for child_key, cost in tables.pop(child).items():
-                    high, low = divmod(child_key, unit)
-                    high, color = divmod(high, base)
-                    new_key = high * unit + low
-                    old = table.get(new_key)
-                    if old is None or cost < old or (cost == old and color < choice[new_key]):
-                        table[new_key] = cost
-                        choice[new_key] = color
-                tables[x] = table
-                self.forget_choice[x] = choice
-            else:  # join
-                lt = tables.pop(node.children[0])
-                rt = tables.pop(node.children[1])
-                if len(lt) > len(rt):
-                    lt, rt = rt, lt
-                table = {}
-                bag_size = len(bag)
-                for key, lcost in lt.items():
-                    rcost = rt.get(key)
-                    if rcost is not None:
-                        in_sep, rest = 0, key
-                        for _ in range(bag_size):
-                            rest, color = divmod(rest, base)
-                            if color == s_color:
-                                in_sep += 1
-                        table[key] = lcost + rcost - in_sep
-                tables[x] = table
-        return tables[self.td.root]
-
-    def _allowed(self, w_colors: tuple[int, ...], nbr_labels: list[tuple[int, ...]], unit: int) -> list[tuple[int, int]]:
-        """(color * unit, cost) for each color of an introduced vertex that the
-        introduce rule allows next to neighbors colored `w_colors`."""
-        tau, s_color = self.tau, self.s_color
-        pairs = [(wc, t) for wc, labels in zip(w_colors, nbr_labels) for t in labels]
-        allowed = []
-        for i in range(1, tau + 1):
-            if all((wc < t or wc == s_color) if t >= i else wc >= t for wc, t in pairs):
-                allowed.append(((i - 1) * unit, 0))
-        allowed.append((s_color * unit, 1))
-        if all(wc >= tau or t <= wc for wc, t in pairs):
-            allowed.append((self.z_color * unit, 0))
-        return allowed
-
-    def best_root_entry(self) -> Optional[tuple[int, int]]:
-        """(key, cost) of the cheapest root entry, the smallest key on ties."""
-        return min(self.root_table.items(), key=lambda entry: (entry[1], entry[0]), default=None)
-
-    def reconstruct(self, root_key: int) -> frozenset[int]:
-        separator: set[int] = set()
-        stack: list[tuple[int, int]] = [(self.td.root, root_key)]
-        while stack:
-            x, key = stack.pop()
-            node = self.td.nodes[x]
-            bag = self.sorted_bags[x]
-            for p, v in enumerate(bag):
-                if self.digit(key, p) == self.s_color:
-                    separator.add(v)
-            if node.kind == "introduce":
-                stack.append((node.children[0], self.remove_digit(key, bag.index(node.vertex))))
-            elif node.kind == "forget":
-                p = self.sorted_bags[node.children[0]].index(node.vertex)
-                stack.append((node.children[0], self.insert_digit(key, p, self.forget_choice[x][key])))
-            elif node.kind == "join":
-                stack.append((node.children[0], key))
-                stack.append((node.children[1], key))
-        return frozenset(separator)
+def _allowed(w_colors: tuple[int, ...], nbr_labels: list[tuple[int, ...]], unit: int, tau: int) -> list[tuple[int, int]]:
+    """(color * unit, cost) for each color of an introduced vertex that the
+    introduce rule allows next to neighbors colored `w_colors`."""
+    s_color = tau
+    pairs = [(wc, t) for wc, labels in zip(w_colors, nbr_labels) for t in labels]
+    allowed = []
+    for i in range(1, tau + 1):
+        if all((wc < t or wc == s_color) if t >= i else wc >= t for wc, t in pairs):
+            allowed.append(((i - 1) * unit, 0))
+    allowed.append((s_color * unit, 1))
+    if all(wc >= tau or t <= wc for wc, t in pairs):
+        allowed.append(((tau + 1) * unit, 0))
+    return allowed
 
 
 def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Optional[Separator]:
     """A minimum separator via the coloring tables, or None above budget."""
-    run = _DPRun(inst, td)
-    best = run.best_root_entry()
-    if best is None:
+    root_table, bags, forget_choice = _fill_tables(inst, td)
+    # The cheapest root entry, the smallest key on ties.
+    best = min(root_table.items(), key=lambda entry: (entry[1], entry[0]), default=None)
+    if best is None or best[1] > inst.k:
         return None
-    key, cost = best
-    if cost > inst.k:
-        return None
-    return Separator(run.reconstruct(key))
+    # Top-down in reverse index order: each node's key is known before its children's.
+    base, s_color = inst.g.tau + 2, inst.g.tau
+    keys = {td.root: best[0]}
+    separator: set[int] = set()
+    for x in range(td.root, -1, -1):
+        node, bag, key = td.nodes[x], bags[x], keys.pop(x)
+        separator.update(v for p, v in enumerate(bag) if key // base**p % base == s_color)
+        if node.kind == "introduce":
+            unit = base ** bag.index(node.vertex)
+            high, low = divmod(key, unit)
+            keys[node.children[0]] = high // base * unit + low
+        elif node.kind == "forget":
+            child = node.children[0]
+            unit = base ** bags[child].index(node.vertex)
+            high, low = divmod(key, unit)
+            keys[child] = (high * base + forget_choice[x][key]) * unit + low
+        else:  # join (a leaf has no children)
+            for child in node.children:
+                keys[child] = key
+    return Separator(frozenset(separator))

@@ -15,7 +15,7 @@ from temposep.classes import monotone_shape
 from temposep.errors import NotMonotone
 from temposep.solvers.decomposition import NiceTreeDecomposition
 from temposep.solvers.interval_dp import _mask_table, _positions
-from temposep.solvers.treewidth_dp import _DPRun
+from temposep.solvers.treewidth_dp import _fill_tables
 
 
 def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[frozenset[int]]], dict[int, int]]:
@@ -37,11 +37,11 @@ def treewidth_root_table(inst: Instance, td: NiceTreeDecomposition) -> dict[tupl
 
     Color indices: i-1 for A_i, tau for S, tau+1 for Z.
     """
-    run = _DPRun(inst, td)
-    bag = run.sorted_bags[td.root]
+    root_table, bags, _ = _fill_tables(inst, td)
+    base = inst.g.tau + 2
     decoded = {}
-    for key, cost in run.root_table.items():
-        decoded[tuple((v, run.digit(key, p)) for p, v in enumerate(bag))] = cost
+    for key, cost in root_table.items():
+        decoded[tuple((v, key // base**p % base) for p, v in enumerate(bags[td.root]))] = cost
     return decoded
 
 

@@ -16,6 +16,7 @@ from temposep import (
     solve_treewidth_dp,
 )
 from temposep.errors import DecompositionMismatch
+from temposep.solvers.decomposition import NiceNode, NiceTreeDecomposition
 from temposep.reachability import reachable_with_earliest_arrival
 
 
@@ -46,6 +47,100 @@ def test_mismatched_decomposition_rejected(td_graph, inst, message):
     td = build_tree_decomposition(td_graph.underlying(), 0, 3)
     with pytest.raises(DecompositionMismatch, match=message):
         solve_treewidth_dp(inst, td)
+
+
+def _path_and_decomposition():
+    """The path 0-1-2-3 at label 1 (every separator is non-empty) and its nice decomposition."""
+    inst = Instance(g=build(4, 1, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), s=0, z=3, k=0)
+    return inst, build_tree_decomposition(inst.g.underlying(), 0, 3)
+
+
+def _child_after_parent(td):
+    # Swap the first two nodes: the leaf moves behind the node that lists it.
+    first, second = td.nodes[0], td.nodes[1]
+    moved = [second._replace(children=(1,)), first] + [
+        node._replace(children=tuple({0: 1, 1: 0}.get(c, c) for c in node.children)) for node in td.nodes[2:]
+    ]
+    return NiceTreeDecomposition(tuple(moved), td.root, td.width)
+
+
+def _child_of_two_nodes(td):
+    # Node 0 is listed by node 1 and by the root; nothing lists node 1.  The
+    # bags and the tree edges still form a valid tree decomposition.
+    terminals = frozenset((0, 3))
+    nodes = (
+        NiceNode("leaf", terminals, ()),
+        NiceNode("introduce", frozenset(range(4)), (0,), 1),
+        NiceNode("leaf", terminals, ()),
+        NiceNode("join", terminals, (0, 2)),
+    )
+    return NiceTreeDecomposition(nodes, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "rebuild, message",
+    [
+        (lambda td: NiceTreeDecomposition(td.nodes, 0, td.width), "root 0 is not the last node"),
+        (lambda td: NiceTreeDecomposition(td.nodes, 1, td.width), "root 1 is not the last node"),
+        (_child_after_parent, "node 0 lists child 1, which does not come before it"),
+        (_child_of_two_nodes, "node 0 is a child of both node 1 and node 3"),
+    ],
+    ids=["rooted-at-0", "rooted-at-1", "child-after-parent", "child-of-two-nodes"],
+)
+def test_misrooted_decomposition_rejected(rebuild, message):
+    inst, td = _path_and_decomposition()
+    assert solve_treewidth_dp(inst, td) is None  # the well-rooted original
+    with pytest.raises(DecompositionMismatch, match=message):
+        solve_treewidth_dp(inst, rebuild(td))
+
+
+_TERMINALS = frozenset((0, 3))
+_ALL = frozenset(range(4))
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        # Introduces 1 and 2 at once, then forgets both.  Read as nice nodes,
+        # this chain yields the empty set, which does not separate.
+        (
+            (
+                NiceNode("leaf", _TERMINALS, ()),
+                NiceNode("introduce", _ALL, (0,), 1),
+                NiceNode("forget", _TERMINALS, (1,), 1),
+            ),
+            "node 1 is not a nice introduce node",
+        ),
+        (
+            (
+                NiceNode("leaf", _ALL, ()),
+                NiceNode("forget", _ALL - {2}, (0,), 2),
+                NiceNode("forget", _TERMINALS, (1,), 1),
+            ),
+            "leaf bag {0, 1, 2, 3} is not exactly the terminal pair",
+        ),
+        (
+            (
+                NiceNode("leaf", _TERMINALS, ()),
+                NiceNode("introduce", _TERMINALS | {2}, (0,), 2),
+                NiceNode("introduce", _ALL, (1,), 1),
+                NiceNode("forget", _ALL - {2}, (2,), 2),
+                NiceNode("leaf", _TERMINALS, ()),
+                NiceNode("join", _ALL - {2}, (3, 4)),
+            ),
+            "node 5 is not a nice join node",
+        ),
+        (
+            (NiceNode("leaf", _TERMINALS, ()), NiceNode("grow", _ALL, (0,), 1)),
+            "node 1 is not a nice grow node",
+        ),
+    ],
+    ids=["introduce-two", "leaf-bag", "join-unequal-bags", "unknown-kind"],
+)
+def test_node_that_is_not_nice_rejected(nodes, message):
+    inst, _ = _path_and_decomposition()
+    with pytest.raises(DecompositionMismatch, match=message):
+        solve_treewidth_dp(inst, NiceTreeDecomposition(nodes, len(nodes) - 1, 3))
 
 
 def test_deep_decomposition_solves():
