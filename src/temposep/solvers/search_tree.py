@@ -28,14 +28,26 @@ most k and fan-out at most the path length minus one; pruning does not
 change the worst case of O(path_length^k * |edges|) work.  Complete:
 whenever a separator of size at most k exists, some branch extends a subset
 of it.
+
+The depth-first walk keeps an explicit stack of lazy child iterators, one per
+open node, so the depth (up to k) is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..oracle import Instance, Separator
 from ..reachability import find_temporal_path
+
+
+def _children(chosen: frozenset[int], budget: int, hops: list[int], packed: list[frozenset[int]]) -> Iterator[tuple]:
+    """Each child's (chosen, budget, packing), built only when the walk reaches it, in hop order.
+
+    A generator function, so every node's iterator keeps its own bindings.
+    """
+    for hop in hops:
+        yield chosen | {hop}, budget - 1, tuple(p for p in packed if hop not in p)
 
 
 def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separator]:
@@ -46,15 +58,18 @@ def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separato
     always the same.
     """
     g, s, z = inst.g, inst.s, inst.z
-
-    def branch(
-        chosen: frozenset[int], budget: int, packing: tuple[frozenset[int], ...]
-    ) -> Optional[frozenset[int]]:
+    stack: list[Iterator[tuple]] = [iter([(frozenset(), inst.k, ())])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        chosen, budget, packing = state
         path = find_temporal_path(g, s, z, strict, chosen)
         if path is None:
-            return chosen
+            return Separator(chosen)
         if budget == 0:
-            return None
+            continue
         hops = path.vertices()[1:-1]
         packed = list(packing)
         used = chosen.union(*packed)
@@ -68,13 +83,6 @@ def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separato
             interior = frozenset(extra.vertices()[1:-1])
             packed.append(interior)
             used = used | interior
-        if len(packed) > budget:
-            return None
-        for hop in hops:
-            found = branch(chosen | {hop}, budget - 1, tuple(p for p in packed if hop not in p))
-            if found is not None:
-                return found
-        return None
-
-    result = branch(frozenset(), inst.k, ())
-    return None if result is None else Separator(result)
+        if len(packed) <= budget:
+            stack.append(_children(chosen, budget, hops, packed))
+    return None

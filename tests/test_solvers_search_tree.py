@@ -3,7 +3,7 @@ from search_tree_reference import reference_search_tree
 from strategies import instance_graphs
 
 import temposep.solvers.search_tree as search_tree
-from temposep import Instance, build, is_separator, min_separator_bruteforce, solve_search_tree
+from temposep import Instance, build, is_separator, min_separator_bruteforce, solve_auto, solve_search_tree
 from temposep.generators import (
     GenSpec,
     MonotoneConstraint,
@@ -106,3 +106,13 @@ def test_packing_prunes_at_the_root(monkeypatch):
     inst = disjoint_paths_instance(w, 5, w)
     found = solve_search_tree(inst)
     assert found is not None and found == reference_search_tree(inst)
+
+
+def test_depth_beyond_the_recursion_limit():
+    # 1100 disjoint two-edge paths: every one of the 1100 middle vertices is
+    # chosen, one tree level each, deeper than Python's default recursion limit.
+    inst = disjoint_paths_instance(1100, 1, 1100)
+    found, backend = solve_auto(inst)
+    assert backend == "search-tree"
+    assert found.vertices == frozenset(range(1, 1101))
+    assert solve_search_tree(inst.with_budget(1099)) is None
