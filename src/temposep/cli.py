@@ -34,9 +34,6 @@ class RunResult(NamedTuple):
     verdict: bool
     separator: Optional[Separator]
     backend: str
-    n: int
-    m: int
-    tau: int
     millis: float
 
 
@@ -45,14 +42,9 @@ def _work_cap() -> int:
     return int(raw) if raw else DEFAULT_WORK_CAP
 
 
-def _reads_td(algo: str, strict: bool) -> bool:
-    """Only the treewidth backend reads a decomposition; non-strict auto may pick it."""
-    return algo == "treewidth" or (algo == "auto" and not strict)
-
-
-def _reads_ordering(algo: str, strict: bool) -> bool:
-    """Only the interval backend reads an ordering; non-strict auto may pick it."""
-    return algo == "interval" or (algo == "auto" and not strict)
+def _reads(hint_algo: str, algo: str, strict: bool) -> bool:
+    """Only the `hint_algo` backend reads its hint file; non-strict auto may pick it."""
+    return algo == hint_algo or (algo == "auto" and not strict)
 
 
 def run_solve(
@@ -67,7 +59,7 @@ def run_solve(
     if strict and algo in ("treewidth", "interval", "static-cut"):
         raise FormatError(f"--strict is not supported by the {algo} backend")
     td = None
-    if td_raw is not None and _reads_td(algo, strict):
+    if td_raw is not None and _reads("treewidth", algo, strict):
         bags, tree_edges, td_n = td_raw
         if td_n != inst.g.n:
             raise DecompositionMismatch(f"decomposition header declares {td_n} vertices, the graph has {inst.g.n}")
@@ -105,15 +97,7 @@ def run_solve(
     if sep is not None and not is_separator(inst, sep.vertices, strict):
         raise AssertionError(f"backend {backend} produced a non-separating witness {sep.sorted()}")
     millis = (time.perf_counter() - start) * 1000.0
-    return RunResult(
-        verdict=sep is not None,
-        separator=sep,
-        backend=backend,
-        n=inst.g.n,
-        m=len(inst.g.edges),
-        tau=inst.g.tau,
-        millis=millis,
-    )
+    return RunResult(verdict=sep is not None, separator=sep, backend=backend, millis=millis)
 
 
 def _fmt_vertices(vertices) -> str:
@@ -224,9 +208,9 @@ def _cmd_solve(args) -> int:
         try:
             g = fileio.load_tg(input_path)
             if not hints_read:
-                if args.ordering and _reads_ordering(args.algo, args.strict):
+                if args.ordering and _reads("interval", args.algo, args.strict):
                     ordering = fileio.load_ordering(args.ordering, g.n)
-                if args.td and _reads_td(args.algo, args.strict):
+                if args.td and _reads("treewidth", args.algo, args.strict):
                     td_raw = fileio.load_td(args.td)
                 hints_read = True
             inst = Instance(g=g, s=args.s, z=args.z, k=args.k)
@@ -253,7 +237,7 @@ def _cmd_solve(args) -> int:
             exit_code = max(exit_code, 1)
         if args.stats:
             print(
-                f"n={result.n} m={result.m} tau={result.tau} backend={result.backend} "
+                f"n={g.n} m={len(g.edges)} tau={g.tau} backend={result.backend} "
                 f"millis={result.millis:.1f}",
                 file=sys.stderr,
             )

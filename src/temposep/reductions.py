@@ -39,16 +39,6 @@ def _summary(inst: Instance) -> dict[str, int]:
     return {"n": inst.g.n, "m": len(inst.g.edges), "tau": inst.g.tau, "k": inst.k}
 
 
-def _report(kind: str, inst: Instance, delta: int, checks, details) -> ReductionReport:
-    return ReductionReport(
-        kind=kind,
-        input_summary=_summary(inst),
-        budget_delta=delta,
-        checks=checks,
-        details=details,
-    )
-
-
 def one_edge_per_layer(inst: Instance) -> tuple[Instance, ReductionReport]:
     """Spread every layer into sub-layers holding one edge each.
 
@@ -78,7 +68,7 @@ def one_edge_per_layer(inst: Instance) -> tuple[Instance, ReductionReport]:
         "underlying_preserved": out_g.underlying() == g.underlying(),
     }
     details = {"tau_out": out_g.tau, "tau_bound": g.tau * g.n**4}
-    return out, _report("one-edge", inst, 0, checks, details)
+    return out, ReductionReport("one-edge", _summary(inst), 0, checks, details)
 
 
 def complete_but_one(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -110,7 +100,7 @@ def complete_but_one(inst: Instance) -> tuple[Instance, ReductionReport]:
         "tau_is_input_plus_two": out_g.tau == g.tau + 2,
     }
     details = {"underlying_edges": len(under.edges), "expected_edges": expected}
-    return out, _report("complete-but-one", inst, 0, checks, details)
+    return out, ReductionReport("complete-but-one", _summary(inst), 0, checks, details)
 
 
 def pad_monotone(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -137,7 +127,7 @@ def pad_monotone(inst: Instance) -> tuple[Instance, ReductionReport]:
         "even_layers_empty": even_empty,
     }
     details = {"tau_out": out_g.tau}
-    return out, _report("pad-monotone", inst, 0, checks, details)
+    return out, ReductionReport("pad-monotone", _summary(inst), 0, checks, details)
 
 
 def add_universal_vertex(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -162,7 +152,7 @@ def add_universal_vertex(inst: Instance) -> tuple[Instance, ReductionReport]:
         ),
     }
     details = {"hub": hub, "max_window": profile.interval_connected_max_t}
-    return out, _report("universal", inst, +1, checks, details)
+    return out, ReductionReport("universal", _summary(inst), +1, checks, details)
 
 
 def steadyify(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -194,7 +184,7 @@ def steadyify(inst: Instance) -> tuple[Instance, ReductionReport]:
         "underlying_preserved": out_g.underlying() == g.underlying(),
     }
     details = {"steady_lambda": lam, "tau_out": out_g.tau}
-    return out, _report("steady", inst, 0, checks, details)
+    return out, ReductionReport("steady", _summary(inst), 0, checks, details)
 
 
 def is_claw_free(g: StaticGraph) -> bool:
@@ -296,7 +286,7 @@ def line_graph_gadget(inst: Instance) -> tuple[Instance, ReductionReport]:
         "tau_is_2tau_plus_2": out_g.tau == 2 * g.tau + 2,
     }
     details = {"n_out": out_g.n, "tau_out": out_g.tau}
-    return out, _report("line-graph", inst, 0, checks, details)
+    return out, ReductionReport("line-graph", _summary(inst), 0, checks, details)
 
 
 REDUCTIONS: dict[str, Callable[[Instance], tuple[Instance, ReductionReport]]] = {

@@ -13,6 +13,7 @@ import pytest
 import temposep
 import temposep.solvers
 from temposep.cli import REDUCTION_KINDS
+from temposep.core import build
 from temposep.fileio import dump_tg
 from temposep.generators import GenSpec, UnitIntervalConstraint, generate
 
@@ -88,24 +89,56 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
 
-def test_a_solve_imports_no_generator_reduction_or_unused_backend(tmp_path):
-    general = tmp_path / "general.tg"
-    dump_tg(generate(GenSpec(n=12, tau=4, edge_prob=0.3, seed=7)).g, general)
-    interval = tmp_path / "interval.tg"
-    dump_tg(generate(GenSpec(n=8, tau=3, edge_prob=0.5, constraint=UnitIntervalConstraint(), seed=3)).g, interval)
+def _run_child(script, args, modules):
+    """Run `script` in a fresh interpreter with `modules` on stdin; its stdout lines."""
     src = str(Path(temposep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(general), str(interval), str(tmp_path / "out.tg")],
-        input=json.dumps(OFF_THE_SOLVE_PATH),
+        [sys.executable, "-c", script, *map(str, args)],
+        input=json.dumps(modules),
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()
+
+
+def test_a_solve_imports_no_generator_reduction_or_unused_backend(tmp_path):
+    general = tmp_path / "general.tg"
+    dump_tg(generate(GenSpec(n=12, tau=4, edge_prob=0.3, seed=7)).g, general)
+    interval = tmp_path / "interval.tg"
+    dump_tg(generate(GenSpec(n=8, tau=3, edge_prob=0.5, constraint=UnitIntervalConstraint(), seed=3)).g, interval)
+    report = json.loads(_run_child(CHILD, [general, interval, tmp_path / "out.tg"], OFF_THE_SOLVE_PATH)[-1])
     assert report["loaded"] == []
     assert report["codes"][:2] == [0, 0]  # the minimum separator has 8 vertices
     assert report["codes"][2] in (0, 1)
     assert report["codes"][3:] == [0, 0]
+
+
+# Solves with a decomposition twice, auto (which picks the treewidth DP) and
+# --algo treewidth, then records which of the given modules got imported.
+TREEWIDTH_CHILD = """
+import json, sys
+import temposep.cli as cli
+
+graph, td = sys.argv[1:]
+codes = [
+    cli.main(["solve", graph, "--s", "0", "--z", "4", "--k", "1", "--td", td]),
+    cli.main(["solve", graph, "--s", "0", "--z", "4", "--k", "1", "--algo", "treewidth"]),
+]
+print(json.dumps({"loaded": [m for m in json.loads(sys.stdin.read()) if m in sys.modules], "codes": codes}))
+"""
+
+
+def test_a_treewidth_solve_imports_no_dataclasses_generator_or_reduction(tmp_path):
+    graph = tmp_path / "g.tg"
+    # Every s-z path runs through 3, and no dispatcher rule collapses the
+    # instance to a static cut, so auto takes the DP.
+    dump_tg(build(5, 3, [(0, 1, 3), (0, 3, 2), (1, 3, 2), (2, 3, 2), (3, 4, 3)]), graph)
+    td = tmp_path / "g.td"
+    td.write_text("td 4 3 5\nb 1 0 1 3\nb 2 2 3\nb 3 3 4\nb 4 4\n1 3\n2 3\n3 4\n")
+    lines = _run_child(TREEWIDTH_CHILD, [graph, td], ["dataclasses", "temposep.generators", "temposep.reductions"])
+    assert lines[:2] == ["verdict=yes separator=3 backend=treewidth-dp"] * 2
+    assert json.loads(lines[-1]) == {"loaded": [], "codes": [0, 0]}
