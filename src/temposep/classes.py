@@ -78,7 +78,7 @@ def periodicity(g: TemporalGraph) -> tuple[int, int]:
     if tau == 0:
         return 0, 0
     for p in range(1, tau + 1):
-        if tau % p == 0 and all(sets[j] == sets[j % p] for j in range(tau)):
+        if tau % p == 0 and all(sets[j] == sets[j - p] for j in range(p, tau)):
             return p, tau // p
     return tau, 1
 

@@ -9,7 +9,6 @@ instance a time-edge between the terminals).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import NamedTuple, Optional, Sequence
@@ -17,9 +16,9 @@ from typing import NamedTuple, Optional, Sequence
 # Whatever only one command or backend uses is imported where it is used,
 # so a solve loads no generator, reduction or backend that it does not run.
 from . import fileio
-from .errors import ContractError, DecompositionMismatch, FormatError, TempoSepError
+from .errors import ContractError, DecompositionMismatch, FormatError, NotAPermutation, TempoSepError
 from .oracle import Instance, Separator, is_separator
-from .solvers.auto import DEFAULT_WORK_CAP, _static_cut_result, solve_auto
+from .solvers.auto import _static_cut_result, solve_auto
 from .solvers.search_tree import solve_search_tree
 
 USAGE_ERROR = 2
@@ -35,11 +34,6 @@ class RunResult(NamedTuple):
     separator: Optional[Separator]
     backend: str
     millis: float
-
-
-def _work_cap() -> int:
-    raw = os.environ.get("TEMPO_SEP_WORK_CAP")
-    return int(raw) if raw else DEFAULT_WORK_CAP
 
 
 def _reads(hint_algo: str, algo: str, strict: bool) -> bool:
@@ -58,6 +52,8 @@ def run_solve(
     start = time.perf_counter()
     if strict and algo in ("treewidth", "interval", "static-cut"):
         raise FormatError(f"--strict is not supported by the {algo} backend")
+    if ordering is not None and _reads("interval", algo, strict) and sorted(ordering) != list(range(inst.g.n)):
+        raise NotAPermutation(f"--ordering is not a permutation of 0..{inst.g.n - 1}")
     td = None
     if td_raw is not None and _reads("treewidth", algo, strict):
         bags, tree_edges, td_n = td_raw
@@ -70,7 +66,7 @@ def run_solve(
         if strict:
             sep, backend = solve_search_tree(inst, strict=True), "search-tree"
         else:
-            sep, backend = solve_auto(inst, ordering=ordering, td=td, work_cap=_work_cap())
+            sep, backend = solve_auto(inst, ordering=ordering, td=td)
     elif algo == "brute":
         from .oracle import min_separator_bruteforce
 
@@ -201,23 +197,18 @@ def _cmd_solve(args) -> int:
     """Solve each input; a batch skips a failed input, but not a failed --ordering or --td file."""
     ordering = None
     td_raw = None
-    hints_read = False
+    if args.ordering and _reads("interval", args.algo, args.strict):
+        ordering = fileio.load_ordering(args.ordering)
+    if args.td and _reads("treewidth", args.algo, args.strict):
+        td_raw = fileio.load_td(args.td)
     exit_code = 0
     for input_path in args.inputs:
-        g = None
         try:
             g = fileio.load_tg(input_path)
-            if not hints_read:
-                if args.ordering and _reads("interval", args.algo, args.strict):
-                    ordering = fileio.load_ordering(args.ordering, g.n)
-                if args.td and _reads("treewidth", args.algo, args.strict):
-                    td_raw = fileio.load_td(args.td)
-                hints_read = True
             inst = Instance(g=g, s=args.s, z=args.z, k=args.k)
             result = run_solve(inst, args.algo, ordering, td_raw, args.strict)
         except _INPUT_ERRORS as exc:
-            # A graph that loaded with the hints unread means a hint file failed.
-            if len(args.inputs) == 1 or (g is not None and not hints_read):
+            if len(args.inputs) == 1:
                 raise
             named = isinstance(exc, FormatError) and exc.path == input_path
             print(f"error: {exc}" if named else f"error: {input_path}: {exc}", file=sys.stderr)

@@ -12,6 +12,8 @@ function, so values are safe to share between threads.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -99,24 +101,26 @@ class TemporalGraph(_TemporalGraphFields):
 
     @cached_property
     def layer_edge_sets(self) -> tuple[frozenset[tuple[int, int]], ...]:
-        """Edge set of each layer, indexed 0..tau-1 for labels 1..tau."""
-        sets: list[set[tuple[int, int]]] = [set() for _ in range(self.tau)]
-        for t, u, v in self.edges:
-            sets[t - 1].add((u, v))
-        return tuple(frozenset(s) for s in sets)
+        """Edge set of each layer, indexed 0..tau-1 for labels 1..tau; empty layers share one set."""
+        sets = [frozenset()] * self.tau
+        for t, group in groupby(self.edges, key=itemgetter(0)):
+            sets[t - 1] = frozenset((u, v) for _, u, v in group)
+        return tuple(sets)
 
     @cached_property
-    def layer_adjacency(self) -> tuple[dict[int, list[int]], ...]:
-        """Adjacency lists of each layer, indexed 0..tau-1 for labels 1..tau.
+    def layer_adjacency(self) -> tuple[tuple[int, dict[int, list[int]]], ...]:
+        """(label, adjacency lists) for each label that has an edge, in label order.
 
         Built once per graph and shared by every reachability sweep; callers
         must treat the lists as read-only.
         """
-        layers: list[dict[int, list[int]]] = [{} for _ in range(self.tau)]
-        for t, u, v in self.edges:
-            adj = layers[t - 1]
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
+        layers = []
+        for t, group in groupby(self.edges, key=itemgetter(0)):
+            adj: dict[int, list[int]] = {}
+            for _, u, v in group:
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
+            layers.append((t, adj))
         return tuple(layers)
 
     @cached_property

@@ -20,7 +20,7 @@ import os
 from typing import TextIO
 
 from .core import TemporalGraph, build
-from .errors import FormatError, NotAPermutation
+from .errors import FormatError
 
 
 def _meaningful_lines(text: str) -> list[tuple[int, str]]:
@@ -128,16 +128,13 @@ def load_td(path: str | os.PathLike) -> tuple[list[set[int]], list[tuple[int, in
         return parse_td(fh.read(), str(path))
 
 
-def parse_ordering(text: str, n: int, path: str = "<string>") -> tuple[int, ...]:
+def parse_ordering(text: str, path: str = "<string>") -> tuple[int, ...]:
     try:
-        order = tuple(int(p) for p in text.split())
+        return tuple(int(p) for p in text.split())
     except ValueError:
         raise FormatError("ordering file must contain only integers", path) from None
-    if sorted(order) != list(range(n)):
-        raise NotAPermutation(f"{path}: ordering is not a permutation of 0..{n - 1}")
-    return order
 
 
-def load_ordering(path: str | os.PathLike, n: int) -> tuple[int, ...]:
+def load_ordering(path: str | os.PathLike) -> tuple[int, ...]:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_ordering(fh.read(), n, str(path))
+        return parse_ordering(fh.read(), str(path))

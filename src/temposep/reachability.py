@@ -1,12 +1,13 @@
 """Temporal (s,z)-path discovery, strict and non-strict.
 
-Path existence is decided by a label-ordered sweep over each layer's cached
-adjacency: within one label the non-strict sweep runs a multi-source BFS over
-the layer (several hops may share a label), while the strict sweep relaxes
-each layer's edges exactly once against arrivals from earlier labels.  Either
-way the work is linear in the number of time-edges.  An optional set of
-blocked vertices is excluded from the sweep, which answers reachability after
-vertex deletion without rebuilding or renumbering the graph.
+Path existence is decided by one label-ordered sweep over the cached
+adjacency of each label that has edges: within a label it runs a multi-source
+BFS from every vertex reached at an earlier label.  Non-strict paths may take
+several hops at one label, so the BFS runs to exhaustion; a strict path takes
+one hop per label, so the strict sweep stops after the first BFS level.
+Either way the work is linear in the number of time-edges.  An optional set
+of blocked vertices is excluded from the sweep, which answers reachability
+after vertex deletion without rebuilding or renumbering the graph.
 """
 
 from __future__ import annotations
@@ -81,41 +82,28 @@ def _sweep(
     Blocked vertices start with an arrival after the last label, so they are
     never reached and never relay.  Ties are settled by rule, not by the
     order frontiers or adjacency lists are scanned in: earliest label first,
-    then fewest hops within the label (non-strict), then smallest
-    predecessor vertex.
+    then fewest hops within the label (a strict path takes one hop per
+    label), then smallest predecessor vertex.
     """
     arrival: list[float] = [UNREACHED] * g.n
     for v in blocked:
         arrival[v] = g.tau + 1
     arrival[s] = 0
     pred: dict[int, tuple[int, int]] = {}
-    for t, adj in enumerate(g.layer_adjacency, start=1):
-        if not adj:
-            continue
-        if strict:
-            # One hop per label: relax against arrivals from labels < t only.
-            updates: dict[int, int] = {}
-            for a in adj:
-                if arrival[a] <= t - 1:
-                    for b in adj[a]:
-                        if arrival[b] == UNREACHED and (b not in updates or a < updates[b]):
-                            updates[b] = a
-            for b, a in updates.items():
+    for t, adj in g.layer_adjacency:
+        # Level-synchronized multi-source BFS inside the layer.  Its first level
+        # relaxes arrivals from earlier labels only: the whole strict step.
+        frontier = [v for v in adj if arrival[v] < t]
+        while frontier:
+            found: dict[int, int] = {}
+            for a in frontier:
+                for b in adj[a]:
+                    if arrival[b] == UNREACHED and (b not in found or a < found[b]):
+                        found[b] = a
+            for b, a in found.items():
                 arrival[b] = t
                 pred[b] = (a, t)
-        else:
-            # Level-synchronized multi-source BFS inside the layer.
-            frontier = [v for v in adj if arrival[v] <= t]
-            while frontier:
-                found: dict[int, int] = {}
-                for a in frontier:
-                    for b in adj[a]:
-                        if arrival[b] == UNREACHED and (b not in found or a < found[b]):
-                            found[b] = a
-                for b, a in found.items():
-                    arrival[b] = t
-                    pred[b] = (a, t)
-                frontier = found.keys()
+            frontier = () if strict else found.keys()
     return arrival, pred
 
 

@@ -2,26 +2,26 @@
 
 Order of the rules, most specific first.  A rule computes only the evidence
 it reads, and only when no earlier rule fired: rule 1 `monotone_shape`,
-rules 2-4 `periodicity`, rule 4 the distance to temporality, rule 5 the
+rules 2-3 `periodicity`, rule 3 the distance to temporality, rule 4 the
 order check.  The other detectors of `classify` never run here.
 
-1. single-peaked layer sequence: the one peak layer dominates every other,
-   so temporal separation equals static separation in the underlying graph.
-2. all layers identical (period 1), or no layers at all (period 0): same
-   collapse.
-3. periodic with at least as many periods as vertices: any underlying
+1. at most one peak in the layer sequence: the one peak layer dominates
+   every other, so temporal separation equals static separation in the
+   underlying graph.  Identical layers form one run with one peak, and a
+   graph with no layers has none.
+2. periodic with at least as many periods as vertices: any underlying
    (s,z)-path splits into at most n-1 monotone label runs, and with one
    period per run it realizes as a temporal path, so the static cut is
    exact.
-4. periodic with more periods than the measured distance to temporality of
+3. periodic with more periods than the measured distance to temporality of
    the period block: same run-per-period argument (d breaks need d+1
    periods); the measurement enumerates simple paths and is therefore only
    attempted at desk scale.
-5. a vertex ordering was supplied: interval DP, which validates the hint
+4. a vertex ordering was supplied: interval DP, which validates the hint
    itself; an ordering incompatible with some layer falls through.
-6. a tree decomposition was supplied and its coloring-table size estimate
+5. a tree decomposition was supplied and its coloring-table size estimate
    fits the work cap: treewidth DP.
-7. otherwise: budget-bounded search tree.
+6. otherwise: budget-bounded search tree.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ def solve_auto(
 ) -> AutoResult:
     """Solve the (non-strict) instance with the cheapest applicable backend."""
     shape = monotone_shape(inst.g)
-    if shape is not None and len(shape.peaks) == 1:
+    if shape is not None and len(shape.peaks) <= 1:
         return AutoResult(_static_cut_result(inst), "static-cut")
     p, r = periodicity(inst.g)
-    if p <= 1 or r >= inst.g.n:
+    if r >= inst.g.n:
         return AutoResult(_static_cut_result(inst), "static-cut")
     if inst.g.n <= DISTANCE_PROBE_MAX_N:
         block = inst.g.slice_labels(1, p)

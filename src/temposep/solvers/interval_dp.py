@@ -112,8 +112,6 @@ def _positions(mask: int, n: int) -> frozenset[int]:
 
 def solve_interval_dp(inst: Instance, ordering: Sequence[int]) -> Optional[Separator]:
     """A minimum separator via the ordering table, or None above budget."""
-    if inst.g.tau == 0 or not inst.g.edges:
-        return Separator(frozenset())
     masks, window = _mask_table(inst, ordering)
     best = min(masks[-1][1:], key=lambda m: (m.bit_count(), -m))
     if best.bit_count() > inst.k:

@@ -30,6 +30,12 @@ def g2_inst(g2):
     return Instance(g=g2, s=0, z=3, k=0)
 
 
+@pytest.fixture
+def sparse_labels():
+    """Labels 1..4 used, tau declared as 250000: every other layer is empty."""
+    return build(4, 250000, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (1, 3, 4)])
+
+
 def random_instances(count: int, *, n_max: int = 7, tau_max: int = 4, probs=(0.2, 0.4), seed0: int = 1):
     """A deterministic stream of small random instances."""
     out = []

@@ -14,6 +14,7 @@ from temposep import (
     min_separator_bruteforce,
     power,
 )
+from temposep.classes import periodicity
 from temposep.errors import NotAPermutation, NotMonotone
 from temposep.generators import GenSpec, MonotoneConstraint, generate
 
@@ -63,6 +64,9 @@ class TestClassify:
         profile = classify(g)
         assert profile.monotone.p == 2
         assert profile.monotone.peaks == (1, 3)
+
+    def test_period_of_sparse_labels_is_tau(self, sparse_labels):
+        assert periodicity(sparse_labels) == (250000, 1)
 
     def test_steady_zero_for_single_layer(self):
         assert classify(from_layers(3, [[(0, 1)]])).steady_lambda == 0

@@ -104,6 +104,18 @@ class TestSolve:
         )
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_batch_outcome_does_not_depend_on_which_graph_an_ordering_fits(self, capsys, tmp_path):
+        a4, b5, ordering = tmp_path / "a4.tg", tmp_path / "b5.tg", tmp_path / "ord.txt"
+        dump_tg(build(4, 1, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), a4)
+        dump_tg(build(5, 1, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]), b5)
+        ordering.write_text("0 1 2 3\n")
+        flags = ["--s", "0", "--z", "3", "--k", "1", "--algo", "interval", "--ordering", str(ordering)]
+        expected_out = f"file={a4} verdict=yes separator=1 backend=interval-dp"
+        expected_err = f"error: {b5}: --ordering is not a permutation of 0..4"
+        for files in ([a4, b5], [b5, a4]):
+            code, out, err = run(capsys, ["solve", *map(str, files), *flags])
+            assert (code, out.splitlines(), err.splitlines()) == (2, [expected_out], [expected_err])
+
     def test_backend_choices(self, capsys, g1_file):
         for algo, expected in [("brute", "brute"), ("treewidth", "treewidth-dp"), ("search-tree", "search-tree")]:
             code, out, _ = run(capsys, ["solve", g1_file, "--s", "0", "--z", "3", "--k", "1", "--algo", algo])
@@ -198,6 +210,20 @@ class TestSolve:
         for algo in ("interval", "auto"):
             code, out, err = run(capsys, argv + ["--algo", algo, "--ordering", str(ordering)])
             assert (code, out, err) == (2, "", f"error: {ordering}: ordering file must contain only integers\n")
+
+    def test_empty_layers_change_no_answer(self, capsys, tmp_path):
+        sparse, dense = tmp_path / "sparse.tg", tmp_path / "dense.tg"
+        edges = "0 1 1\n1 2 2\n2 3 3\n1 3 4\n"
+        sparse.write_text("tg 4 250000\n" + edges)
+        dense.write_text("tg 4 4\n" + edges)
+        for extra in ([], ["--algo", "search-tree"], ["--strict"]):
+            argv = ["--s", "0", "--z", "3", "--k", "1", *extra]
+            assert run(capsys, ["solve", str(sparse), *argv]) == run(capsys, ["solve", str(dense), *argv])
+        assert run(capsys, ["solve", str(sparse), "--s", "0", "--z", "3", "--k", "1"]) == (
+            0,
+            "verdict=yes separator=1 backend=static-cut\n",
+            "",
+        )
 
     def test_deep_decomposition_solves(self, capsys, tmp_path):
         n = 1000
@@ -357,22 +383,6 @@ def test_stats_go_to_stderr_not_stdout(capsys, tmp_path, g1):
 
 def test_usage_error_exit_code(capsys):
     assert main(["solve"]) == 2
-
-
-def test_work_cap_env_override(monkeypatch, capsys, tmp_path):
-    from temposep import from_layers
-
-    monkeypatch.setenv("TEMPO_SEP_WORK_CAP", "1")
-    # With the cap forced to 1, an auto solve with a td hint falls back to the
-    # search tree; the result must still verify.
-    g = build(5, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 2)])
-    p = tmp_path / "w.tg"
-    dump_tg(g, p)
-    td = tmp_path / "w.td"
-    td.write_text("td 4 2 5\nb 1 0 1\nb 2 1 2\nb 3 2 3\nb 4 3 4\n1 2\n2 3\n3 4\n")
-    code, out, _ = run(capsys, ["solve", str(p), "--s", "0", "--z", "4", "--k", "1", "--td", str(td)])
-    assert code == 0
-    assert "backend=search-tree" in out
 
 
 def test_contract_errors_are_exactly_the_exit_3_family():

@@ -67,6 +67,13 @@ class TestViews:
         g = build(2, 2, [(0, 1, 1), (0, 1, 2)])
         assert g.underlying().edges == frozenset({(0, 1)})
 
+    def test_views_build_only_labels_with_edges(self, sparse_labels):
+        assert [t for t, _ in sparse_labels.layer_adjacency] == [1, 2, 3, 4]
+        sets = sparse_labels.layer_edge_sets
+        assert len(sets) == 250000
+        assert len({id(es) for es in sets}) == 5
+        assert all(es is sets[-1] for es in sets[4:]) and sets[-1] == frozenset()
+
     @given(small_graphs())
     def test_layers_union_to_underlying(self, g):
         union = frozenset().union(*(g.layer(t).edges for t in range(1, g.tau + 1)))

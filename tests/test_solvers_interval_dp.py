@@ -15,7 +15,7 @@ from temposep import (
     min_separator_bruteforce,
     solve_interval_dp,
 )
-from temposep.errors import IncompatibleOrdering
+from temposep.errors import IncompatibleOrdering, NotAPermutation
 from temposep.generators import GenSpec, UnitIntervalConstraint, generate
 from temposep.oracle import enumerate_temporal_paths
 from temposep.reachability import reachable_with_earliest_arrival
@@ -54,6 +54,11 @@ def test_edgeless_layer_chains_to_empty():
     inst = Instance(g=g, s=0, z=3, k=0)
     found = solve_interval_dp(inst, (0, 1, 2, 3))
     assert found is not None and found.size == 0
+
+
+def test_edgeless_graph_still_checks_the_ordering():
+    with pytest.raises(NotAPermutation):
+        solve_interval_dp(Instance(build(3, 2, []), 0, 2, 0), (0, 0, 1))
 
 
 def test_incompatible_ordering_rejected():
