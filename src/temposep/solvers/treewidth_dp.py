@@ -7,25 +7,36 @@ vertex set is consistent exactly when no time-edge lets an A_i vertex reach a
 Z vertex at label >= i or reach an A_j vertex strictly before label j; the
 minimum |S| over consistent colorings is the minimum separator size.
 
+The tables hold only canonical colorings: a vertex other than s and z is
+A_i only when i is in labels(v), the labels of v's own time-edges.  This
+keeps the minimum.  Given any separator S, color each other vertex by its
+earliest arrival from s once S is deleted: A_i if it is first reached at
+label i, Z if it is never reached.  That coloring passes every introduce
+check below, and it is canonical, because a vertex is first reached over one
+of its own time-edges.  So every separator has a canonical coloring.
+
 Per tree node x the table D_x maps each coloring of the bag to the smallest
-number of S-vertices over consistent colorings of everything introduced in
-x's subtree.  Because s and z sit in every bag with forced colors, only
-colorings extending the single finite leaf entry are ever materialized.
+number of S-vertices over consistent canonical colorings of everything
+introduced in x's subtree.  Because s and z sit in every bag with forced
+colors, only colorings extending the single finite leaf entry are ever
+materialized.
 
 Node rules:
 - leaf (bag {s,z}): the single coloring s=A_1, z=Z costs 0.
-- introduce v: extend each child entry with every color of v, charging 1 for
-  S and checking v's time-edges into the bag: v=Z needs every A_i neighbor
-  with edge label t to satisfy t < i; v=A_i needs neighbors at labels t >= i
-  to be in A_1..A_t or S, and neighbors at labels t < i to be in
-  A_{t+1}..A_tau, S, or Z.  (All neighbors of v inside the processed subtree
-  lie in the bag, so the bag coloring decides validity.)
-- forget v: minimum over the tau+2 recolorings of v.
+- introduce v: extend each child entry with S, Z and A_i for each i in
+  labels(v), charging 1 for S and checking v's time-edges into the bag: v=Z
+  needs every A_i neighbor with edge label t to satisfy t < i; v=A_i needs
+  neighbors at labels t >= i to be in A_1..A_t or S, and neighbors at labels
+  t < i to be in A_{t+1}..A_tau, S, or Z.  (All neighbors of v inside the
+  processed subtree lie in the bag, so the bag coloring decides validity.)
+- forget v: minimum over the recolorings of v.
 - join: children share the bag coloring; costs add and the separator
   vertices counted twice (those colored S in the bag) are subtracted once.
 
 Colorings are encoded as radix-(tau+2) integers over the bag in sorted
-vertex order; digit value i-1 means A_i, tau means S, tau+1 means Z.
+vertex order; digit value i-1 means A_i, tau means S, tau+1 means Z.  The
+radix counts at least one A color, so at tau = 0 the S digit is 1 and stays
+apart from s's digit 0.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import DecompositionMismatch, InvalidDecomposition
+from ..core import TemporalGraph
 from ..oracle import Instance, Separator
 from .decomposition import NiceTreeDecomposition, validate_tree_decomposition
 
@@ -68,17 +80,28 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
             raise DecompositionMismatch(f"node {i} is not a nice {kind} node")
 
 
+def own_labels(g: TemporalGraph) -> list[tuple[int, ...]]:
+    """labels(v) for every vertex v: the sorted labels of its time-edges."""
+    own: list[set[int]] = [set() for _ in range(g.n)]
+    for (u, v), labels in g.edge_labels.items():
+        own[u].update(labels)
+        own[v].update(labels)
+    return [tuple(sorted(labels)) for labels in own]
+
+
 def _fill_tables(
     inst: Instance, td: NiceTreeDecomposition
-) -> tuple[dict[int, int], list[tuple[int, ...]], dict[int, dict[int, int]]]:
+) -> tuple[dict[int, int], list[tuple[int, ...]], dict[int, dict[int, int]], int]:
     """Fill the tables bottom-up, in node-index order.
 
-    Returns the root table, every bag in sorted vertex order, and for each
-    forget node the color its forgotten vertex takes under each of its keys.
+    Returns the root table, every bag in sorted vertex order, for each forget
+    node the color its forgotten vertex takes under each of its keys, and the
+    radix of the keys.
     """
     _check_fit(inst, td)
-    g, z, tau = inst.g, inst.z, inst.g.tau
+    g, z, tau = inst.g, inst.z, max(inst.g.tau, 1)
     base, s_color, z_color = tau + 2, tau, tau + 1
+    own = own_labels(g)
     bags = [tuple(sorted(node.bag)) for node in td.nodes]
     pows = [base**i for i in range(max(len(bag) for bag in bags) + 1)]
     tables: dict[int, dict[int, int]] = {}
@@ -107,7 +130,7 @@ def _fill_tables(
                 w_colors = tuple([child_key // u % base for u in nbr_units])
                 allowed = memo.get(w_colors)
                 if allowed is None:
-                    allowed = memo[w_colors] = _allowed(w_colors, nbr_labels, unit, tau)
+                    allowed = memo[w_colors] = _allowed(w_colors, nbr_labels, own[v], unit, tau)
                 high, low = divmod(child_key, unit)
                 shifted = high * high_unit + low
                 for offset, extra in allowed:
@@ -146,16 +169,19 @@ def _fill_tables(
                             in_sep += 1
                     table[key] = lcost + rcost - in_sep
             tables[x] = table
-    return tables[td.root], bags, forget_choice
+    return tables[td.root], bags, forget_choice, base
 
 
-def _allowed(w_colors: tuple[int, ...], nbr_labels: list[tuple[int, ...]], unit: int, tau: int) -> list[tuple[int, int]]:
-    """(color * unit, cost) for each color of an introduced vertex that the
-    introduce rule allows next to neighbors colored `w_colors`."""
+def _allowed(
+    w_colors: tuple[int, ...], nbr_labels: list[tuple[int, ...]], own: tuple[int, ...], unit: int, tau: int
+) -> list[tuple[int, int]]:
+    """(color * unit, cost) for each canonical color of an introduced vertex
+    with labels `own` that the introduce rule allows next to neighbors
+    colored `w_colors`."""
     s_color = tau
     pairs = [(wc, t) for wc, labels in zip(w_colors, nbr_labels) for t in labels]
     allowed = []
-    for i in range(1, tau + 1):
+    for i in own:
         if all((wc < t or wc == s_color) if t >= i else wc >= t for wc, t in pairs):
             allowed.append(((i - 1) * unit, 0))
     allowed.append((s_color * unit, 1))
@@ -166,13 +192,13 @@ def _allowed(w_colors: tuple[int, ...], nbr_labels: list[tuple[int, ...]], unit:
 
 def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Optional[Separator]:
     """A minimum separator via the coloring tables, or None above budget."""
-    root_table, bags, forget_choice = _fill_tables(inst, td)
+    root_table, bags, forget_choice, base = _fill_tables(inst, td)
     # The cheapest root entry, the smallest key on ties.
     best = min(root_table.items(), key=lambda entry: (entry[1], entry[0]), default=None)
     if best is None or best[1] > inst.k:
         return None
     # Top-down in reverse index order: each node's key is known before its children's.
-    base, s_color = inst.g.tau + 2, inst.g.tau
+    s_color = base - 2
     keys = {td.root: best[0]}
     separator: set[int] = set()
     for x in range(td.root, -1, -1):

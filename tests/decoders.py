@@ -35,10 +35,9 @@ def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[lis
 def treewidth_root_table(inst: Instance, td: NiceTreeDecomposition) -> dict[tuple[tuple[int, int], ...], int]:
     """Finite root entries, decoded as ((vertex, color), ...) -> cost.
 
-    Color indices: i-1 for A_i, tau for S, tau+1 for Z.
+    Color indices: i-1 for A_i, tau for S, tau+1 for Z, with tau at least 1.
     """
-    root_table, bags, _ = _fill_tables(inst, td)
-    base = inst.g.tau + 2
+    root_table, bags, _, base = _fill_tables(inst, td)
     decoded = {}
     for key, cost in root_table.items():
         decoded[tuple((v, key // base**p % base) for p, v in enumerate(bags[td.root]))] = cost

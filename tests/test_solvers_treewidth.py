@@ -201,12 +201,21 @@ def _coloring_is_valid(g, coloring, tau):
     return True
 
 
-def brute_force_min_colorings(g, s, z):
-    """min |S| over valid whole-graph colorings, per restriction to a bag."""
+def brute_force_min_colorings(g, s, z, canonical=True):
+    """min |S| over valid whole-graph colorings, per restriction to a bag.
+
+    Canonical colorings give a vertex other than s and z the color A_i only
+    when one of its own time-edges has label i, as the DP tables do.
+    """
     tau = g.tau
     verts = [v for v in range(g.n) if v not in (s, z)]
+    colors = {v: list(range(tau + 2)) for v in verts}
+    if canonical:
+        for v in verts:
+            own = {t for t, a, b in g.edges if v in (a, b)}
+            colors[v] = [i - 1 for i in sorted(own)] + [tau, tau + 1]
     results = {}
-    for combo in product(range(tau + 2), repeat=len(verts)):
+    for combo in product(*(colors[v] for v in verts)):
         coloring = dict(zip(verts, combo))
         coloring[s] = 0
         coloring[z] = tau + 1
@@ -229,6 +238,12 @@ def test_root_table_equals_exhaustive_coloring_minimum(seed):
     table = treewidth_root_table(inst, td)
     whole = brute_force_min_colorings(g, inst.s, inst.z)
     root_bag = sorted(td.nodes[td.root].bag)
+
+    # Canonical colorings lose no minimum: the earliest-arrival argument of
+    # the DP's docstring, checked against every coloring.
+    unrestricted = brute_force_min_colorings(g, inst.s, inst.z, canonical=False)
+    assert whole.keys() <= unrestricted.keys()
+    assert min(whole.values()) == min(unrestricted.values())
 
     # For every root entry: its cost must equal the min over valid global
     # colorings agreeing with it on the root bag (infinite entries absent).
