@@ -19,13 +19,15 @@ order check.  The other detectors of `classify` never run here.
    attempted at desk scale.
 4. a vertex ordering was supplied: interval DP, which validates the hint
    itself; an ordering incompatible with some layer falls through.
-5. a tree decomposition was supplied and its coloring-table size estimate
-   fits the work cap: treewidth DP.
+5. a tree decomposition was supplied and the treewidth DP's table cells,
+   bounded by the canonical color counts of each bag's vertices, fit the
+   work cap: treewidth DP.
 6. otherwise: budget-bounded search tree.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ..classes import monotone_shape, periodicity
@@ -46,9 +48,17 @@ class AutoResult(NamedTuple):
     backend: str
 
 
-def treewidth_work_estimate(td: NiceTreeDecomposition, tau: int) -> int:
-    """Pessimistic cell count: (tau+2)^(width+2) colorings per bag, all bags."""
-    return (tau + 2) ** (td.width + 2) * len(td.nodes)
+def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
+    """An upper bound on the treewidth DP's table cells, summed over all bags.
+
+    A bag's table holds at most the product of its vertices' canonical color
+    counts: 1 for s and z, |labels(v)| + 2 for any other vertex v.
+    """
+    from .treewidth_dp import own_labels
+
+    colors = [len(labels) + 2 for labels in own_labels(inst.g)]
+    colors[inst.s] = colors[inst.z] = 1
+    return sum(prod(colors[v] for v in node.bag) for node in td.nodes)
 
 
 def _static_cut_result(inst: Instance) -> Optional[Separator]:
@@ -82,7 +92,7 @@ def solve_auto(
             return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
         except IncompatibleOrdering:
             pass
-    if td is not None and treewidth_work_estimate(td, inst.g.tau) <= work_cap:
+    if td is not None and treewidth_work_estimate(inst, td) <= work_cap:
         from .treewidth_dp import solve_treewidth_dp
 
         return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")

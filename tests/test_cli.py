@@ -236,6 +236,14 @@ class TestSolve:
         assert out == "verdict=yes separator=998 backend=treewidth-dp\n"
 
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_treewidth_on_tau_zero_leaves_terminals_out(self, capsys, tmp_path, n):
+        p = tmp_path / "empty.tg"
+        p.write_text(f"tg {n} 0\n")
+        argv = ["solve", str(p), "--s", "0", "--z", str(n - 1), "--k", "0", "--algo", "treewidth"]
+        assert run(capsys, argv) == (0, "verdict=yes separator= backend=treewidth-dp\n", "")
+
+
 class TestPath:
     def test_yes(self, capsys, g1_file):
         code, out, _ = run(capsys, ["path", g1_file, "--s", "0", "--z", "3"])

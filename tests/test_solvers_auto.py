@@ -25,6 +25,7 @@ from temposep.generators import (
 )
 from temposep.oracle import Separator, distance_to_temporality
 from temposep.solvers import solve_interval_dp, solve_search_tree, solve_treewidth_dp, static_min_vertex_cut
+from temposep.solvers.decomposition import NiceNode, NiceTreeDecomposition
 from temposep.solvers.auto import DEFAULT_WORK_CAP, DISTANCE_PROBE_MAX_N, AutoResult, treewidth_work_estimate
 
 
@@ -110,6 +111,58 @@ def test_td_hint_over_cap_falls_back_to_search_tree():
     assert result.backend == "search-tree"
 
 
+def test_work_estimate_counts_canonical_colors_per_bag():
+    # labels(1) = {1, 2} gives 1 four colors and labels(2) = {2} gives 2 three;
+    # the terminals have one each.  Bags: {0,3} {0,1,3} {0,1,2,3} {0,2,3} {0,3}.
+    g = build(4, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 2)])
+    terminals = frozenset((0, 3))
+    nodes = (
+        NiceNode("leaf", terminals, ()),
+        NiceNode("introduce", terminals | {1}, (0,), 1),
+        NiceNode("introduce", terminals | {1, 2}, (1,), 2),
+        NiceNode("forget", terminals | {2}, (2,), 1),
+        NiceNode("forget", terminals, (3,), 2),
+    )
+    td = NiceTreeDecomposition(nodes, 4, 3)
+    assert treewidth_work_estimate(Instance(g=g, s=0, z=3, k=0), td) == 1 + 4 + 12 + 3 + 1
+
+
+def _ramped_ladder(rails, length, tau):
+    """A rails x length grid between s = 0 and z = n-1 whose rail and rung
+    labels ramp up with the column, so every rail is a temporal path."""
+    n = rails * length + 2
+
+    def vid(r, i):
+        return 1 + i * rails + r
+
+    def ramp(i):
+        return 1 + i * tau // length
+
+    triples = []
+    for r in range(rails):
+        triples += [(0, vid(r, 0), 1), (vid(r, length - 1), n - 1, tau)]
+        triples += [(vid(r, i), vid(r, i + 1), ramp(i)) for i in range(length - 1)]
+    triples += [(vid(r, i), vid(r + 1, i), ramp(i)) for i in range(length) for r in range(rails - 1)]
+    return build(n, tau, triples)
+
+
+def test_wide_ladder_is_admitted_to_treewidth_dp():
+    # The old (tau+2)^(width+2) estimate put this ladder far over the cap.
+    g = _ramped_ladder(4, 40, 8)
+    td = build_tree_decomposition(g.underlying(), 0, g.n - 1)
+    assert (g.tau + 2) ** (td.width + 2) * len(td.nodes) > DEFAULT_WORK_CAP
+    for k in (3, 4):
+        inst = Instance(g=g, s=0, z=g.n - 1, k=k)
+        assert treewidth_work_estimate(inst, td) <= DEFAULT_WORK_CAP
+        result = solve_auto(inst, td=td)
+        searched = solve_search_tree(inst)
+        assert result.backend == "treewidth-dp"
+        assert (result.separator is None) == (searched is None) == (k == 3)
+        if searched is not None:
+            assert result.separator.size == searched.size
+            assert is_separator(inst, result.separator.vertices)
+
+
 def test_generic_instance_without_hints_uses_search_tree(g1):
     assert solve_auto(Instance(g=g1, s=0, z=3, k=1)).backend == "search-tree"
 
@@ -184,7 +237,7 @@ def _reference_auto(inst, ordering=None, td=None, work_cap=DEFAULT_WORK_CAP):
             return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
         except IncompatibleOrdering:
             pass
-    if td is not None and treewidth_work_estimate(td, inst.g.tau) <= work_cap:
+    if td is not None and treewidth_work_estimate(inst, td) <= work_cap:
         return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")
     return AutoResult(solve_search_tree(inst), "search-tree")
 

@@ -16,6 +16,7 @@ from temposep import (
     solve_treewidth_dp,
 )
 from temposep.errors import DecompositionMismatch
+from temposep.oracle import Separator
 from temposep.solvers.decomposition import NiceNode, NiceTreeDecomposition
 from temposep.reachability import reachable_with_earliest_arrival
 
@@ -149,6 +150,22 @@ def test_deep_decomposition_solves():
     inst = Instance(g=build(n, 1, [(v, v + 1, 1) for v in range(n - 1)]), s=0, z=n - 1, k=1)
     td = build_tree_decomposition(inst.g.underlying(), 0, n - 1)
     assert solve_treewidth_dp(inst, td).vertices == {n - 2}
+
+
+def test_tau_zero_join_keeps_s_out_of_the_witness():
+    # Vertex 1 is introduced on both sides of a join, so s sits in a joined bag.
+    nodes = (
+        NiceNode("leaf", _TERMINALS, ()),
+        NiceNode("introduce", _TERMINALS | {1}, (0,), 1),
+        NiceNode("leaf", _TERMINALS, ()),
+        NiceNode("introduce", _TERMINALS | {1}, (2,), 1),
+        NiceNode("join", _TERMINALS | {1}, (1, 3)),
+        NiceNode("forget", _TERMINALS, (4,), 1),
+        NiceNode("introduce", _TERMINALS | {2}, (5,), 2),
+        NiceNode("forget", _TERMINALS, (6,), 2),
+    )
+    inst = Instance(g=build(4, 0, []), s=0, z=3, k=0)
+    assert solve_treewidth_dp(inst, NiceTreeDecomposition(nodes, 7, 2)) == Separator(frozenset())
 
 
 @given(instance_graphs(max_n=6, max_tau=3))
