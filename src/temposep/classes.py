@@ -163,6 +163,8 @@ def check_order_compatible(g: TemporalGraph, ordering: tuple[int, ...]) -> Order
     for i, v in enumerate(ordering):
         pos[v] = i
     for t_idx, pairs in enumerate(g.layer_edge_sets):
+        if not pairs:  # an empty layer passes
+            continue
         reach = list(range(g.n))
         for u, v in pairs:
             a, b = pos[u], pos[v]

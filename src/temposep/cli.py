@@ -55,13 +55,16 @@ def run_solve(
     if ordering is not None and _reads("interval", algo, strict) and sorted(ordering) != list(range(inst.g.n)):
         raise NotAPermutation(f"--ordering is not a permutation of 0..{inst.g.n - 1}")
     td = None
-    if td_raw is not None and _reads("treewidth", algo, strict):
-        bags, tree_edges, td_n = td_raw
-        if td_n != inst.g.n:
-            raise DecompositionMismatch(f"decomposition header declares {td_n} vertices, the graph has {inst.g.n}")
+    if _reads("treewidth", algo, strict) and (td_raw is not None or algo == "treewidth"):
+        external = None
+        if td_raw is not None:
+            bags, tree_edges, td_n = td_raw
+            if td_n != inst.g.n:
+                raise DecompositionMismatch(f"decomposition header declares {td_n} vertices, the graph has {inst.g.n}")
+            external = (bags, tree_edges)
         from .solvers.decomposition import build_tree_decomposition
 
-        td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z, external=(bags, tree_edges))
+        td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z, external)
     if algo == "auto":
         if strict:
             sep, backend = solve_search_tree(inst, strict=True), "search-tree"
@@ -75,11 +78,8 @@ def run_solve(
     elif algo == "search-tree":
         sep, backend = solve_search_tree(inst, strict), "search-tree"
     elif algo == "treewidth":
-        from .solvers.decomposition import build_tree_decomposition
         from .solvers.treewidth_dp import solve_treewidth_dp
 
-        if td is None:
-            td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z)
         sep, backend = solve_treewidth_dp(inst, td), "treewidth-dp"
     elif algo == "interval":
         from .solvers.interval_dp import solve_interval_dp
@@ -121,18 +121,19 @@ def _parse_class(text: str):
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tempo-sep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags of the commands that read one (s,z) query.
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--s", type=int, required=True)
+    query.add_argument("--z", type=int, required=True)
+    query.add_argument("--strict", action="store_true")
+    query.add_argument("--quiet", action="store_true")
 
-    p_path = sub.add_parser("path", help="find one temporal (s,z)-path")
+    p_path = sub.add_parser("path", parents=[query], help="find one temporal (s,z)-path")
     p_path.add_argument("input")
-    p_path.add_argument("--s", type=int, required=True)
-    p_path.add_argument("--z", type=int, required=True)
-    p_path.add_argument("--strict", action="store_true")
-    p_path.add_argument("--quiet", action="store_true")
+    p_path.set_defaults(handler=_cmd_path)
 
-    p_solve = sub.add_parser("solve", help="decide separation within a budget")
+    p_solve = sub.add_parser("solve", parents=[query], help="decide separation within a budget")
     p_solve.add_argument("inputs", nargs="+")
-    p_solve.add_argument("--s", type=int, required=True)
-    p_solve.add_argument("--z", type=int, required=True)
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument(
         "--algo",
@@ -141,12 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--ordering", help="vertex ordering file for the interval backend")
     p_solve.add_argument("--td", help="tree decomposition file for the treewidth backend")
-    p_solve.add_argument("--strict", action="store_true")
-    p_solve.add_argument("--quiet", action="store_true")
     p_solve.add_argument("--stats", action="store_true", help="print n/m/tau/time to stderr")
+    p_solve.set_defaults(handler=_cmd_solve)
 
     p_classify = sub.add_parser("classify", help="run the class detectors")
     p_classify.add_argument("input")
+    p_classify.set_defaults(handler=_cmd_classify)
 
     p_reduce = sub.add_parser("reduce", help="apply an instance transformation")
     p_reduce.add_argument("input")
@@ -156,6 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--z", type=int, default=None)
     p_reduce.add_argument("--k", type=int, default=0)
     p_reduce.add_argument("--report", action="store_true")
+    p_reduce.set_defaults(handler=_cmd_reduce)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance")
     p_gen.add_argument("--n", type=int, required=True)
@@ -164,14 +166,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--class", dest="klass", default="none")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True)
+    p_gen.set_defaults(handler=_cmd_gen)
 
-    p_verify = sub.add_parser("verify", help="check a separator candidate")
+    p_verify = sub.add_parser("verify", parents=[query], help="check a separator candidate")
     p_verify.add_argument("input")
-    p_verify.add_argument("--s", type=int, required=True)
-    p_verify.add_argument("--z", type=int, required=True)
     p_verify.add_argument("--separator", required=True, help="comma-separated vertex ids, empty for the empty set")
-    p_verify.add_argument("--strict", action="store_true")
-    p_verify.add_argument("--quiet", action="store_true")
+    p_verify.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -262,10 +262,10 @@ def _cmd_reduce(args) -> int:
     fileio.dump_tg(out.g, args.output)
     print(f"out={args.output} s={out.s} z={out.z} k={out.k}")
     if args.report:
-        print(f"kind={report.kind}")
+        print(f"kind={args.kind}")
         print(f"budget_delta={report.budget_delta}")
-        for key in ("n", "m", "tau", "k"):
-            print(f"input.{key}={report.input_summary[key]}")
+        for key, value in (("n", g.n), ("m", len(g.edges)), ("tau", g.tau), ("k", inst.k)):
+            print(f"input.{key}={value}")
         for name in sorted(report.checks):
             print(f"check.{name}={'pass' if report.checks[name] else 'fail'}")
         for name in sorted(report.details):
@@ -306,16 +306,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    handlers = {
-        "path": _cmd_path,
-        "solve": _cmd_solve,
-        "classify": _cmd_classify,
-        "reduce": _cmd_reduce,
-        "gen": _cmd_gen,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONTRACT_ERROR

@@ -131,6 +131,15 @@ class TemporalGraph(_TemporalGraphFields):
             labels.setdefault((u, v), []).append(t)
         return {pair: tuple(ts) for pair, ts in labels.items()}
 
+    @cached_property
+    def vertex_labels(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted labels of each vertex's time-edges, indexed by vertex."""
+        labels: list[set[int]] = [set() for _ in range(self.n)]
+        for t, u, v in self.edges:
+            labels[u].add(t)
+            labels[v].add(t)
+        return tuple(tuple(sorted(ts)) for ts in labels)
+
     def layer(self, t: int) -> StaticGraph:
         """The static graph of the edges labeled t."""
         if not (1 <= t <= self.tau):

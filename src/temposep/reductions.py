@@ -24,8 +24,6 @@ from .oracle import Instance
 class ReductionReport:
     """What a transformation did and which guarantees the output satisfies."""
 
-    kind: str
-    input_summary: dict[str, int]
     budget_delta: int
     checks: dict[str, bool]
     details: dict[str, int | str]
@@ -33,10 +31,6 @@ class ReductionReport:
     @property
     def all_passed(self) -> bool:
         return all(self.checks.values())
-
-
-def _summary(inst: Instance) -> dict[str, int]:
-    return {"n": inst.g.n, "m": len(inst.g.edges), "tau": inst.g.tau, "k": inst.k}
 
 
 def one_edge_per_layer(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -68,7 +62,7 @@ def one_edge_per_layer(inst: Instance) -> tuple[Instance, ReductionReport]:
         "underlying_preserved": out_g.underlying() == g.underlying(),
     }
     details = {"tau_out": out_g.tau, "tau_bound": g.tau * g.n**4}
-    return out, ReductionReport("one-edge", _summary(inst), 0, checks, details)
+    return out, ReductionReport(0, checks, details)
 
 
 def complete_but_one(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -100,7 +94,7 @@ def complete_but_one(inst: Instance) -> tuple[Instance, ReductionReport]:
         "tau_is_input_plus_two": out_g.tau == g.tau + 2,
     }
     details = {"underlying_edges": len(under.edges), "expected_edges": expected}
-    return out, ReductionReport("complete-but-one", _summary(inst), 0, checks, details)
+    return out, ReductionReport(0, checks, details)
 
 
 def pad_monotone(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -127,7 +121,7 @@ def pad_monotone(inst: Instance) -> tuple[Instance, ReductionReport]:
         "even_layers_empty": even_empty,
     }
     details = {"tau_out": out_g.tau}
-    return out, ReductionReport("pad-monotone", _summary(inst), 0, checks, details)
+    return out, ReductionReport(0, checks, details)
 
 
 def add_universal_vertex(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -152,7 +146,7 @@ def add_universal_vertex(inst: Instance) -> tuple[Instance, ReductionReport]:
         ),
     }
     details = {"hub": hub, "max_window": profile.interval_connected_max_t}
-    return out, ReductionReport("universal", _summary(inst), +1, checks, details)
+    return out, ReductionReport(+1, checks, details)
 
 
 def steadyify(inst: Instance) -> tuple[Instance, ReductionReport]:
@@ -184,7 +178,7 @@ def steadyify(inst: Instance) -> tuple[Instance, ReductionReport]:
         "underlying_preserved": out_g.underlying() == g.underlying(),
     }
     details = {"steady_lambda": lam, "tau_out": out_g.tau}
-    return out, ReductionReport("steady", _summary(inst), 0, checks, details)
+    return out, ReductionReport(0, checks, details)
 
 
 def is_claw_free(g: StaticGraph) -> bool:
@@ -286,7 +280,7 @@ def line_graph_gadget(inst: Instance) -> tuple[Instance, ReductionReport]:
         "tau_is_2tau_plus_2": out_g.tau == 2 * g.tau + 2,
     }
     details = {"n_out": out_g.n, "tau_out": out_g.tau}
-    return out, ReductionReport("line-graph", _summary(inst), 0, checks, details)
+    return out, ReductionReport(0, checks, details)
 
 
 REDUCTIONS: dict[str, Callable[[Instance], tuple[Instance, ReductionReport]]] = {

@@ -21,7 +21,7 @@ from .. import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
-        "auto": ("AutoResult", "DEFAULT_WORK_CAP", "solve_auto", "treewidth_work_estimate"),
+        "auto": ("AutoResult", "DEFAULT_WORK_CAP", "solve_auto"),
         "decomposition": (
             "NiceNode",
             "NiceTreeDecomposition",
@@ -32,6 +32,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         "interval_dp": ("solve_interval_dp",),
         "search_tree": ("solve_search_tree",),
         "static_cut": ("static_min_vertex_cut",),
-        "treewidth_dp": ("solve_treewidth_dp",),
+        "treewidth_dp": ("solve_treewidth_dp", "treewidth_work_estimate"),
     },
 )

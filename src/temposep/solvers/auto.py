@@ -19,15 +19,14 @@ order check.  The other detectors of `classify` never run here.
    attempted at desk scale.
 4. a vertex ordering was supplied: interval DP, which validates the hint
    itself; an ordering incompatible with some layer falls through.
-5. a tree decomposition was supplied and the treewidth DP's table cells,
-   bounded by the canonical color counts of each bag's vertices, fit the
-   work cap: treewidth DP.
+5. a tree decomposition was supplied and the treewidth DP's
+   `treewidth_work_estimate` of its table cells fits `DEFAULT_WORK_CAP`:
+   treewidth DP.
 6. otherwise: budget-bounded search tree.
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ..classes import monotone_shape, periodicity
@@ -48,19 +47,6 @@ class AutoResult(NamedTuple):
     backend: str
 
 
-def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
-    """An upper bound on the treewidth DP's table cells, summed over all bags.
-
-    A bag's table holds at most the product of its vertices' canonical color
-    counts: 1 for s and z, |labels(v)| + 2 for any other vertex v.
-    """
-    from .treewidth_dp import own_labels
-
-    colors = [len(labels) + 2 for labels in own_labels(inst.g)]
-    colors[inst.s] = colors[inst.z] = 1
-    return sum(prod(colors[v] for v in node.bag) for node in td.nodes)
-
-
 def _static_cut_result(inst: Instance) -> Optional[Separator]:
     cut = static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z)
     return Separator(cut) if len(cut) <= inst.k else None
@@ -70,7 +56,6 @@ def solve_auto(
     inst: Instance,
     ordering: Optional[Sequence[int]] = None,
     td: Optional[NiceTreeDecomposition] = None,
-    work_cap: int = DEFAULT_WORK_CAP,
 ) -> AutoResult:
     """Solve the (non-strict) instance with the cheapest applicable backend."""
     shape = monotone_shape(inst.g)
@@ -92,8 +77,9 @@ def solve_auto(
             return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
         except IncompatibleOrdering:
             pass
-    if td is not None and treewidth_work_estimate(inst, td) <= work_cap:
-        from .treewidth_dp import solve_treewidth_dp
+    if td is not None:
+        from .treewidth_dp import solve_treewidth_dp, treewidth_work_estimate
 
-        return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")
+        if treewidth_work_estimate(inst, td) <= DEFAULT_WORK_CAP:
+            return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")
     return AutoResult(solve_search_tree(inst), "search-tree")

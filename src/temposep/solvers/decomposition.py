@@ -38,8 +38,14 @@ class NiceTreeDecomposition(NamedTuple):
     """
 
     nodes: tuple[NiceNode, ...]
-    root: int
-    width: int
+
+    @property
+    def root(self) -> int:
+        return len(self.nodes) - 1
+
+    @property
+    def width(self) -> int:
+        return max(len(node.bag) for node in self.nodes) - 1
 
 
 def minfill_tree_decomposition(g: StaticGraph) -> tuple[list[set[int]], list[tuple[int, int]]]:
@@ -198,5 +204,4 @@ def _nicify(bags: list[set[int]], tree_edges: list[tuple[int, int]], s: int, z: 
                 cur = emit("join", bag, (cur, other))
         if stack:
             stack[-1][2].append(morph(cur, bag, frozenset(bags[stack[-1][0]])))
-    width = max(len(node.bag) for node in nodes) - 1
-    return NiceTreeDecomposition(tuple(nodes), len(nodes) - 1, width)
+    return NiceTreeDecomposition(tuple(nodes))

@@ -41,8 +41,13 @@ from ..errors import IncompatibleOrdering
 from ..oracle import Instance, Separator
 
 
-def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]], tuple[int, ...]]:
-    """The table as masks, T[t][i] for t in 1..tau, i in 1..n-1, plus the window.
+def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
+    """The table as masks, its labels and the window.
+
+    Row j of the table is T[labels[j]][i] for i in 1..n-1.  Row 0 is all
+    zeros and stands for label 0; the others are the labels that have edges,
+    in order.  An empty label t adds nothing to the recurrence, so T[t] equals
+    the row of the latest label before it that has edges.
 
     window[q - 1] is the original vertex at position q.  The ordering is
     reversed when s comes after z; edges with an end outside the s..z window
@@ -65,27 +70,29 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
         index = [inst.g.n - 1 - i for i in index]
     window = order[lo : hi + 1]
     n = len(window)
-    tau = inst.g.tau
 
-    # larger[t][q]: positions above q adjacent to q at label t, as a mask.
-    larger = [[0] * (n + 1) for _ in range(tau + 1)]
-    for t, u, v in inst.g.edges:
+    # larger[j][q]: positions above q adjacent to q at label labels[j], as a mask.
+    labels, larger = [0], [[0] * (n + 1)]
+    for t, u, v in inst.g.edges:  # sorted by label
+        if t != labels[-1]:
+            labels.append(t)
+            larger.append([0] * (n + 1))
         a, b = index[u] - lo + 1, index[v] - lo + 1
         if a > b:
             a, b = b, a
         if a >= 1 and b <= n:
-            larger[t][a] |= 1 << (n - b)
+            larger[-1][a] |= 1 << (n - b)
 
     sentinel = (1 << (n - 1)) - 2  # every non-terminal position: bits 1..n-2
-    table = [[0] * n for _ in range(tau + 1)]
-    for t in range(1, tau + 1):
+    table = [[0] * n for _ in labels]
+    for t in range(1, len(labels)):
         row = table[t]
         for i in range(1, n):
             best = row[i - 1] if i > 1 else sentinel
             best_count = best.bit_count()
-            # tail: the largest larger-neighborhood of i over labels a..t, a
+            # tail: the largest larger-neighborhood of i over rows a..t, a
             # running max while a walks down from t; equal sizes go to the
-            # new, smaller label.  It joins T[a-1][i'] for every i' < i, or
+            # new, smaller label.  It joins row a-1 at every i' < i, or
             # stands alone at a = 1.  Once i touches z the family is the
             # sentinel for every smaller a, and the sentinel contains every
             # entry, so it never beats `best`.
@@ -103,7 +110,7 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
                     if c < best_count or (c == best_count and m > best):
                         best, best_count = m, c
             row[i] = best
-    return table, window
+    return table, labels, window
 
 
 def _positions(mask: int, n: int) -> frozenset[int]:
@@ -112,7 +119,7 @@ def _positions(mask: int, n: int) -> frozenset[int]:
 
 def solve_interval_dp(inst: Instance, ordering: Sequence[int]) -> Optional[Separator]:
     """A minimum separator via the ordering table, or None above budget."""
-    masks, window = _mask_table(inst, ordering)
+    masks, _, window = _mask_table(inst, ordering)
     best = min(masks[-1][1:], key=lambda m: (m.bit_count(), -m))
     if best.bit_count() > inst.k:
         return None

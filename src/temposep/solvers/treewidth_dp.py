@@ -41,10 +41,10 @@ apart from s's digit 0.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Optional
 
 from ..errors import DecompositionMismatch, InvalidDecomposition
-from ..core import TemporalGraph
 from ..oracle import Instance, Separator
 from .decomposition import NiceTreeDecomposition, validate_tree_decomposition
 
@@ -60,10 +60,8 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
     except InvalidDecomposition as exc:
         raise DecompositionMismatch(str(exc)) from exc
     # The tables are filled in index order, so that order must be bottom-up.
-    # With n - 1 tree edges and no node listed twice, every non-root node is
-    # then exactly one node's child.
-    if td.root != len(bags) - 1:
-        raise DecompositionMismatch(f"root {td.root} is not the last node {len(bags) - 1}")
+    # With n - 1 tree edges and no node listed twice, every node but the
+    # last, the root, is then exactly one node's child.
     parent: dict[int, int] = {}
     for i, child in tree_edges:
         if child >= i:
@@ -80,15 +78,6 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
             raise DecompositionMismatch(f"node {i} is not a nice {kind} node")
 
 
-def own_labels(g: TemporalGraph) -> list[tuple[int, ...]]:
-    """labels(v) for every vertex v: the sorted labels of its time-edges."""
-    own: list[set[int]] = [set() for _ in range(g.n)]
-    for (u, v), labels in g.edge_labels.items():
-        own[u].update(labels)
-        own[v].update(labels)
-    return [tuple(sorted(labels)) for labels in own]
-
-
 def _fill_tables(
     inst: Instance, td: NiceTreeDecomposition
 ) -> tuple[dict[int, int], list[tuple[int, ...]], dict[int, dict[int, int]], int]:
@@ -101,7 +90,7 @@ def _fill_tables(
     _check_fit(inst, td)
     g, z, tau = inst.g, inst.z, max(inst.g.tau, 1)
     base, s_color, z_color = tau + 2, tau, tau + 1
-    own = own_labels(g)
+    own = g.vertex_labels
     bags = [tuple(sorted(node.bag)) for node in td.nodes]
     pows = [base**i for i in range(max(len(bag) for bag in bags) + 1)]
     tables: dict[int, dict[int, int]] = {}
@@ -188,6 +177,17 @@ def _allowed(
     if all(wc >= tau or t <= wc for wc, t in pairs):
         allowed.append(((tau + 1) * unit, 0))
     return allowed
+
+
+def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
+    """An upper bound on the table cells, summed over all bags.
+
+    A bag's table holds at most the product of its vertices' color counts
+    under `_allowed`: 1 for s and z, |labels(v)| + 2 for any other vertex v.
+    """
+    colors = [len(labels) + 2 for labels in inst.g.vertex_labels]
+    colors[inst.s] = colors[inst.z] = 1
+    return sum(prod(colors[v] for v in node.bag) for node in td.nodes)
 
 
 def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Optional[Separator]:

@@ -8,6 +8,7 @@ against the oracle.  No solver calls any of them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 from temposep import Instance, from_layers
@@ -26,9 +27,11 @@ def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[lis
     comes after z, and vertices outside the s..z ordering window are left
     out; neither changes the answer.
     """
-    masks, window = _mask_table(inst, ordering)
+    masks, labels, window = _mask_table(inst, ordering)
     n = len(window)
-    table = [[_positions(m, n) for m in row] for row in masks]
+    rows = [[_positions(m, n) for m in row] for row in masks]
+    # A label without edges repeats the row of the latest label before it.
+    table = [rows[bisect_right(labels, t) - 1] for t in range(inst.g.tau + 1)]
     return table, {q: v for q, v in enumerate(window, start=1)}
 
 

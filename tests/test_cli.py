@@ -213,12 +213,27 @@ class TestSolve:
 
     def test_empty_layers_change_no_answer(self, capsys, tmp_path):
         sparse, dense = tmp_path / "sparse.tg", tmp_path / "dense.tg"
-        edges = "0 1 1\n1 2 2\n2 3 3\n1 3 4\n"
-        sparse.write_text("tg 4 250000\n" + edges)
-        dense.write_text("tg 4 4\n" + edges)
-        for extra in ([], ["--algo", "search-tree"], ["--strict"]):
-            argv = ["--s", "0", "--z", "3", "--k", "1", *extra]
-            assert run(capsys, ["solve", str(sparse), *argv]) == run(capsys, ["solve", str(dense), *argv])
+        order4, order10 = tmp_path / "4.ord", tmp_path / "10.ord"
+        order4.write_text("0 1 2 3\n")
+        order10.write_text(" ".join(map(str, range(10))) + "\n")
+        four_edges = "0 1 1\n1 2 2\n2 3 3\n1 3 4\n"
+        alternating = "".join(f"{v} {v + 1} {1 + v % 2}\n" for v in range(9))
+        cases = [
+            (4, four_edges, 4, [[], ["--algo", "search-tree"], ["--strict"]]),
+            # The interval DP and the order check, the second under auto:
+            # no static-cut rule takes the alternating path.
+            (4, "0 1 1\n1 2 2\n2 3 3\n", 3, [["--algo", "interval", "--ordering", str(order4)]]),
+            (10, alternating, 2, [["--ordering", str(order10)]]),
+        ]
+        for n, edges, tau, extras in cases:
+            sparse.write_text(f"tg {n} 250000\n" + edges)
+            dense.write_text(f"tg {n} {tau}\n" + edges)
+            for extra in extras:
+                argv = ["--s", "0", "--z", str(n - 1), "--k", "1", *extra]
+                answer = run(capsys, ["solve", str(sparse), *argv])
+                assert answer == run(capsys, ["solve", str(dense), *argv])
+                assert ("--ordering" in extra) == ("backend=interval-dp" in answer[1])
+        sparse.write_text("tg 4 250000\n" + four_edges)
         assert run(capsys, ["solve", str(sparse), "--s", "0", "--z", "3", "--k", "1"]) == (
             0,
             "verdict=yes separator=1 backend=static-cut\n",
@@ -307,6 +322,25 @@ class TestReduce:
         assert code == 0
         assert "k=2" in out.splitlines()[0]
         assert "budget_delta=1" in out
+
+    def test_whole_report_of_universal(self, capsys, g1_file, tmp_path):
+        out_path = tmp_path / "u.tg"
+        argv = ["reduce", g1_file, "--kind", "universal", "-o", str(out_path), "--s", "0", "--z", "3", "--k", "1"]
+        assert run(capsys, argv + ["--report"]) == (
+            0,
+            f"out={out_path} s=0 z=3 k=2\n"
+            "kind=universal\n"
+            "budget_delta=1\n"
+            "input.n=4\n"
+            "input.m=4\n"
+            "input.tau=2\n"
+            "input.k=1\n"
+            "check.hub_in_every_layer=pass\n"
+            "check.interval_connected_for_every_window=pass\n"
+            "detail.hub=4\n"
+            "detail.max_window=2\n",
+            "",
+        )
 
     def test_line_graph_reports_new_terminals(self, capsys, tmp_path):
         from temposep import from_layers

@@ -1,7 +1,13 @@
+from itertools import accumulate
+
 import pytest
 from conftest import random_instances
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import instance_graphs
 
 import temposep.classes
+import temposep.solvers.auto
 
 from temposep import (
     Instance,
@@ -26,7 +32,8 @@ from temposep.generators import (
 from temposep.oracle import Separator, distance_to_temporality
 from temposep.solvers import solve_interval_dp, solve_search_tree, solve_treewidth_dp, static_min_vertex_cut
 from temposep.solvers.decomposition import NiceNode, NiceTreeDecomposition
-from temposep.solvers.auto import DEFAULT_WORK_CAP, DISTANCE_PROBE_MAX_N, AutoResult, treewidth_work_estimate
+from temposep.solvers.auto import DEFAULT_WORK_CAP, DISTANCE_PROBE_MAX_N, AutoResult
+from temposep.solvers.treewidth_dp import treewidth_work_estimate
 
 
 def test_single_peaked_dispatches_to_static_cut():
@@ -103,11 +110,12 @@ def test_td_hint_dispatches_to_treewidth_dp():
     assert result.separator.size == min_separator_bruteforce(inst).size
 
 
-def test_td_hint_over_cap_falls_back_to_search_tree():
+def test_td_hint_over_cap_falls_back_to_search_tree(monkeypatch):
     g = _forced_reset_path_graph()
     inst = Instance(g=g, s=0, z=4, k=1)
     td = build_tree_decomposition(g.underlying(), 0, 4)
-    result = solve_auto(inst, td=td, work_cap=1)
+    monkeypatch.setattr(temposep.solvers.auto, "DEFAULT_WORK_CAP", 1)
+    result = solve_auto(inst, td=td)
     assert result.backend == "search-tree"
 
 
@@ -123,7 +131,7 @@ def test_work_estimate_counts_canonical_colors_per_bag():
         NiceNode("forget", terminals | {2}, (2,), 1),
         NiceNode("forget", terminals, (3,), 2),
     )
-    td = NiceTreeDecomposition(nodes, 4, 3)
+    td = NiceTreeDecomposition(nodes)
     assert treewidth_work_estimate(Instance(g=g, s=0, z=3, k=0), td) == 1 + 4 + 12 + 3 + 1
 
 
@@ -216,7 +224,36 @@ def test_all_applicable_backends_agree(seed):
         assert is_separator(inst, sep.vertices)
 
 
-def _reference_auto(inst, ordering=None, td=None, work_cap=DEFAULT_WORK_CAP):
+def _backend_witnesses(inst):
+    identity = tuple(range(inst.g.n))
+    try:
+        interval = solve_interval_dp(inst, identity)
+    except IncompatibleOrdering:
+        interval = "incompatible"
+    td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z)
+    return {
+        "search-tree": solve_search_tree(inst),
+        "search-tree strict": solve_search_tree(inst, strict=True),
+        "static-cut": static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z),
+        "interval": interval,
+        "treewidth": solve_treewidth_dp(inst, td),
+    }
+
+
+@given(instance_graphs(max_n=6, max_tau=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_relabelling_labels_apart_changes_no_witness(g, data):
+    """Backends read only the order of the labels: a strictly increasing
+    relabelling with gaps, plus trailing empty labels, changes no witness."""
+    relabel = list(accumulate(data.draw(st.lists(st.integers(1, 4), min_size=g.tau, max_size=g.tau))))
+    tau = relabel[-1] + data.draw(st.integers(0, 5))
+    spread = build(g.n, tau, [(u, v, relabel[t - 1]) for t, u, v in g.edges])
+    k = data.draw(st.integers(0, g.n - 2))
+    before = _backend_witnesses(Instance(g=g, s=0, z=g.n - 1, k=k))
+    assert _backend_witnesses(Instance(g=spread, s=0, z=g.n - 1, k=k)) == before
+
+
+def _reference_auto(inst, ordering=None, td=None):
     """The dispatcher's rules, in order, read off the full `classify` profile."""
     profile = classify(inst.g)
     collapses = (
@@ -237,7 +274,7 @@ def _reference_auto(inst, ordering=None, td=None, work_cap=DEFAULT_WORK_CAP):
             return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
         except IncompatibleOrdering:
             pass
-    if td is not None and treewidth_work_estimate(inst, td) <= work_cap:
+    if td is not None and treewidth_work_estimate(inst, td) <= temposep.solvers.auto.DEFAULT_WORK_CAP:
         return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")
     return AutoResult(solve_search_tree(inst), "search-tree")
 
@@ -269,13 +306,14 @@ def _differential_instances(seed):
 
 
 @pytest.mark.parametrize("seed", range(70))
-def test_dispatch_matches_reference_over_classify(seed):
+def test_dispatch_matches_reference_over_classify(seed, monkeypatch):
     """Same witness and backend as the dispatcher written over `classify`."""
+    monkeypatch.setattr(temposep.solvers.auto, "DEFAULT_WORK_CAP", 10**6)
     for inst in _differential_instances(seed):
         identity = tuple(range(inst.g.n))
         hints = [{}, {"ordering": identity}, {"ordering": identity[::-1]}]
         if inst.g.n <= 6:
-            hints.append({"td": build_tree_decomposition(inst.g.underlying(), inst.s, inst.z), "work_cap": 10**6})
+            hints.append({"td": build_tree_decomposition(inst.g.underlying(), inst.s, inst.z)})
         for hint in hints:
             assert solve_auto(inst, **hint) == _reference_auto(inst, **hint), (seed, inst.k, sorted(hint))
 

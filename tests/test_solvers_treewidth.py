@@ -62,7 +62,7 @@ def _child_after_parent(td):
     moved = [second._replace(children=(1,)), first] + [
         node._replace(children=tuple({0: 1, 1: 0}.get(c, c) for c in node.children)) for node in td.nodes[2:]
     ]
-    return NiceTreeDecomposition(tuple(moved), td.root, td.width)
+    return NiceTreeDecomposition(tuple(moved))
 
 
 def _child_of_two_nodes(td):
@@ -75,18 +75,16 @@ def _child_of_two_nodes(td):
         NiceNode("leaf", terminals, ()),
         NiceNode("join", terminals, (0, 2)),
     )
-    return NiceTreeDecomposition(nodes, 3, 3)
+    return NiceTreeDecomposition(nodes)
 
 
 @pytest.mark.parametrize(
     "rebuild, message",
     [
-        (lambda td: NiceTreeDecomposition(td.nodes, 0, td.width), "root 0 is not the last node"),
-        (lambda td: NiceTreeDecomposition(td.nodes, 1, td.width), "root 1 is not the last node"),
         (_child_after_parent, "node 0 lists child 1, which does not come before it"),
         (_child_of_two_nodes, "node 0 is a child of both node 1 and node 3"),
     ],
-    ids=["rooted-at-0", "rooted-at-1", "child-after-parent", "child-of-two-nodes"],
+    ids=["child-after-parent", "child-of-two-nodes"],
 )
 def test_misrooted_decomposition_rejected(rebuild, message):
     inst, td = _path_and_decomposition()
@@ -141,7 +139,7 @@ _ALL = frozenset(range(4))
 def test_node_that_is_not_nice_rejected(nodes, message):
     inst, _ = _path_and_decomposition()
     with pytest.raises(DecompositionMismatch, match=message):
-        solve_treewidth_dp(inst, NiceTreeDecomposition(nodes, len(nodes) - 1, 3))
+        solve_treewidth_dp(inst, NiceTreeDecomposition(nodes))
 
 
 def test_deep_decomposition_solves():
@@ -165,7 +163,7 @@ def test_tau_zero_join_keeps_s_out_of_the_witness():
         NiceNode("forget", _TERMINALS, (6,), 2),
     )
     inst = Instance(g=build(4, 0, []), s=0, z=3, k=0)
-    assert solve_treewidth_dp(inst, NiceTreeDecomposition(nodes, 7, 2)) == Separator(frozenset())
+    assert solve_treewidth_dp(inst, NiceTreeDecomposition(nodes)) == Separator(frozenset())
 
 
 @given(instance_graphs(max_n=6, max_tau=3))
