@@ -13,7 +13,7 @@ notion would collapse.
 from __future__ import annotations
 
 from operator import le
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import TemporalGraph
 from .errors import NotAPermutation
@@ -88,7 +88,7 @@ def _detect_steady(g: TemporalGraph) -> int:
     return max((len(a ^ b) for a, b in zip(sets, sets[1:])), default=0)
 
 
-def _connected_on_all(n: int, pairs: frozenset[tuple[int, int]]) -> bool:
+def _connected_on_all(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
     if n <= 1:
         return True
     adj: dict[int, list[int]] = {}
@@ -106,12 +106,36 @@ def _connected_on_all(n: int, pairs: frozenset[tuple[int, int]]) -> bool:
 
 
 def _detect_interval_connected(g: TemporalGraph) -> int:
-    sets = g.layer_edge_sets
-    for window in range(1, g.tau + 1):
-        starts = range(g.tau - window + 1)
-        if not all(_connected_on_all(g.n, frozenset.intersection(*sets[a : a + window])) for a in starts):
-            return window - 1
-    return g.tau
+    """The largest T for which every length-T window of layers has a
+    connected edge intersection, by a two-pointer sweep.
+
+    A window inside a connected one is connected, so the property is
+    monotone in T, and the end r(a) of the longest connected window [a, r)
+    never decreases with a.  `count` holds, per edge, the layers of the
+    current window that contain it, so the edges of every layer are those
+    whose count equals the window's length.
+    """
+    sets, tau = g.layer_edge_sets, g.tau
+    count: dict[tuple[int, int], int] = {}
+    reach = []  # r(a) - a for each start a
+    r = 0
+    for a in range(tau):
+        r = max(r, a)  # an empty window [a, a) has nothing counted
+        while r < tau and _connected_on_all(g.n, [e for e in sets[r] if count.get(e, 0) == r - a]):
+            for e in sets[r]:
+                count[e] = count.get(e, 0) + 1
+            r += 1
+        reach.append(r - a)
+        if r > a:
+            for e in sets[a]:
+                count[e] -= 1
+    # T holds iff every start a <= tau - T reaches a + T.
+    shortest = tau
+    for t in range(tau, 0, -1):
+        shortest = min(shortest, reach[tau - t])
+        if shortest >= t:
+            return t
+    return 0
 
 
 def classify(g: TemporalGraph) -> ClassProfile:

@@ -15,28 +15,34 @@ label i, Z if it is never reached.  That coloring passes every introduce
 check below, and it is canonical, because a vertex is first reached over one
 of its own time-edges.  So every separator has a canonical coloring.
 
-Per tree node x the table D_x maps each coloring of the bag to the smallest
-number of S-vertices over consistent canonical colorings of everything
-introduced in x's subtree.  Because s and z sit in every bag with forced
-colors, only colorings extending the single finite leaf entry are ever
-materialized.
+Per tree node x the table D_x maps each coloring of the bag to a smallest set
+of S-vertices over consistent canonical colorings of everything introduced in
+x's subtree, kept as a vertex bitmask (bit v set iff v is colored S); its size
+is the popcount.  Because s and z sit in every bag with forced colors, only
+colorings extending the single finite leaf entry are ever materialized.
 
 Node rules:
-- leaf (bag {s,z}): the single coloring s=A_1, z=Z costs 0.
-- introduce v: extend each child entry with S, Z and A_i for each i in
-  labels(v), charging 1 for S and checking v's time-edges into the bag: v=Z
-  needs every A_i neighbor with edge label t to satisfy t < i; v=A_i needs
-  neighbors at labels t >= i to be in A_1..A_t or S, and neighbors at labels
-  t < i to be in A_{t+1}..A_tau, S, or Z.  (All neighbors of v inside the
-  processed subtree lie in the bag, so the bag coloring decides validity.)
-- forget v: minimum over the recolorings of v.
-- join: children share the bag coloring; costs add and the separator
-  vertices counted twice (those colored S in the bag) are subtracted once.
+- leaf (bag {s,z}): the single coloring s=A_1, z=Z has no S-vertex.
+- introduce v: extend each child entry with S, which adds v to the mask and
+  is always allowed, and with Z and A_i for each i in labels(v), checking v's
+  time-edges into the bag: v=Z needs every A_i neighbor with edge label t to
+  satisfy t < i; v=A_i needs neighbors at labels t >= i to be in A_1..A_t or
+  S, and neighbors at labels t < i to be in A_{t+1}..A_tau, S, or Z.  (All
+  neighbors of v inside the processed subtree lie in the bag, so the bag
+  coloring decides validity.)
+- forget v: over the recolorings of v, keep the mask with the fewest
+  S-vertices, and on a tie the one where v has the smallest color.
+- join: children share the bag coloring, and the masks are united.  The only
+  vertices introduced in both subtrees are those of the bag, whose S-vertices
+  are in both masks, so the union counts each once.
+The witness is the root mask with the fewest S-vertices, the smallest key on
+ties.
 
 Colorings are encoded as radix-(tau+2) integers over the bag in sorted
 vertex order; digit value i-1 means A_i, tau means S, tau+1 means Z.  The
-radix counts at least one A color, so at tau = 0 the S digit is 1 and stays
-apart from s's digit 0.
+mask, not the key, says which vertices are in S, so at tau = 0 the S digit may
+equal s's A_1 digit: only a neighbor's digit is compared with S, and tau = 0
+has no edges.
 """
 
 from __future__ import annotations
@@ -78,33 +84,26 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
             raise DecompositionMismatch(f"node {i} is not a nice {kind} node")
 
 
-def _fill_tables(
-    inst: Instance, td: NiceTreeDecomposition
-) -> tuple[dict[int, int], list[tuple[int, ...]], dict[int, dict[int, int]], int]:
-    """Fill the tables bottom-up, in node-index order.
-
-    Returns the root table, every bag in sorted vertex order, for each forget
-    node the color its forgotten vertex takes under each of its keys, and the
-    radix of the keys.
-    """
+def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
+    """Fill the tables bottom-up, in node-index order; returns the root table."""
     _check_fit(inst, td)
-    g, z, tau = inst.g, inst.z, max(inst.g.tau, 1)
-    base, s_color, z_color = tau + 2, tau, tau + 1
+    g, z, tau = inst.g, inst.z, inst.g.tau
+    base = tau + 2
     own = g.vertex_labels
     bags = [tuple(sorted(node.bag)) for node in td.nodes]
     pows = [base**i for i in range(max(len(bag) for bag in bags) + 1)]
     tables: dict[int, dict[int, int]] = {}
-    forget_choice: dict[int, dict[int, int]] = {}
 
     for x, node in enumerate(td.nodes):
         bag = bags[x]
         if node.kind == "leaf":
-            tables[x] = {z_color * pows[bag.index(z)]: 0}  # s=A_1 (digit 0), z=Z
+            tables[x] = {(tau + 1) * pows[bag.index(z)]: 0}  # s=A_1 (digit 0), z=Z, S empty
         elif node.kind == "introduce":
             v = node.vertex
             child = node.children[0]
             p = bag.index(v)
             unit, high_unit = pows[p], pows[p + 1]
+            s_offset, v_bit = tau * unit, 1 << v
             nbr_units: list[int] = []  # pows[q] for each child position q of a neighbor of v
             nbr_labels: list[tuple[int, ...]] = []
             for q, w in enumerate(bags[child]):
@@ -112,78 +111,68 @@ def _fill_tables(
                 if labels:
                     nbr_units.append(pows[q])
                     nbr_labels.append(labels)
-            memo: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            memo: dict[tuple[int, ...], list[int]] = {}
             table: dict[int, int] = {}
             # (child key, color of v) -> key is injective, so no new key repeats.
-            for child_key, cost in tables.pop(child).items():
+            for child_key, sep in tables.pop(child).items():
                 w_colors = tuple([child_key // u % base for u in nbr_units])
                 allowed = memo.get(w_colors)
                 if allowed is None:
                     allowed = memo[w_colors] = _allowed(w_colors, nbr_labels, own[v], unit, tau)
                 high, low = divmod(child_key, unit)
                 shifted = high * high_unit + low
-                for offset, extra in allowed:
-                    table[shifted + offset] = cost + extra
+                table[shifted + s_offset] = sep | v_bit
+                for offset in allowed:
+                    table[shifted + offset] = sep
             tables[x] = table
         elif node.kind == "forget":
             v = node.vertex
             child = node.children[0]
             unit = pows[bags[child].index(v)]
             table = {}
-            choice: dict[int, int] = {}
-            # Any order: a tie on cost goes to the smallest color of v.
-            for child_key, cost in tables.pop(child).items():
+            rank: dict[int, int] = {}
+            # Any order: the fewest S-vertices win, and a tie goes to the
+            # smallest color of v.
+            for child_key, sep in tables.pop(child).items():
                 high, low = divmod(child_key, unit)
                 high, color = divmod(high, base)
                 new_key = high * unit + low
-                old = table.get(new_key)
-                if old is None or cost < old or (cost == old and color < choice[new_key]):
-                    table[new_key] = cost
-                    choice[new_key] = color
+                r = sep.bit_count() * base + color
+                if r < rank.get(new_key, r + 1):
+                    table[new_key] = sep
+                    rank[new_key] = r
             tables[x] = table
-            forget_choice[x] = choice
         else:  # join
             lt = tables.pop(node.children[0])
             rt = tables.pop(node.children[1])
             if len(lt) > len(rt):
                 lt, rt = rt, lt
-            table = {}
-            for key, lcost in lt.items():
-                rcost = rt.get(key)
-                if rcost is not None:
-                    in_sep, rest = 0, key
-                    for _ in bag:
-                        rest, color = divmod(rest, base)
-                        if color == s_color:
-                            in_sep += 1
-                    table[key] = lcost + rcost - in_sep
-            tables[x] = table
-    return tables[td.root], bags, forget_choice, base
+            tables[x] = {key: lsep | rt[key] for key, lsep in lt.items() if key in rt}
+    return tables[td.root]
 
 
 def _allowed(
     w_colors: tuple[int, ...], nbr_labels: list[tuple[int, ...]], own: tuple[int, ...], unit: int, tau: int
-) -> list[tuple[int, int]]:
-    """(color * unit, cost) for each canonical color of an introduced vertex
-    with labels `own` that the introduce rule allows next to neighbors
+) -> list[int]:
+    """color * unit for each free color (A_i for i in `own`, and Z) of an
+    introduced vertex that the introduce rule allows next to neighbors
     colored `w_colors`."""
     s_color = tau
     pairs = [(wc, t) for wc, labels in zip(w_colors, nbr_labels) for t in labels]
-    allowed = []
-    for i in own:
-        if all((wc < t or wc == s_color) if t >= i else wc >= t for wc, t in pairs):
-            allowed.append(((i - 1) * unit, 0))
-    allowed.append((s_color * unit, 1))
+    allowed = [
+        (i - 1) * unit for i in own if all((wc < t or wc == s_color) if t >= i else wc >= t for wc, t in pairs)
+    ]
     if all(wc >= tau or t <= wc for wc, t in pairs):
-        allowed.append(((tau + 1) * unit, 0))
+        allowed.append((tau + 1) * unit)
     return allowed
 
 
 def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
     """An upper bound on the table cells, summed over all bags.
 
-    A bag's table holds at most the product of its vertices' color counts
-    under `_allowed`: 1 for s and z, |labels(v)| + 2 for any other vertex v.
+    A bag's table holds at most the product of its vertices' color counts:
+    1 for s and z, and for any other vertex v, S, Z and A_i for each i in
+    labels(v).
     """
     colors = [len(labels) + 2 for labels in inst.g.vertex_labels]
     colors[inst.s] = colors[inst.z] = 1
@@ -192,28 +181,10 @@ def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
 
 def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Optional[Separator]:
     """A minimum separator via the coloring tables, or None above budget."""
-    root_table, bags, forget_choice, base = _fill_tables(inst, td)
-    # The cheapest root entry, the smallest key on ties.
-    best = min(root_table.items(), key=lambda entry: (entry[1], entry[0]), default=None)
-    if best is None or best[1] > inst.k:
+    root_table = _fill_tables(inst, td)
+    # The fewest S-vertices, the smallest key on ties.
+    best = min(root_table.items(), key=lambda entry: (entry[1].bit_count(), entry[0]), default=None)
+    if best is None or best[1].bit_count() > inst.k:
         return None
-    # Top-down in reverse index order: each node's key is known before its children's.
-    s_color = base - 2
-    keys = {td.root: best[0]}
-    separator: set[int] = set()
-    for x in range(td.root, -1, -1):
-        node, bag, key = td.nodes[x], bags[x], keys.pop(x)
-        separator.update(v for p, v in enumerate(bag) if key // base**p % base == s_color)
-        if node.kind == "introduce":
-            unit = base ** bag.index(node.vertex)
-            high, low = divmod(key, unit)
-            keys[node.children[0]] = high // base * unit + low
-        elif node.kind == "forget":
-            child = node.children[0]
-            unit = base ** bags[child].index(node.vertex)
-            high, low = divmod(key, unit)
-            keys[child] = (high * base + forget_choice[x][key]) * unit + low
-        else:  # join (a leaf has no children)
-            for child in node.children:
-                keys[child] = key
-    return Separator(frozenset(separator))
+    sep = best[1]
+    return Separator(frozenset(v for v in range(sep.bit_length()) if sep >> v & 1))

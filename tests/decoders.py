@@ -36,15 +36,17 @@ def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[lis
 
 
 def treewidth_root_table(inst: Instance, td: NiceTreeDecomposition) -> dict[tuple[tuple[int, int], ...], int]:
-    """Finite root entries, decoded as ((vertex, color), ...) -> cost.
+    """Finite root entries, decoded as ((vertex, color), ...) -> separator size.
 
-    Color indices: i-1 for A_i, tau for S, tau+1 for Z, with tau at least 1.
+    Color indices: i-1 for A_i, tau for S, tau+1 for Z.  For tau >= 1 only:
+    at tau = 0 the S digit equals s's A_1 digit.
     """
-    root_table, bags, _, base = _fill_tables(inst, td)
-    decoded = {}
-    for key, cost in root_table.items():
-        decoded[tuple((v, key // base**p % base) for p, v in enumerate(bags[td.root]))] = cost
-    return decoded
+    base = inst.g.tau + 2
+    root_bag = sorted(td.nodes[td.root].bag)
+    return {
+        tuple((v, key // base**p % base) for p, v in enumerate(root_bag)): sep.bit_count()
+        for key, sep in _fill_tables(inst, td).items()
+    }
 
 
 def reduce_to_peaks(inst: Instance) -> Instance:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from order_reference import scan_order_compatible
 from strategies import indifference_graphs, instance_graphs, small_graphs
+from window_reference import all_windows_interval_connected
 
 from temposep import (
     Instance,
@@ -96,6 +97,18 @@ class TestClassify:
         for extra in missing[:4]:
             bumped = classify(build(g.n, g.tau, g.raw_triples() + [extra])).steady_lambda
             assert abs(bumped - base) <= 2
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_window_sweep_matches_all_windows(self, data):
+        # Each layer keeps any subset of the pairs; at n <= 5 connected layers are common.
+        n = data.draw(st.integers(1, 5))
+        tau = data.draw(st.integers(0, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+        layers = [[e for e, kept in zip(pairs, data.draw(keep)) if kept] for _ in range(tau)]
+        g = from_layers(n, layers)
+        assert classify(g).interval_connected_max_t == all_windows_interval_connected(g)
 
 
 class TestReduceToPeaks:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from temposep.cli import main
@@ -299,6 +301,18 @@ class TestClassify:
         code, out, _ = run(capsys, ["classify", g1_file])
         assert out.splitlines()[0] == "monotone none"
 
+
+    def test_long_path_connected_in_every_window(self, capsys, tmp_path):
+        # Every window intersection is the whole path; intersecting every
+        # window took minutes at this tau, the sweep takes milliseconds.
+        tau = 2000
+        p = tmp_path / "path.tg"
+        dump_tg(build(3, tau, [(u, u + 1, t) for t in range(1, tau + 1) for u in range(2)]), p)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["classify", str(p)])
+        assert code == 0
+        assert out.splitlines()[-1] == "interval-connected maxT=2000"
+        assert time.perf_counter() - start < 20
 
 class TestReduce:
     def test_writes_output_and_report(self, capsys, g1_file, tmp_path):

@@ -35,9 +35,7 @@ def nice_form_violations(td, graph, s, z):
                 problems.append(f"bad join {i}")
         else:
             problems.append(f"unknown kind {node.kind}")
-    # rooted order: children before parents, the root last, one parent each
-    if td.root != len(td.nodes) - 1:
-        problems.append(f"root {td.root} is not the last node")
+    # rooted order: children before parents, one parent each, so the root is last
     listed = sorted(c for i, node in enumerate(td.nodes) for c in node.children if c < i)
     if listed != list(range(len(td.nodes) - 1)):
         problems.append("some non-root node is not exactly one earlier node's child")

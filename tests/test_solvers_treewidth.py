@@ -18,6 +18,7 @@ from temposep import (
 from temposep.errors import DecompositionMismatch
 from temposep.oracle import Separator
 from temposep.solvers.decomposition import NiceNode, NiceTreeDecomposition
+from temposep.solvers.treewidth_dp import _fill_tables
 from temposep.reachability import reachable_with_earliest_arrival
 
 
@@ -278,6 +279,25 @@ def test_root_table_equals_exhaustive_coloring_minimum(seed):
         assert restriction in table
         assert table[restriction] <= size
 
+
+
+def test_root_masks_are_the_s_vertices_and_the_smallest_is_the_witness():
+    from conftest import random_instances
+
+    for inst in random_instances(40, n_max=7, tau_max=4, seed0=900):
+        td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z)
+        root = _fill_tables(inst, td)
+        base = inst.g.tau + 2
+        root_bag = sorted(td.nodes[td.root].bag)
+        for key, mask in root.items():
+            assert not mask >> inst.s & 1 and not mask >> inst.z & 1
+            # The bag's S digits are the mask's bits inside the bag.
+            in_s = {v for p, v in enumerate(root_bag) if key // base**p % base == inst.g.tau}
+            assert in_s == {v for v in root_bag if mask >> v & 1}
+        key, mask = min(root.items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
+        found = solve_treewidth_dp(inst.with_budget(inst.g.n), td)
+        assert found.vertices == {v for v in range(inst.g.n) if mask >> v & 1}
+        assert is_separator(inst, found.vertices) and found.size == min_separator_bruteforce(inst).size
 
 def test_min_over_root_table_equals_oracle_on_corpus():
     from conftest import random_instances
