@@ -109,33 +109,30 @@ def _detect_interval_connected(g: TemporalGraph) -> int:
     """The largest T for which every length-T window of layers has a
     connected edge intersection, by a two-pointer sweep.
 
-    A window inside a connected one is connected, so the property is
-    monotone in T, and the end r(a) of the longest connected window [a, r)
-    never decreases with a.  `count` holds, per edge, the layers of the
-    current window that contain it, so the edges of every layer are those
-    whose count equals the window's length.
+    A window inside a connected one is connected, so the end r(a) of the
+    longest connected window [a, r(a)) never decreases with a.  Every
+    length-T window is connected iff r(a) - a >= T for each start a with
+    r(a) < tau: a window that runs to the last layer lies inside the last
+    length-T window.  `count` holds, per edge, the layers of the current
+    window that contain it, so the window's common edges are those whose
+    count equals its length.
     """
     sets, tau = g.layer_edge_sets, g.tau
     count: dict[tuple[int, int], int] = {}
-    reach = []  # r(a) - a for each start a
-    r = 0
+    shortest, r = tau, 0
     for a in range(tau):
-        r = max(r, a)  # an empty window [a, a) has nothing counted
         while r < tau and _connected_on_all(g.n, [e for e in sets[r] if count.get(e, 0) == r - a]):
             for e in sets[r]:
                 count[e] = count.get(e, 0) + 1
             r += 1
-        reach.append(r - a)
-        if r > a:
-            for e in sets[a]:
-                count[e] -= 1
-    # T holds iff every start a <= tau - T reaches a + T.
-    shortest = tau
-    for t in range(tau, 0, -1):
-        shortest = min(shortest, reach[tau - t])
-        if shortest >= t:
-            return t
-    return 0
+        if r == tau:
+            break  # every later start reaches the last layer too
+        if r == a:
+            return 0  # layer a alone is disconnected
+        shortest = min(shortest, r - a)
+        for e in sets[a]:
+            count[e] -= 1
+    return shortest
 
 
 def classify(g: TemporalGraph) -> ClassProfile:

@@ -301,7 +301,6 @@ class TestClassify:
         code, out, _ = run(capsys, ["classify", g1_file])
         assert out.splitlines()[0] == "monotone none"
 
-
     def test_long_path_connected_in_every_window(self, capsys, tmp_path):
         # Every window intersection is the whole path; intersecting every
         # window took minutes at this tau, the sweep takes milliseconds.
@@ -313,6 +312,7 @@ class TestClassify:
         assert code == 0
         assert out.splitlines()[-1] == "interval-connected maxT=2000"
         assert time.perf_counter() - start < 20
+
 
 class TestReduce:
     def test_writes_output_and_report(self, capsys, g1_file, tmp_path):
