@@ -13,9 +13,9 @@ notion would collapse.
 from __future__ import annotations
 
 from operator import le
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .core import TemporalGraph
+from .core import TemporalGraph, is_connected
 from .errors import NotAPermutation
 
 
@@ -42,10 +42,6 @@ class ClassProfile(NamedTuple):
     periodic_r: int
     steady_lambda: int
     interval_connected_max_t: int
-
-    @property
-    def single_peaked(self) -> bool:
-        return self.monotone is not None and len(self.monotone.peaks) == 1
 
 
 def monotone_shape(g: TemporalGraph) -> Optional[MonotoneShape]:
@@ -88,23 +84,6 @@ def _detect_steady(g: TemporalGraph) -> int:
     return max((len(a ^ b) for a, b in zip(sets, sets[1:])), default=0)
 
 
-def _connected_on_all(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    adj: dict[int, list[int]] = {}
-    for u, v in pairs:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
 def _detect_interval_connected(g: TemporalGraph) -> int:
     """The largest T for which every length-T window of layers has a
     connected edge intersection, by a two-pointer sweep.
@@ -121,7 +100,7 @@ def _detect_interval_connected(g: TemporalGraph) -> int:
     count: dict[tuple[int, int], int] = {}
     shortest, r = tau, 0
     for a in range(tau):
-        while r < tau and _connected_on_all(g.n, [e for e in sets[r] if count.get(e, 0) == r - a]):
+        while r < tau and is_connected(g.n, [e for e in sets[r] if count.get(e, 0) == r - a]):
             for e in sets[r]:
                 count[e] = count.get(e, 0) + 1
             r += 1

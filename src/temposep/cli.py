@@ -103,19 +103,23 @@ def _fmt_vertices(vertices) -> str:
 def _parse_class(text: str):
     from .generators import MonotoneConstraint, PeriodicConstraint, SteadyConstraint, UnitIntervalConstraint
 
+    forms = "expected none, unit-interval, periodic:P,R, steady:L, monotone:P"
     name, _, params = text.partition(":")
-    if name == "none":
-        return None
-    if name == "unit-interval":
-        return UnitIntervalConstraint()
-    if name == "periodic":
-        p, _, r = params.partition(",")
-        return PeriodicConstraint(int(p), int(r))
-    if name == "steady":
-        return SteadyConstraint(int(params))
-    if name == "monotone":
-        return MonotoneConstraint(int(params))
-    raise FormatError(f"unknown class {text!r}; expected none, unit-interval, periodic:P,R, steady:L, monotone:P")
+    try:
+        if name == "none":
+            return None
+        if name == "unit-interval":
+            return UnitIntervalConstraint()
+        if name == "periodic":
+            p, _, r = params.partition(",")
+            return PeriodicConstraint(int(p), int(r))
+        if name == "steady":
+            return SteadyConstraint(int(params))
+        if name == "monotone":
+            return MonotoneConstraint(int(params))
+    except ValueError:
+        raise FormatError(f"bad parameters in class {text!r}; {forms}") from None
+    raise FormatError(f"unknown class {text!r}; {forms}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

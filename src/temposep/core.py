@@ -2,8 +2,10 @@
 
 A temporal graph is a fixed vertex set together with time-labeled undirected
 edges over discrete labels 1..tau.  Vertices are dense 0-based integers, time
-labels are 1-based.  Layers (the static graph of one label) and the underlying
-graph (the union of all layers) are derived views.
+labels are 1-based.  The layers (the edges of one label, as edge sets and as
+adjacency lists), the labels of each edge and vertex, and the underlying
+static graph (the union of all layers) are derived views, each cached on the
+graph.  `is_connected` is the one connectivity check on plain edge lists.
 
 All values are immutable after construction; every operation is a pure
 function, so values are safe to share between threads.
@@ -70,9 +72,22 @@ class StaticGraph(_StaticGraphFields):
         return len(self.adjacency[v])
 
 
-def static_graph(n: int, pairs: Iterable[tuple[int, int]]) -> StaticGraph:
-    """Build a StaticGraph, canonicalizing pair order and dropping duplicates."""
-    return StaticGraph(n, frozenset((min(u, v), max(u, v)) for u, v in pairs))
+def is_connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the graph on vertices 0..n-1 with edges `pairs` is connected."""
+    if n <= 1:
+        return True
+    adj: dict[int, list[int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 def check_terminals(n: int, s: int, z: int) -> None:
@@ -139,12 +154,6 @@ class TemporalGraph(_TemporalGraphFields):
             labels[u].add(t)
             labels[v].add(t)
         return tuple(tuple(sorted(ts)) for ts in labels)
-
-    def layer(self, t: int) -> StaticGraph:
-        """The static graph of the edges labeled t."""
-        if not (1 <= t <= self.tau):
-            raise LabelOutOfRange(f"layer {t} outside 1..{self.tau}")
-        return StaticGraph(self.n, self.layer_edge_sets[t - 1])
 
     def underlying(self) -> StaticGraph:
         """The static union of all layers."""

@@ -70,10 +70,6 @@ class DecompositionMismatch(ContractError):
     """A tree decomposition that does not fit the instance it is used on."""
 
 
-class NotMonotone(ContractError):
-    """Peak reduction requested on a graph with incomparable consecutive layers."""
-
-
 class LayersNotEqual(ContractError):
     """A transformation requiring all layers to be equal."""
 

@@ -43,9 +43,6 @@ class Instance(_InstanceFields):
             raise TerminalEdgePresent(f"time-edge between terminals {s} and {z} at labels {g.edge_labels[pair]}")
         return super().__new__(cls, g, s, z, k)
 
-    def with_budget(self, k: int) -> "Instance":
-        return Instance(self.g, self.s, self.z, k)
-
 
 class Separator(NamedTuple):
     """A vertex set whose deletion removes all temporal (s,z)-paths.
@@ -71,14 +68,14 @@ def is_separator(inst: Instance, candidate: Iterable[int], strict: bool = False)
     return find_temporal_path(inst.g, inst.s, inst.z, strict, frozenset(candidate)) is None
 
 
-def min_separator_bruteforce(inst: Instance, strict: bool = False, max_n: int = BRUTE_FORCE_MAX_N) -> Separator:
+def min_separator_bruteforce(inst: Instance, strict: bool = False) -> Separator:
     """A minimum separator by subset enumeration, smallest size then lexicographic.
 
     Always succeeds: with no time-edge between the terminals, deleting every
     other vertex separates.  Deterministic.
     """
-    if inst.g.n > max_n:
-        raise OracleScaleError(f"brute force on {inst.g.n} vertices exceeds the guard of {max_n}")
+    if inst.g.n > BRUTE_FORCE_MAX_N:
+        raise OracleScaleError(f"brute force on {inst.g.n} vertices exceeds the guard of {BRUTE_FORCE_MAX_N}")
     others = [v for v in range(inst.g.n) if v not in (inst.s, inst.z)]
     for size in range(len(others) + 1):
         for subset in combinations(others, size):

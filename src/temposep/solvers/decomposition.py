@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from ..core import StaticGraph
+from ..core import StaticGraph, is_connected
 from ..errors import InvalidDecomposition
 
 
@@ -99,22 +99,12 @@ def validate_tree_decomposition(
         for v in bag:
             if not (0 <= v < g.n):
                 raise InvalidDecomposition(f"bag {i} contains out-of-range vertex {v}")
-    tree_adj: dict[int, set[int]] = {i: set() for i in range(count)}
     for a, b in tree_edges:
-        if a not in tree_adj or b not in tree_adj:
+        if a not in range(count) or b not in range(count):
             raise InvalidDecomposition(f"tree edge ({a},{b}) references unknown bag")
-        tree_adj[a].add(b)
-        tree_adj[b].add(a)
     if len(tree_edges) != count - 1:
         raise InvalidDecomposition(f"{count} bags need {count - 1} tree edges, got {len(tree_edges)}")
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in tree_adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != count:
+    if not is_connected(count, tree_edges):
         raise InvalidDecomposition("bag tree is not connected")
     occurrences: list[set[int]] = [set() for _ in range(g.n)]
     for i, bag in enumerate(bags):

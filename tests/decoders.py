@@ -3,7 +3,8 @@
 `interval_dp_table` and `treewidth_root_table` decode the integer tables the
 two DP backends fill, so tests can hold each cell to a reference or to
 exhaustive search.  `reduce_to_peaks` is the peak reduction rule, checked
-against the oracle.  No solver calls any of them.
+against the oracle, and `NotMonotone` is what it raises on a graph with no
+monotone shape.  No solver calls any of them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 from temposep import Instance, from_layers
 from temposep.classes import monotone_shape
-from temposep.errors import NotMonotone
+from temposep.errors import ContractError
 from temposep.solvers.decomposition import NiceTreeDecomposition
 from temposep.solvers.interval_dp import _mask_table, _positions
 from temposep.solvers.treewidth_dp import _fill_tables
@@ -47,6 +48,10 @@ def treewidth_root_table(inst: Instance, td: NiceTreeDecomposition) -> dict[tupl
         tuple((v, key // base**p % base) for p, v in enumerate(root_bag)): sep.bit_count()
         for key, sep in _fill_tables(inst, td).items()
     }
+
+
+class NotMonotone(ContractError):
+    """Peak reduction requested on a graph with incomparable consecutive layers."""
 
 
 def reduce_to_peaks(inst: Instance) -> Instance:

@@ -1,10 +1,15 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and a static-graph builder shared by the test modules."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from temposep import build
+from temposep import StaticGraph, build
+
+
+def static_graph(n: int, pairs) -> StaticGraph:
+    """A StaticGraph from pairs in any order, duplicates dropped."""
+    return StaticGraph(n, frozenset((min(u, v), max(u, v)) for u, v in pairs))
 
 
 def small_graphs(max_n: int = 6, max_tau: int = 3):

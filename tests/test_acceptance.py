@@ -13,6 +13,7 @@ from itertools import combinations, product
 
 import pytest
 from decoders import interval_dp_table
+from strategies import static_graph
 
 from temposep import (
     Instance,
@@ -40,6 +41,7 @@ from temposep.generators import (
     XorShift64Star,
     generate,
 )
+from temposep import oracle
 from temposep.oracle import enumerate_temporal_paths, temporal_path_exists_exhaustive
 from temposep.reachability import reachable_with_earliest_arrival
 from temposep.reductions import (
@@ -48,7 +50,6 @@ from temposep.reductions import (
     line_graph_gadget,
     one_edge_per_layer,
 )
-from temposep.core import static_graph
 
 
 def _passed(label: str) -> None:
@@ -90,11 +91,11 @@ def test_c1_search_tree_oracle_agreement():
     started = time.perf_counter()
     for inst in seeded_instances(500, seed0=11):
         best = min_separator_bruteforce(inst)
-        found = solve_search_tree(inst.with_budget(best.size))
+        found = solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size))
         assert found is not None and found.size <= best.size
         assert is_separator(inst, found.vertices)
         if best.size > 0:
-            assert solve_search_tree(inst.with_budget(best.size - 1)) is None
+            assert solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size - 1)) is None
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"500 instances took {elapsed:.1f}s"
     _passed(f"1 search-tree agreement on 500 instances in {elapsed:.1f}s")
@@ -111,7 +112,7 @@ def test_c2_treewidth_dp_oracle_agreement():
         if td.width > 5:
             continue
         started = time.perf_counter()
-        found = solve_treewidth_dp(inst.with_budget(inst.g.n), td)
+        found = solve_treewidth_dp(Instance(inst.g, inst.s, inst.z, inst.g.n), td)
         elapsed = time.perf_counter() - started
         worst = max(worst, elapsed)
         assert elapsed < 1.0, f"instance took {elapsed:.2f}s"
@@ -131,7 +132,7 @@ def test_c3_interval_dp_oracle_agreement():
         table, _ = interval_dp_table(inst, identity)
         table_min = min(len(entry) for entry in table[inst.g.tau][1:])
         assert table_min == best.size
-        found = solve_interval_dp(inst.with_budget(best.size), identity)
+        found = solve_interval_dp(Instance(inst.g, inst.s, inst.z, best.size), identity)
         assert found is not None and is_separator(inst, found.vertices)
     _passed("3 interval-dp agreement on 200 instances")
 
@@ -153,7 +154,7 @@ def _line_graph_corpus(count):
     return out
 
 
-def test_c4_and_c5_reduction_equivalence_and_size_bounds():
+def test_c4_and_c5_reduction_equivalence_and_size_bounds(monkeypatch):
     corpus = seeded_instances(100, n_max=6, tau_max=3, seed0=4400)
     deltas = {"one-edge": 0, "complete-but-one": 0, "pad-monotone": 0, "universal": 1, "steady": 0}
     for kind, delta in deltas.items():
@@ -167,11 +168,12 @@ def test_c4_and_c5_reduction_equivalence_and_size_bounds():
             if kind == "one-edge":
                 assert out.g.tau <= inst.g.tau * inst.g.n**4
     gadget_corpus = _line_graph_corpus(100)
+    monkeypatch.setattr(oracle, "BRUTE_FORCE_MAX_N", 80)  # gadget outputs outgrow the default guard
     for inst in gadget_corpus:
         out, report = line_graph_gadget(inst)
         assert report.all_passed, f"line-graph checklist failed: {report.checks}"
         strict_min = min_separator_bruteforce(inst, strict=True).size
-        nonstrict_min = min_separator_bruteforce(out, strict=False, max_n=80).size
+        nonstrict_min = min_separator_bruteforce(out, strict=False).size
         assert strict_min == nonstrict_min
         under = inst.g.underlying()
         # |W_v| = deg(v)+1: one hub plus one carrier per incident edge.
@@ -225,13 +227,13 @@ def test_c8_dispatcher_uses_static_cut_on_collapsing_classes():
     assert len(cases) >= 55
     for inst in cases:
         profile = classify(inst.g)
-        assert profile.single_peaked or profile.periodic_p == 1 or profile.periodic_r >= inst.g.n
+        assert (profile.monotone is not None and len(profile.monotone.peaks) == 1) or profile.periodic_p == 1 or profile.periodic_r >= inst.g.n
         best = min_separator_bruteforce(inst)
-        result = solve_auto(inst.with_budget(best.size))
+        result = solve_auto(Instance(inst.g, inst.s, inst.z, best.size))
         assert result.backend == "static-cut"
         assert result.separator is not None and result.separator.size == best.size
         if best.size:
-            assert solve_auto(inst.with_budget(best.size - 1)).separator is None
+            assert solve_auto(Instance(inst.g, inst.s, inst.z, best.size - 1)).separator is None
     _passed(f"8 dispatcher static-cut soundness on {len(cases)} collapsing instances")
 
 

@@ -441,6 +441,15 @@ def test_usage_error_exit_code(capsys):
     assert main(["solve"]) == 2
 
 
+@pytest.mark.parametrize("klass", ["steady:", "periodic:2", "periodic:a,b", "monotone:x"])
+def test_gen_bad_class_parameters_name_the_class_and_its_forms(capsys, tmp_path, klass):
+    argv = ["gen", "--n", "5", "--tau", "4", "--p", "0.5", "--class", klass, "-o", str(tmp_path / "o.tg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"'{klass}'" in err and "periodic:P,R, steady:L, monotone:P" in err
+    assert "invalid literal" not in err
+
+
 def test_contract_errors_are_exactly_the_exit_3_family():
     import inspect
 
@@ -456,7 +465,6 @@ def test_contract_errors_are_exactly_the_exit_3_family():
         "DegreeTooSmall",
         "IncompatibleOrdering",
         "LayersNotEqual",
-        "NotMonotone",
         "TerminalEdgePresent",
         "TerminalInSeparator",
         "TerminalsAdjacent",

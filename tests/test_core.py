@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from strategies import small_graphs
 
 from temposep import TimeEdge, build, concat, from_layers, power
+from temposep.core import is_connected
 from temposep.errors import (
     LabelOutOfRange,
     NonpositiveExponent,
@@ -47,18 +48,11 @@ class TestBuild:
 
 class TestViews:
     def test_layers(self, g1):
-        assert g1.layer(1).edges == frozenset({(0, 1), (2, 3)})
-        assert g1.layer(2).edges == frozenset({(1, 3), (0, 2)})
+        assert g1.layer_edge_sets == (frozenset({(0, 1), (2, 3)}), frozenset({(1, 3), (0, 2)}))
 
     def test_layer_of_edgeless(self):
         g = build(2, 1, [])
-        assert g.layer(1).edges == frozenset()
-
-    def test_layer_label_out_of_range(self, g1):
-        with pytest.raises(LabelOutOfRange):
-            g1.layer(3)
-        with pytest.raises(LabelOutOfRange):
-            g1.layer(0)
+        assert g.layer_edge_sets == (frozenset(),)
 
     def test_underlying_is_union(self, g1):
         assert g1.underlying().edges == frozenset({(0, 1), (1, 3), (2, 3), (0, 2)})
@@ -76,10 +70,17 @@ class TestViews:
 
     @given(small_graphs())
     def test_layers_union_to_underlying(self, g):
-        union = frozenset().union(*(g.layer(t).edges for t in range(1, g.tau + 1)))
+        union = frozenset().union(*g.layer_edge_sets)
         assert union == g.underlying().edges
-        for t in range(1, g.tau + 1):
-            assert g.layer(t).edges <= g.underlying().edges
+        for es in g.layer_edge_sets:
+            assert es <= g.underlying().edges
+
+
+def test_is_connected_on_edge_lists():
+    assert is_connected(0, []) and is_connected(1, [])
+    assert is_connected(3, [(2, 1), (0, 1)])
+    assert not is_connected(3, [(0, 1)])
+    assert not is_connected(4, [(0, 1), (2, 3), (0, 1)])
 
 
 class TestDeleteVertices:
@@ -142,10 +143,7 @@ class TestConcatPower:
             b = build(4, b.tau, [t for t in b.raw_triples() if t[0] < 4 and t[1] < 4])
         joined = concat(a, b)
         assert joined.tau == a.tau + b.tau
-        for i in range(1, b.tau + 1):
-            assert joined.layer(a.tau + i).edges == b.layer(i).edges
-        for i in range(1, a.tau + 1):
-            assert joined.layer(i).edges == a.layer(i).edges
+        assert joined.layer_edge_sets == a.layer_edge_sets + b.layer_edge_sets
 
 
 def test_from_layers_round_trip(g1):

@@ -76,8 +76,8 @@ def _fmt(sep) -> str:
 
 def _budget_sweep(label: str, inst: Instance, solve) -> list[str]:
     """One line per budget 0..minimum+1: the sorted witness or `none`."""
-    minimum = solve(inst.with_budget(inst.g.n)).size
-    return [f"{label} k={k} {_fmt(solve(inst.with_budget(k)))}" for k in range(minimum + 2)]
+    minimum = solve(Instance(inst.g, inst.s, inst.z, inst.g.n)).size
+    return [f"{label} k={k} {_fmt(solve(Instance(inst.g, inst.s, inst.z, k)))}" for k in range(minimum + 2)]
 
 
 def _interval_lines() -> list[str]:

@@ -1,7 +1,9 @@
-"""The package's lazy exports and what a `tempo-sep solve` process imports."""
+"""The package's lazy exports, what a `tempo-sep solve` process imports, and
+that src defines nothing it never uses."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -52,6 +54,53 @@ def test_star_import_binds_every_export():
     exec("from temposep import *", namespace)
     assert set(temposep.__all__) <= set(namespace)
     assert namespace["Instance"] is temposep.oracle.Instance
+
+
+# Defined in src but referenced nowhere in it, each kept for a reader outside.
+UNREFERENCED_IN_SRC = {
+    # perfbench/test_perfbench.py checks its reachability against this oracle.
+    "temporal_path_exists_exhaustive",
+    # perfbench/tracer.py reads it to record the decomposition width.
+    "NiceTreeDecomposition.width",
+    # perfbench/tracer.py times it, and its test expects every target present.
+    "TemporalGraph.delete_vertices",
+}
+
+
+def _defined_and_referenced(src: Path) -> tuple[dict[str, str], set[str]]:
+    """Non-dunder functions, classes and methods of `src` (qualified by their
+    class, with where they are defined), and every name src refers to: as a
+    name, as an attribute, or as a string in a package's export table."""
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+
+    def collect(node, owner, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    defined[f"{owner}.{child.name}" if owner else child.name] = f"{where}:{child.lineno}"
+                collect(child, child.name if isinstance(child, ast.ClassDef) else owner, where)
+            else:
+                collect(child, owner, where)
+
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        collect(tree, None, path.relative_to(src))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif path.name == "__init__.py" and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    return defined, referenced
+
+
+def test_src_defines_nothing_that_src_never_references():
+    defined, referenced = _defined_and_referenced(Path(temposep.__file__).parent)
+    unused = {name: where for name, where in defined.items() if name.rsplit(".", 1)[-1] not in referenced}
+    assert set(unused) - UNREFERENCED_IN_SRC == set(), f"unreferenced in src (move to tests/ or delete): {unused}"
+    assert UNREFERENCED_IN_SRC <= set(unused), "an allowed name is now referenced in src: drop it from the list"
 
 
 def test_reduce_kinds_are_the_registered_reductions():

@@ -179,11 +179,11 @@ def test_generic_instance_without_hints_uses_search_tree(g1):
 def test_backend_agreement_with_oracle(inst):
     """Whatever backend auto picks must reproduce the oracle verdict."""
     best = min_separator_bruteforce(inst)
-    yes = solve_auto(inst.with_budget(best.size))
+    yes = solve_auto(Instance(inst.g, inst.s, inst.z, best.size))
     assert yes.separator is not None and yes.separator.size <= best.size
     assert is_separator(inst, yes.separator.vertices)
     if best.size > 0:
-        no = solve_auto(inst.with_budget(best.size - 1))
+        no = solve_auto(Instance(inst.g, inst.s, inst.z, best.size - 1))
         assert no.separator is None
 
 
@@ -193,7 +193,7 @@ def test_monotone_corpus_agreement(seed):
         GenSpec(n=5, tau=4, edge_prob=0.4, constraint=MonotoneConstraint(1), seed=seed)
     )
     best = min_separator_bruteforce(inst)
-    result = solve_auto(inst.with_budget(best.size))
+    result = solve_auto(Instance(inst.g, inst.s, inst.z, best.size))
     assert result.backend == "static-cut"  # single-peaked
     assert result.separator.size == best.size
 
@@ -211,7 +211,7 @@ def test_all_applicable_backends_agree(seed):
     assert check_order_compatible(inst.g, tuple(range(inst.g.n))).ok
     oracle_size = min_separator_bruteforce(inst).size
     # At exactly the oracle budget, a bounded backend's witness is minimum.
-    inst = inst.with_budget(oracle_size)
+    inst = Instance(inst.g, inst.s, inst.z, oracle_size)
     td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z)
     found = {
         "interval": solve_interval_dp(inst, tuple(range(inst.g.n))),
@@ -257,7 +257,7 @@ def _reference_auto(inst, ordering=None, td=None):
     """The dispatcher's rules, in order, read off the full `classify` profile."""
     profile = classify(inst.g)
     collapses = (
-        profile.single_peaked
+        (profile.monotone is not None and len(profile.monotone.peaks) == 1)
         or profile.periodic_p in (0, 1)
         or profile.periodic_r >= inst.g.n
         or (
@@ -302,7 +302,7 @@ def _differential_instances(seed):
         n, tau = max(n, _MONOTONE_N), _MONOTONE_TAU
     spec = GenSpec(n=n, tau=tau, edge_prob=0.2 + 0.1 * (seed % 4), constraint=family(n, tau), seed=700 + seed)
     inst = generate(spec)
-    return [inst.with_budget(k) for k in range(3)]
+    return [Instance(inst.g, inst.s, inst.z, k) for k in range(3)]
 
 
 @pytest.mark.parametrize("seed", range(70))

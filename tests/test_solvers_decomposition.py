@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings
 
-from temposep.core import static_graph
 from temposep.errors import InvalidDecomposition
 from temposep.solvers import (
     build_tree_decomposition,
@@ -9,6 +8,7 @@ from temposep.solvers import (
     validate_tree_decomposition,
 )
 
+from strategies import static_graph
 from test_solvers_static_cut import small_static
 
 
@@ -100,6 +100,17 @@ def test_external_validation_names_unknown_bag(edge):
     message = rf"tree edge \({edge[0]},{edge[1]}\) references unknown bag"
     with pytest.raises(InvalidDecomposition, match=message):
         build_tree_decomposition(g, 0, 2, external=([{0, 1}, {1, 2}], [edge]))
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [([(0, 1)], "4 bags need 3 tree edges, got 1"), ([(0, 1), (1, 2), (2, 0)], "bag tree is not connected")],
+)
+def test_external_validation_rejects_a_bag_graph_that_is_no_tree(edges, message):
+    g = static_graph(4, [(0, 1), (1, 2), (2, 3)])
+    bags = [{0, 1}, {1, 2}, {1, 2}, {2, 3}]
+    with pytest.raises(InvalidDecomposition, match=message):
+        validate_tree_decomposition(bags, edges, g)
 
 
 def test_external_decomposition_accepted_and_nicified():

@@ -81,7 +81,8 @@ def test_reversed_and_padded_orderings_accepted():
 
 @pytest.mark.parametrize("idx", range(0, 60, 3))
 def test_matches_oracle_on_unit_interval_corpus(idx):
-    inst = IDENTITY_CORPUS[idx].with_budget(IDENTITY_CORPUS[idx].g.n)
+    base = IDENTITY_CORPUS[idx]
+    inst = Instance(base.g, base.s, base.z, base.g.n)
     found = solve_interval_dp(inst, tuple(range(inst.g.n)))
     assert found.size == min_separator_bruteforce(inst).size
     assert is_separator(inst, found.vertices)

@@ -20,7 +20,7 @@ def test_g1_with_budget_one(g1_inst):
 
 
 def test_g1_with_budget_zero(g1_inst):
-    assert solve_search_tree(g1_inst.with_budget(0)) is None
+    assert solve_search_tree(Instance(g1_inst.g, g1_inst.s, g1_inst.z, 0)) is None
 
 
 def test_no_path_yields_empty_even_at_zero_budget(g2_inst):
@@ -37,11 +37,11 @@ def test_deterministic(g1_inst):
 def test_complete_at_oracle_budget_and_stuck_below(g):
     inst = Instance(g=g, s=0, z=g.n - 1, k=0)
     best = min_separator_bruteforce(inst)
-    found = solve_search_tree(inst.with_budget(best.size))
+    found = solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size))
     assert found is not None and found.size <= best.size
     assert is_separator(inst, found.vertices)
     if best.size > 0:
-        assert solve_search_tree(inst.with_budget(best.size - 1)) is None
+        assert solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size - 1)) is None
 
 
 @given(instance_graphs(max_n=5, max_tau=3))
@@ -49,11 +49,11 @@ def test_complete_at_oracle_budget_and_stuck_below(g):
 def test_strict_variant_against_strict_oracle(g):
     inst = Instance(g=g, s=0, z=g.n - 1, k=0)
     best = min_separator_bruteforce(inst, strict=True)
-    found = solve_search_tree(inst.with_budget(best.size), strict=True)
+    found = solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size), strict=True)
     assert found is not None
     assert is_separator(inst, found.vertices, strict=True)
     if best.size > 0:
-        assert solve_search_tree(inst.with_budget(best.size - 1), strict=True) is None
+        assert solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size - 1), strict=True) is None
 
 
 def family_specs(seed):
@@ -73,11 +73,11 @@ def test_same_separator_as_the_unpruned_search_on_every_family():
             inst = generate(spec)
             for strict in (False, True):
                 minimum = 0
-                while reference_search_tree(inst.with_budget(minimum), strict) is None:
+                while reference_search_tree(Instance(inst.g, inst.s, inst.z, minimum), strict) is None:
                     minimum += 1
                 for k in range(minimum + 2):
-                    expected = reference_search_tree(inst.with_budget(k), strict)
-                    assert solve_search_tree(inst.with_budget(k), strict) == expected, (spec, strict, k)
+                    expected = reference_search_tree(Instance(inst.g, inst.s, inst.z, k), strict)
+                    assert solve_search_tree(Instance(inst.g, inst.s, inst.z, k), strict) == expected, (spec, strict, k)
 
 
 def disjoint_paths_instance(width, interior, k):
@@ -115,4 +115,4 @@ def test_depth_beyond_the_recursion_limit():
     found, backend = solve_auto(inst)
     assert backend == "search-tree"
     assert found.vertices == frozenset(range(1, 1101))
-    assert solve_search_tree(inst.with_budget(1099)) is None
+    assert solve_search_tree(Instance(inst.g, inst.s, inst.z, 1099)) is None

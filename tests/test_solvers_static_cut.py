@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import static_graph
 
 from temposep import static_min_vertex_cut
-from temposep.core import StaticGraph, static_graph
+from temposep.core import StaticGraph
 from temposep.errors import TerminalsAdjacent
 from temposep.generators import GenSpec, PeriodicConstraint, generate
 

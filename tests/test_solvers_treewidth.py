@@ -35,6 +35,20 @@ def test_no_path_zero_budget(g2_inst):
     assert found is not None and found.size == 0
 
 
+def test_join_unites_the_separators_of_both_sides():
+    # Two disjoint s-z paths, 0-1-2-5 and 0-3-4-5, each forgotten below its
+    # own side of one join: a join that kept one side's mask would return a
+    # single vertex that leaves the other path open.
+    g = build(6, 1, [(0, 1, 1), (1, 2, 1), (2, 5, 1), (0, 3, 1), (3, 4, 1), (4, 5, 1)])
+    inst = Instance(g, 0, 5, 2)
+    external = ([{0, 5}, {0, 1, 2, 5}, {0, 3, 4, 5}], [(0, 1), (0, 2)])
+    td = build_tree_decomposition(g.underlying(), 0, 5, external=external)
+    assert [node.kind for node in td.nodes].count("join") == 1
+    found = solve_treewidth_dp(inst, td)
+    assert found is not None and found.size == 2
+    assert is_separator(inst, found.vertices)
+
+
 @pytest.mark.parametrize(
     "td_graph, inst, message",
     [
@@ -295,7 +309,7 @@ def test_root_masks_are_the_s_vertices_and_the_smallest_is_the_witness():
             in_s = {v for p, v in enumerate(root_bag) if key // base**p % base == inst.g.tau}
             assert in_s == {v for v in root_bag if mask >> v & 1}
         key, mask = min(root.items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
-        found = solve_treewidth_dp(inst.with_budget(inst.g.n), td)
+        found = solve_treewidth_dp(Instance(inst.g, inst.s, inst.z, inst.g.n), td)
         assert found.vertices == {v for v in range(inst.g.n) if mask >> v & 1}
         assert is_separator(inst, found.vertices) and found.size == min_separator_bruteforce(inst).size
 

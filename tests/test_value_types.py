@@ -9,17 +9,13 @@ from temposep import Instance, Separator, StaticGraph, build
 from temposep.errors import SelfLoop, TerminalEdgePresent, VertexOutOfRange
 
 
-def test_instance_validates_on_construction_and_with_budget(g1):
+def test_instance_validates_on_construction(g1):
     with pytest.raises(TerminalEdgePresent):
         Instance(build(3, 1, [(0, 2, 1)]), 0, 2, 1)
     with pytest.raises(VertexOutOfRange):
         Instance(g1, 0, 4, 1)
     with pytest.raises(ValueError, match="budget must be non-negative"):
         Instance(g=g1, s=0, z=3, k=-1)
-    inst = Instance(g1, 0, 3, 1)
-    with pytest.raises(ValueError, match="budget must be non-negative"):
-        inst.with_budget(-1)
-    assert inst.with_budget(2) == Instance(g1, 0, 3, 2)
 
 
 def test_static_graph_validates_on_construction():

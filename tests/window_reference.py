@@ -8,14 +8,13 @@ exactly what this does.
 
 from __future__ import annotations
 
-from temposep.classes import _connected_on_all
-from temposep.core import TemporalGraph
+from temposep.core import TemporalGraph, is_connected
 
 
 def all_windows_interval_connected(g: TemporalGraph) -> int:
     sets = g.layer_edge_sets
     for window in range(1, g.tau + 1):
         starts = range(g.tau - window + 1)
-        if not all(_connected_on_all(g.n, frozenset.intersection(*sets[a : a + window])) for a in starts):
+        if not all(is_connected(g.n, frozenset.intersection(*sets[a : a + window])) for a in starts):
             return window - 1
     return g.tau
