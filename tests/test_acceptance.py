@@ -25,6 +25,7 @@ from temposep import (
     from_layers,
     is_separator,
     min_separator_bruteforce,
+    oracle,
     path_min_resets,
     power,
     solve_auto,
@@ -41,7 +42,6 @@ from temposep.generators import (
     XorShift64Star,
     generate,
 )
-from temposep import oracle
 from temposep.oracle import enumerate_temporal_paths, temporal_path_exists_exhaustive
 from temposep.reachability import reachable_with_earliest_arrival
 from temposep.reductions import (
@@ -227,7 +227,8 @@ def test_c8_dispatcher_uses_static_cut_on_collapsing_classes():
     assert len(cases) >= 55
     for inst in cases:
         profile = classify(inst.g)
-        assert (profile.monotone is not None and len(profile.monotone.peaks) == 1) or profile.periodic_p == 1 or profile.periodic_r >= inst.g.n
+        single_peaked = profile.monotone is not None and len(profile.monotone.peaks) == 1
+        assert single_peaked or profile.periodic_p == 1 or profile.periodic_r >= inst.g.n
         best = min_separator_bruteforce(inst)
         result = solve_auto(Instance(inst.g, inst.s, inst.z, best.size))
         assert result.backend == "static-cut"
