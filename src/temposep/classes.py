@@ -73,7 +73,7 @@ def periodicity(g: TemporalGraph) -> tuple[int, int]:
     tau = g.tau
     if tau == 0:
         return 0, 0
-    for p in range(1, tau + 1):
+    for p in range(1, tau):
         if tau % p == 0 and all(sets[j] == sets[j - p] for j in range(p, tau)):
             return p, tau // p
     return tau, 1

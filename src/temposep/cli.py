@@ -104,7 +104,9 @@ def _parse_class(text: str):
     from .generators import MonotoneConstraint, PeriodicConstraint, SteadyConstraint, UnitIntervalConstraint
 
     forms = "expected none, unit-interval, periodic:P,R, steady:L, monotone:P"
-    name, _, params = text.partition(":")
+    name, colon, params = text.partition(":")
+    if colon and name in ("none", "unit-interval"):
+        raise FormatError(f"bad parameters in class {text!r}; {forms}")
     try:
         if name == "none":
             return None

@@ -229,10 +229,7 @@ def concat(g1: TemporalGraph, g2: TemporalGraph) -> TemporalGraph:
 
 
 def power(g: TemporalGraph, x: int) -> TemporalGraph:
-    """x-fold self-concatenation; power 1 is the graph itself."""
+    """x-fold self-concatenation: each (u, v, t) is copied to t + r*tau for r < x."""
     if x < 1:
         raise NonpositiveExponent(f"power exponent must be >= 1, got {x}")
-    result = g
-    for _ in range(x - 1):
-        result = concat(result, g)
-    return result
+    return build(g.n, g.tau * x, [(u, v, t + r * g.tau) for r in range(x) for t, u, v in g.edges])

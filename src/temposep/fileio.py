@@ -103,6 +103,9 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
                 if bag_id in bags:
                     raise FormatError(f"duplicate bag id {bag_id}", path, lineno)
                 bags[bag_id] = {int(p) for p in parts[2:]}
+                outside = [v for v in bags[bag_id] if not 0 <= v < n]
+                if outside:
+                    raise FormatError(f"bag {bag_id} contains out-of-range vertex {min(outside)}", path, lineno)
             elif len(parts) == 2:
                 a, b = int(parts[0]), int(parts[1])
                 if not (1 <= a <= num_bags and 1 <= b <= num_bags):

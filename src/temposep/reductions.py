@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable
 
 from .classes import classify
-from .core import StaticGraph, TemporalGraph, build, concat, from_layers, power
+from .core import StaticGraph, build
 from .errors import DegreeTooSmall, LayersNotEqual
 from .oracle import Instance
 
@@ -36,25 +36,19 @@ class ReductionReport:
 def one_edge_per_layer(inst: Instance) -> tuple[Instance, ReductionReport]:
     """Spread every layer into sub-layers holding one edge each.
 
-    Layer i with m edges becomes the m-th power of the graph placing its
-    edges on m consecutive sub-layers (lexicographic edge order), which keeps
-    exactly the same reachability between original layers.  Empty layers
-    contribute nothing.
+    In round r < m, the i-th of a layer's m edges in lexicographic order sits
+    on label base + r*m + i + 1; base then grows by m*m.  m rounds of one
+    fixed order realise every path through the layer, so reachability between
+    original layers is kept.  Empty layers contribute nothing.
     """
     g = inst.g
-    parts = []
-    for t in range(1, g.tau + 1):
-        layer_edges = sorted(g.layer_edge_sets[t - 1])
-        if not layer_edges:
-            continue
-        single = from_layers(g.n, ([e] for e in layer_edges))
-        parts.append(power(single, len(layer_edges)))
-    if parts:
-        out_g = parts[0]
-        for part in parts[1:]:
-            out_g = concat(out_g, part)
-    else:
-        out_g = TemporalGraph(g.n, 0, ())
+    triples, base = [], 0
+    for es in g.layer_edge_sets:
+        m = len(es)
+        for i, (u, v) in enumerate(sorted(es)):
+            triples.extend((u, v, base + r * m + i + 1) for r in range(m))
+        base += m * m
+    out_g = build(g.n, base, triples)
     out = Instance(out_g, inst.s, inst.z, inst.k)
     checks = {
         "at_most_one_edge_per_layer": all(len(es) <= 1 for es in out_g.layer_edge_sets),
@@ -98,18 +92,10 @@ def complete_but_one(inst: Instance) -> tuple[Instance, ReductionReport]:
 
 
 def pad_monotone(inst: Instance) -> tuple[Instance, ReductionReport]:
-    """Interleave empty layers: layer 2i-1 copies input layer i, layer 2i is empty."""
+    """Interleave empty layers: (u, v, t) moves to label 2t - 1, and tau to max(2 tau - 1, 0)."""
     g = inst.g
-    if g.tau <= 1:
-        out = inst
-    else:
-        layers: list = []
-        for t in range(1, g.tau + 1):
-            layers.append(g.layer_edge_sets[t - 1])
-            if t < g.tau:
-                layers.append(frozenset())
-        out = Instance(from_layers(g.n, layers), inst.s, inst.z, inst.k)
-    out_g = out.g
+    out_g = build(g.n, max(2 * g.tau - 1, 0), [(u, v, 2 * t - 1) for t, u, v in g.edges])
+    out = Instance(out_g, inst.s, inst.z, inst.k)
     odd_match = all(
         out_g.layer_edge_sets[2 * i] == g.layer_edge_sets[i] for i in range(g.tau)
     )
@@ -152,23 +138,20 @@ def add_universal_vertex(inst: Instance) -> tuple[Instance, ReductionReport]:
 def steadyify(inst: Instance) -> tuple[Instance, ReductionReport]:
     """Rebuild each layer one edge at a time so consecutive layers differ by one.
 
-    Each input layer expands into a build-up run followed by a tear-down run
-    (lexicographic edge order both ways); runs share their empty boundary
-    layers, so the output has 2 * (total edges) + 1 layers and is 1-steady.
-    The full-layer snapshots are exactly the peaks, so the answer carries over.
+    Label 1 is empty and base starts at 1.  The j-th of a layer's m edges in
+    lexicographic order sits on labels base + 1 + j .. base + m + j, then base
+    grows by 2m: a build-up run, then a tear-down run ending on an empty label.
+    So the output has 2 * (total edges) + 1 layers and is 1-steady; the
+    full-layer snapshots are exactly the peaks, so the answer carries over.
     """
     g = inst.g
-    layers: list[frozenset] = [frozenset()]
-    for t in range(1, g.tau + 1):
-        ordered = sorted(g.layer_edge_sets[t - 1])
-        current: set = set()
-        for e in ordered:
-            current.add(e)
-            layers.append(frozenset(current))
-        for e in ordered:
-            current.discard(e)
-            layers.append(frozenset(current))
-    out_g = from_layers(g.n, layers)
+    triples, base = [], 1
+    for es in g.layer_edge_sets:
+        m = len(es)
+        for j, (u, v) in enumerate(sorted(es)):
+            triples.extend((u, v, t) for t in range(base + 1 + j, base + m + j + 1))
+        base += 2 * m
+    out_g = build(g.n, base, triples)
     out = Instance(out_g, inst.s, inst.z, inst.k)
     lam = classify(out_g).steady_lambda
     total_edges = sum(len(es) for es in g.layer_edge_sets)

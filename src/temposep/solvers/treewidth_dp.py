@@ -34,7 +34,10 @@ Node rules:
   S-vertices, and on a tie the one where v has the smallest color.
 - join: children share the bag coloring, and the masks are united.  The only
   vertices introduced in both subtrees are those of the bag, whose S-vertices
-  are in both masks, so the union counts each once.
+  are in both masks, so the union counts each once.  Both children hold the
+  same keys, the canonical bag colorings consistent on the bag's own edges:
+  S is always allowed, so no forgotten vertex rules a key out.  For the same
+  reason no table is empty.
 The witness is the root mask with the fewest S-vertices, the smallest key on
 ties.
 
@@ -145,9 +148,7 @@ def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
         else:  # join
             lt = tables.pop(node.children[0])
             rt = tables.pop(node.children[1])
-            if len(lt) > len(rt):
-                lt, rt = rt, lt
-            tables[x] = {key: lsep | rt[key] for key, lsep in lt.items() if key in rt}
+            tables[x] = {key: lsep | rt[key] for key, lsep in lt.items()}
     return tables[td.root]
 
 
@@ -183,8 +184,8 @@ def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Optional[Se
     """A minimum separator via the coloring tables, or None above budget."""
     root_table = _fill_tables(inst, td)
     # The fewest S-vertices, the smallest key on ties.
-    best = min(root_table.items(), key=lambda entry: (entry[1].bit_count(), entry[0]), default=None)
-    if best is None or best[1].bit_count() > inst.k:
+    best = min(root_table.items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
+    if best[1].bit_count() > inst.k:
         return None
     sep = best[1]
     return Separator(frozenset(v for v in range(sep.bit_length()) if sep >> v & 1))

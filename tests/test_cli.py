@@ -441,13 +441,77 @@ def test_usage_error_exit_code(capsys):
     assert main(["solve"]) == 2
 
 
-@pytest.mark.parametrize("klass", ["steady:", "periodic:2", "periodic:a,b", "monotone:x"])
+@pytest.mark.parametrize(
+    "klass", ["steady:", "periodic:2", "periodic:a,b", "monotone:x", "unit-interval:7", "none:3"]
+)
 def test_gen_bad_class_parameters_name_the_class_and_its_forms(capsys, tmp_path, klass):
-    argv = ["gen", "--n", "5", "--tau", "4", "--p", "0.5", "--class", klass, "-o", str(tmp_path / "o.tg")]
+    out_path = tmp_path / "o.tg"
+    argv = ["gen", "--n", "5", "--tau", "4", "--p", "0.5", "--class", klass, "-o", str(out_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"'{klass}'" in err and "periodic:P,R, steady:L, monotone:P" in err
+    assert f"bad parameters in class '{klass}'" in err and "periodic:P,R, steady:L, monotone:P" in err
     assert "invalid literal" not in err
+    assert not out_path.exists()
+
+
+def test_gen_unit_interval_class_writes_the_generated_graph(capsys, tmp_path):
+    from temposep.generators import GenSpec, UnitIntervalConstraint, generate
+
+    out_path = tmp_path / "ui.tg"
+    argv = ["gen", "--n", "6", "--tau", "3", "--p", "0.6", "--class", "unit-interval", "--seed", "4", "-o", str(out_path)]
+    assert run(capsys, argv)[0] == 0
+    expected = generate(GenSpec(n=6, tau=3, edge_prob=0.6, constraint=UnitIntervalConstraint(), seed=4))
+    assert load_tg(out_path) == expected.g
+
+
+def test_gen_unknown_class_lists_the_forms(capsys, tmp_path):
+    argv = ["gen", "--n", "5", "--tau", "4", "--p", "0.5", "--class", "cyclic", "-o", str(tmp_path / "o.tg")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown class 'cyclic'; expected none, unit-interval, periodic:P,R, steady:L, monotone:P\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tg 4 x\n", "{path}:1: non-integer header fields in 'tg 4 x'"),
+        ("tg 4 2\n0 1 1\n0 1 x\n", "{path}:3: non-integer edge fields in '0 1 x'"),
+        ("tg -1 2\n", "{path}: vertex count -1 is negative"),
+    ],
+    ids=["header-field", "edge-field", "negative-n"],
+)
+def test_malformed_tg_exits_2_naming_the_file(capsys, tmp_path, text, message):
+    p = tmp_path / "bad.tg"
+    p.write_text(text)
+    code, out, err = run(capsys, ["solve", str(p), "--s", "0", "--z", "3", "--k", "1"])
+    assert (code, out, err) == (2, "", f"error: {message.format(path=p)}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: empty file, expected 'td <num_bags> <max_bag_size> <n>' header"),
+        ("td 1 x 4\n", "{path}:1: non-integer header fields in 'td 1 x 4'"),
+        ("td 1 4 4\nb 1 0 1 2 3\nb 2 0 3\n", "{path}:3: bag id 2 outside 1..1"),
+        ("td 2 4 4\nb 1 0 1 3\nb 2 0 2 3\n1 3\n", "{path}:4: tree edge (1,3) references unknown bag"),
+        ("td 0 0 4\n", "decomposition has no bags"),
+        ("td 1 4 4\nb 1 0 1 2 9\n", "{path}:2: bag 1 contains out-of-range vertex 9"),
+        ("td 1 4 4\n# bags\nb 1 0 -2 2 3\n", "{path}:3: bag 1 contains out-of-range vertex -2"),
+    ],
+    ids=["empty", "header-field", "bag-id", "tree-edge", "no-bags", "vertex-above-n", "negative-vertex"],
+)
+def test_malformed_td_exits_2(capsys, tmp_path, g1, text, message):
+    p = tmp_path / "g.tg"
+    dump_tg(g1, p)
+    td = tmp_path / "bad.td"
+    td.write_text(text)
+    argv = ["solve", str(p), "--s", "0", "--z", "3", "--k", "1", "--algo", "treewidth", "--td", str(td)]
+    assert run(capsys, argv) == (2, "", f"error: {message.format(path=td)}\n")
+
+
+def test_verify_rejects_a_non_integer_separator(capsys, g1_file):
+    code, out, err = run(capsys, ["verify", g1_file, "--s", "0", "--z", "3", "--separator", "1,x"])
+    assert (code, out, err) == (2, "", "error: bad separator list '1,x'\n")
 
 
 def test_contract_errors_are_exactly_the_exit_3_family():

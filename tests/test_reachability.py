@@ -149,3 +149,35 @@ def test_terminal_validation(g1):
         find_temporal_path(g1, 0, 0)
     with pytest.raises(Exception):
         build_expansion(g1, 0, 9)
+
+
+# s = 0, z = 4; 0-1-2-4 runs at labels 1,1,1 and at 1,2,2.
+CHECK_GRAPH = build(5, 3, [(0, 1, 1), (1, 2, 1), (1, 2, 2), (2, 4, 1), (2, 4, 2), (1, 4, 3)])
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [],
+        [(1, 2, 2), (2, 4, 2)],
+        [(0, 1, 1), (1, 2, 2)],
+        [(0, 1, 1), (1, 2, 1), (2, 1, 2), (1, 4, 3)],
+        [(0, 1, 2), (1, 4, 3)],
+        [(0, 1, 1), (2, 4, 2)],
+        [(0, 1, 1), (1, 2, 2), (2, 4, 1)],
+    ],
+    ids=["empty", "wrong-first", "wrong-last", "repeated-vertex", "missing-label", "unchained", "decreasing"],
+)
+def test_malformed_paths_are_rejected(steps):
+    path = TemporalPath(tuple(PathStep(*step) for step in steps))
+    assert not is_valid_path(CHECK_GRAPH, path, 0, 4)
+
+
+def test_equal_labels_pass_only_non_strict():
+    path = TemporalPath((PathStep(0, 1, 1), PathStep(1, 2, 1), PathStep(2, 4, 1)))
+    assert is_valid_path(CHECK_GRAPH, path, 0, 4)
+    assert not is_valid_path(CHECK_GRAPH, path, 0, 4, strict=True)
+
+
+def test_empty_path_visits_no_vertex():
+    assert TemporalPath(()).vertices() == []

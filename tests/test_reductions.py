@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from conftest import random_instances
 from strategies import static_graph
 
-from temposep import Instance, build, classify, from_layers, min_separator_bruteforce, oracle
+from temposep import Instance, build, classify, concat, from_layers, min_separator_bruteforce, oracle, power
 from temposep.errors import DegreeTooSmall, LayersNotEqual
 from temposep.reductions import (
+    ReductionReport,
     add_universal_vertex,
     complete_but_one,
     is_claw_free,
@@ -166,3 +169,80 @@ class TestLineGraphGadget:
         expected = sum(under.degree(v) + 1 for v in range(inst.g.n))
         hubs_and_carriers = out.g.n - 4 * len(under.edges)
         assert hubs_and_carriers == expected
+
+
+def recipe_instances(count: int, seed: int = 17000) -> list[Instance]:
+    """Random instances with n 2..7 and tau 0..5; about a third of the layers are empty."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, tau = rng.randint(2, 7), rng.randint(0, 5)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, n - 1)]
+        triples = []
+        for t in range(1, tau + 1):
+            if rng.random() < 0.3:
+                continue
+            triples.extend((u, v, t) for u, v in pairs if rng.random() < 0.4)
+        out.append(Instance(build(n, tau, triples), 0, n - 1, rng.randint(0, n)))
+    return out
+
+
+def one_edge_recipe(g):
+    """Each non-empty layer with m edges as the m-th power of its m single-edge layers, concatenated."""
+    out = build(g.n, 0, [])
+    for es in g.layer_edge_sets:
+        if es:
+            out = concat(out, power(from_layers(g.n, [[e] for e in sorted(es)]), len(es)))
+    return out
+
+
+def pad_recipe(g):
+    """Each input layer followed by an empty one, except the last."""
+    layers = []
+    for es in g.layer_edge_sets:
+        layers += [es, ()]
+    return from_layers(g.n, layers[:-1])
+
+
+def steady_recipe(g):
+    """An empty layer, then per input layer its build-up and tear-down runs."""
+    layers = [()]
+    for es in g.layer_edge_sets:
+        ordered = sorted(es)
+        layers += [ordered[: i + 1] for i in range(len(ordered))]
+        layers += [ordered[i + 1 :] for i in range(len(ordered))]
+    return from_layers(g.n, layers)
+
+
+@pytest.mark.parametrize("inst", recipe_instances(320))
+def test_relabelled_outputs_match_the_layer_recipes(inst):
+    g = inst.g
+    one = one_edge_recipe(g)
+    pad = pad_recipe(g)
+    steady = steady_recipe(g)
+    expected = {
+        one_edge_per_layer: (
+            one,
+            ["at_most_one_edge_per_layer", "tau_within_n4_bound", "underlying_preserved"],
+            {"tau_out": one.tau, "tau_bound": g.tau * g.n**4},
+        ),
+        pad_monotone: (
+            pad,
+            ["tau_is_2tau_minus_1", "odd_layers_copy_input", "even_layers_empty"],
+            {"tau_out": pad.tau},
+        ),
+        steadyify: (
+            steady,
+            ["output_is_at_most_1_steady", "tau_is_2m_plus_1", "underlying_preserved"],
+            {"steady_lambda": classify(steady).steady_lambda, "tau_out": steady.tau},
+        ),
+    }
+    for reduce, (out_g, checks, details) in expected.items():
+        out, report = reduce(inst)
+        assert out == Instance(out_g, inst.s, inst.z, inst.k)
+        assert report == ReductionReport(0, dict.fromkeys(checks, True), details)
+    for x in range(1, 6):
+        folded = g
+        for _ in range(x - 1):
+            folded = concat(folded, g)
+        assert power(g, x) == folded

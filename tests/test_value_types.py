@@ -30,7 +30,7 @@ def test_static_graph_validates_on_construction():
 def test_reduction_output_is_validated_again(monkeypatch):
     inst = Instance(build(4, 1, [(0, 1, 1), (1, 3, 1)]), 0, 3, 1)
     # A construction that wrongly joined the terminals must not pass unchecked.
-    monkeypatch.setattr(reductions, "power", lambda g, x: build(4, 1, [(0, 3, 1)]))
+    monkeypatch.setattr(reductions, "build", lambda n, tau, triples: build(4, 1, [(0, 3, 1)]))
     with pytest.raises(TerminalEdgePresent):
         reductions.one_edge_per_layer(inst)
 
