@@ -497,8 +497,20 @@ def test_malformed_tg_exits_2_naming_the_file(capsys, tmp_path, text, message):
         ("td 0 0 4\n", "decomposition has no bags"),
         ("td 1 4 4\nb 1 0 1 2 9\n", "{path}:2: bag 1 contains out-of-range vertex 9"),
         ("td 1 4 4\n# bags\nb 1 0 -2 2 3\n", "{path}:3: bag 1 contains out-of-range vertex -2"),
+        ("td 1 4 4\nb 1 0 1 2 3\n1 1 1\n", "{path}:3: unrecognized line '1 1 1'"),
+        ("td 1 4 4\nb\n", "{path}:2: unrecognized line 'b'"),
     ],
-    ids=["empty", "header-field", "bag-id", "tree-edge", "no-bags", "vertex-above-n", "negative-vertex"],
+    ids=[
+        "empty",
+        "header-field",
+        "bag-id",
+        "tree-edge",
+        "no-bags",
+        "vertex-above-n",
+        "negative-vertex",
+        "three-fields",
+        "bag-without-id",
+    ],
 )
 def test_malformed_td_exits_2(capsys, tmp_path, g1, text, message):
     p = tmp_path / "g.tg"
