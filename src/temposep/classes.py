@@ -135,13 +135,8 @@ class OrderViolation(NamedTuple):
     k: int
 
 
-class OrderCheck(NamedTuple):
-    ok: bool
-    violation: Optional[OrderViolation]
-
-
-def check_order_compatible(g: TemporalGraph, ordering: tuple[int, ...]) -> OrderCheck:
-    """Whether every layer satisfies the indifference property under `ordering`.
+def check_order_compatible(g: TemporalGraph, ordering: tuple[int, ...]) -> Optional[OrderViolation]:
+    """The first violation of the indifference property under `ordering`; None if every layer has it.
 
     ordering[i] is the vertex at position i.  The property: whenever
     positions i < j < k have the edge (i,k) in a layer, that layer also has
@@ -178,5 +173,5 @@ def check_order_compatible(g: TemporalGraph, ordering: tuple[int, ...]) -> Order
         for i, k in sorted(by_pos):
             for j in range(i + 1, k):
                 if (i, j) not in by_pos or (j, k) not in by_pos:
-                    return OrderCheck(False, OrderViolation(t_idx + 1, i, j, k))
-    return OrderCheck(True, None)
+                    return OrderViolation(t_idx + 1, i, j, k)
+    return None

@@ -3,9 +3,10 @@
 A temporal graph is a fixed vertex set together with time-labeled undirected
 edges over discrete labels 1..tau.  Vertices are dense 0-based integers, time
 labels are 1-based.  The layers (the edges of one label, as edge sets and as
-adjacency lists), the labels of each edge and vertex, and the underlying
-static graph (the union of all layers) are derived views, each cached on the
-graph.  `is_connected` is the one connectivity check on plain edge lists.
+adjacency lists) and the labels of each edge and vertex are derived views,
+each cached on the graph; the underlying static graph (the union of all
+layers) is not: every `underlying()` call builds a new one from the cached
+edge labels.  `is_connected` is the one connectivity check on plain edge lists.
 
 All values are immutable after construction; every operation is a pure
 function, so values are safe to share between threads.

@@ -45,6 +45,9 @@ def parse_tg(text: str, path: str = "<string>") -> TemporalGraph:
         n, tau = int(parts[1]), int(parts[2])
     except ValueError:
         raise FormatError(f"non-integer header fields in {header!r}", path, lineno) from None
+    for name, value in (("vertex count", n), ("max label", tau)):
+        if value < 0:
+            raise FormatError(f"{name} {value} is negative", path, lineno)
     triples = []
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -90,6 +93,8 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
         num_bags, max_bag, n = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
         raise FormatError(f"non-integer header fields in {header!r}", path, lineno) from None
+    if num_bags < 1:
+        raise FormatError(f"header declares {num_bags} bags, need at least 1", path, lineno)
     # Keyed by id, so a header's bag count allocates nothing before bags are read.
     bags: dict[int, set[int]] = {}
     tree_edges: list[tuple[int, int]] = []
@@ -102,10 +107,12 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
                     raise FormatError(f"bag id {bag_id} outside 1..{num_bags}", path, lineno)
                 if bag_id in bags:
                     raise FormatError(f"duplicate bag id {bag_id}", path, lineno)
-                bags[bag_id] = {int(p) for p in parts[2:]}
-                outside = [v for v in bags[bag_id] if not 0 <= v < n]
+                bag = bags[bag_id] = {int(p) for p in parts[2:]}
+                outside = [v for v in bag if not 0 <= v < n]
                 if outside:
                     raise FormatError(f"bag {bag_id} contains out-of-range vertex {min(outside)}", path, lineno)
+                if len(bag) > max_bag:
+                    raise FormatError(f"bag {bag_id} has {len(bag)} vertices, header allows {max_bag}", path, lineno)
             elif len(parts) == 2:
                 a, b = int(parts[0]), int(parts[1])
                 if not (1 <= a <= num_bags and 1 <= b <= num_bags):
@@ -115,12 +122,9 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
                 raise FormatError(f"unrecognized line {line!r}", path, lineno)
         except (ValueError, IndexError):
             raise FormatError(f"unrecognized line {line!r}", path, lineno) from None
-    missing = 1
+    missing = 1  # found within len(bags) + 1 steps, whatever the header declares
     while missing in bags:
         missing += 1
-    for i in range(1, missing):
-        if len(bags[i]) > max_bag:
-            raise FormatError(f"bag {i} has {len(bags[i])} vertices, header allows {max_bag}", path)
     if missing <= num_bags:
         raise FormatError(f"bag {missing} never declared", path)
     return [bags[i] for i in range(1, num_bags + 1)], tree_edges, n

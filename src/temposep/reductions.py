@@ -11,7 +11,7 @@ which charges +1 for the unavoidable hub.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable
 
 from .classes import classify
@@ -201,63 +201,38 @@ def line_graph_gadget(inst: Instance) -> tuple[Instance, ReductionReport]:
         if under.degree(v) < 2:
             raise DegreeTooSmall(f"vertex {v} has degree {under.degree(v)} in the underlying graph")
 
-    ids: dict[tuple, int] = {}
-
-    def vid(tag: tuple) -> int:
-        if tag not in ids:
-            ids[tag] = len(ids)
-        return ids[tag]
-
-    hubs = {v: vid(("hub", v)) for v in range(g.n)}
-    carrier: dict[tuple[int, tuple[int, int]], int] = {}
-    for v in range(g.n):
-        for e in sorted((min(v, w), max(v, w)) for w in under.adjacency[v]):
-            carrier[(v, e)] = vid(("carrier", v, e))
-    inner: dict[tuple, int] = {}
-    for e in sorted(under.edges):
-        for side in ("a", "b"):
-            for end in (0, 1):
-                inner[(e, side, end)] = vid(("inner", e, side, end))
-
-    triples: list[tuple[int, int, int]] = []
+    # Vertex ids in creation order: hub v is v, then the carriers of each v
+    # in sorted edge order, which is the order of the other ends w (carrier[v][w]),
+    # then the four path inners (xa, ya, xb, yb) of each edge in sorted order.
+    ids = count(g.n)
+    carrier = [{w: next(ids) for w in sorted(under.adjacency[v])} for v in range(g.n)]
+    inner = {e: (next(ids), next(ids), next(ids), next(ids)) for e in sorted(under.edges)}
     tau_out = 2 * g.tau + 2
 
     # Stilts, label 1 only: twin-path rungs and clique edges avoiding the hub.
-    for e in sorted(under.edges):
-        triples.append((inner[(e, "a", 0)], inner[(e, "b", 0)], 1))
-        triples.append((inner[(e, "a", 1)], inner[(e, "b", 1)], 1))
+    triples = [(a, b, 1) for xa, ya, xb, yb in inner.values() for a, b in ((xa, xb), (ya, yb))]
     for v in range(g.n):
-        members = sorted(carrier[(v, e)] for e in {(min(v, w), max(v, w)) for w in under.adjacency[v]})
-        for a, b in combinations(members, 2):
-            triples.append((a, b, 1))
-
-    # Hub stars, labels 2..2tau+2.
-    for v in range(g.n):
-        for w in under.adjacency[v]:
-            e = (min(v, w), max(v, w))
-            for t in range(2, tau_out + 1):
-                triples.append((hubs[v], carrier[(v, e)], t))
+        triples.extend((a, b, 1) for a, b in combinations(carrier[v].values(), 2))
+        # Hub stars, labels 2..2tau+2.
+        triples.extend((v, c, t) for c in carrier[v].values() for t in range(2, tau_out + 1))
 
     # The two carrier-to-carrier paths; in period t each one spreads over
     # labels 2t, 2t+1, 2t+2 (path a leads with the x end, path b with y).
-    for e in sorted(under.edges):
-        x = carrier[(e[0], e)]
-        y = carrier[(e[1], e)]
-        xa, ya = inner[(e, "a", 0)], inner[(e, "a", 1)]
-        xb, yb = inner[(e, "b", 0)], inner[(e, "b", 1)]
+    for (u, w), (xa, ya, xb, yb) in inner.items():
+        x, y = carrier[u][w], carrier[w][u]
         for t in range(1, g.tau + 1):
             lead, mid, trail = 2 * t, 2 * t + 1, 2 * t + 2
             triples.extend([(x, xa, lead), (xa, ya, mid), (ya, y, trail)])
             triples.extend([(y, yb, lead), (yb, xb, mid), (xb, x, trail)])
 
-    out_g = build(len(ids), tau_out, triples)
-    out = Instance(g=out_g, s=hubs[inst.s], z=hubs[inst.z], k=inst.k)
+    out_g = build(next(ids), tau_out, triples)
+    out = Instance(g=out_g, s=inst.s, z=inst.z, k=inst.k)
     out_under = out_g.underlying()
     checks = {
         "underlying_is_claw_free": is_claw_free(out_under),
         "clique_sizes_are_degree_plus_one": all(
-            1 + sum(1 for tag in ids if tag[0] == "carrier" and tag[1] == v)
-            == under.degree(v) + 1
+            out_under.degree(v) == under.degree(v)
+            and all(out_under.has_edge(a, b) for a, b in combinations(out_under.adjacency[v], 2))
             for v in range(g.n)
         ),
         "tau_is_2tau_plus_2": out_g.tau == 2 * g.tau + 2,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from ..core import StaticGraph, is_connected
+from ..core import StaticGraph, check_terminals, is_connected
 from ..errors import InvalidDecomposition
 
 
@@ -135,15 +135,14 @@ def build_tree_decomposition(
     """A nice decomposition of g with s and z injected into every bag.
 
     external, when given, is a raw (bags, tree edges) pair which is validated
-    first; otherwise the min-fill heuristic supplies one.
+    first; otherwise the min-fill heuristic supplies one, a bag per vertex.
     """
+    check_terminals(g.n, s, z)
     if external is not None:
         bags, tree_edges = external
         validate_tree_decomposition(bags, tree_edges, g)
     else:
         bags, tree_edges = minfill_tree_decomposition(g)
-        if not bags:  # graphs without vertices still need one bag for {s,z}
-            bags, tree_edges = [set()], []
     augmented = [set(bag) | {s, z} for bag in bags]
     return _nicify(augmented, tree_edges, s, z)
 

@@ -54,12 +54,9 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
     are skipped, which does not change the answer.
     """
     order = tuple(ordering)
-    checked = check_order_compatible(inst.g, order)
-    if not checked.ok:
-        raise IncompatibleOrdering(
-            f"layer {checked.violation.layer} violates indifference at positions "
-            f"({checked.violation.i},{checked.violation.j},{checked.violation.k})"
-        )
+    bad = check_order_compatible(inst.g, order)
+    if bad is not None:
+        raise IncompatibleOrdering(f"layer {bad.layer} violates indifference at positions ({bad.i},{bad.j},{bad.k})")
     index = [0] * inst.g.n
     for i, v in enumerate(order):
         index[v] = i

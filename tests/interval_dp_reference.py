@@ -27,12 +27,9 @@ def reference_interval_dp_table(
 ) -> tuple[list[list[frozenset[int]]], dict[int, int]]:
     """(T, position->original-vertex map), shaped like `interval_dp_table`."""
     order = tuple(ordering)
-    checked = check_order_compatible(inst.g, order)
-    if not checked.ok:
-        raise IncompatibleOrdering(
-            f"layer {checked.violation.layer} violates indifference at positions "
-            f"({checked.violation.i},{checked.violation.j},{checked.violation.k})"
-        )
+    bad = check_order_compatible(inst.g, order)
+    if bad is not None:
+        raise IncompatibleOrdering(f"layer {bad.layer} violates indifference at positions ({bad.i},{bad.j},{bad.k})")
     pos = {v: i for i, v in enumerate(order)}
     if pos[inst.s] > pos[inst.z]:
         order = tuple(reversed(order))

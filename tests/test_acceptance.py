@@ -124,7 +124,7 @@ def test_c2_treewidth_dp_oracle_agreement():
 def test_c3_interval_dp_oracle_agreement():
     for inst in unit_interval_instances(200):
         identity = tuple(range(inst.g.n))
-        assert check_order_compatible(inst.g, identity).ok
+        assert check_order_compatible(inst.g, identity) is None
         best = min_separator_bruteforce(inst)
         if inst.g.tau == 0 or not inst.g.edges:
             assert best.size == 0

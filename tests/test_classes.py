@@ -15,7 +15,7 @@ from temposep import (
     min_separator_bruteforce,
     power,
 )
-from temposep.classes import periodicity
+from temposep.classes import OrderViolation, periodicity
 from temposep.errors import NotAPermutation
 from temposep.generators import GenSpec, MonotoneConstraint, generate
 
@@ -157,18 +157,15 @@ class TestReduceToPeaks:
 class TestOrderCompatibility:
     def test_path_layers_along_the_path(self):
         g = from_layers(4, [[(0, 1), (1, 2), (2, 3)], [(1, 2)]])
-        assert check_order_compatible(g, (0, 1, 2, 3)).ok
+        assert check_order_compatible(g, (0, 1, 2, 3)) is None
 
     def test_violation_positions(self):
         g = from_layers(3, [[(0, 2)]])  # edge between extremes, middle not attached
-        result = check_order_compatible(g, (0, 1, 2))
-        assert not result.ok
-        assert (result.violation.i, result.violation.j, result.violation.k) == (0, 1, 2)
-        assert result.violation.layer == 1
+        assert check_order_compatible(g, (0, 1, 2)) == OrderViolation(layer=1, i=0, j=1, k=2)
 
     def test_edgeless_vacuous(self):
         g = build(4, 2, [])
-        assert check_order_compatible(g, (3, 1, 0, 2)).ok
+        assert check_order_compatible(g, (3, 1, 0, 2)) is None
 
     def test_not_a_permutation(self, g1):
         with pytest.raises(NotAPermutation):
@@ -186,7 +183,8 @@ class TestOrderCompatibility:
     def test_matches_triple_scan_on_compatible_orderings(self, case, data):
         g, ordering = case
         for order in (ordering, ordering[::-1]):
-            assert check_order_compatible(g, order) == scan_order_compatible(g, order) == (True, None)
+            assert check_order_compatible(g, order) is None
+            assert scan_order_compatible(g, order) is None
         # Toggling one time-edge usually breaks compatibility somewhere.
         u, v = sorted(data.draw(st.permutations(range(g.n)))[:2])
         t = data.draw(st.integers(1, g.tau))

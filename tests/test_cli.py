@@ -274,6 +274,9 @@ class TestPath:
         assert code == 1 and out == "verdict=no\n"
 
 
+    def test_quiet_yes(self, capsys, g1_file):
+        assert run(capsys, ["path", g1_file, "--s", "0", "--z", "3", "--quiet"]) == (0, "yes\n", "")
+
     def test_invalid_witness_is_an_assertion_not_output(self, capsys, monkeypatch, g1_file):
         monkeypatch.setattr("temposep.reachability.is_valid_path", lambda *args: False)
         with pytest.raises(AssertionError, match="invalid path"):
@@ -369,6 +372,17 @@ class TestReduce:
         )
         assert code == 0
         assert out.startswith(f"out={out_path} s=0 z=2 k=0")
+
+    def test_failed_checklist_is_contract_error(self, capsys, monkeypatch, g1_file, tmp_path):
+        from temposep import reductions
+
+        def unchecked(inst):
+            return inst, reductions.ReductionReport(0, {"holds": False}, {})
+
+        monkeypatch.setitem(reductions.REDUCTIONS, "one-edge", unchecked)
+        out_path = tmp_path / "out.tg"
+        code, out, err = run(capsys, ["reduce", g1_file, "--kind", "one-edge", "-o", str(out_path)])
+        assert (code, out, err) == (3, f"out={out_path} s=0 z=3 k=0\n", "error: structural checklist failed\n")
 
     def test_degree_violation_is_contract_error(self, capsys, tmp_path):
         p = tmp_path / "deg.tg"
@@ -476,9 +490,10 @@ def test_gen_unknown_class_lists_the_forms(capsys, tmp_path):
     [
         ("tg 4 x\n", "{path}:1: non-integer header fields in 'tg 4 x'"),
         ("tg 4 2\n0 1 1\n0 1 x\n", "{path}:3: non-integer edge fields in '0 1 x'"),
-        ("tg -1 2\n", "{path}: vertex count -1 is negative"),
+        ("tg -1 2\n", "{path}:1: vertex count -1 is negative"),
+        ("# graph\ntg 4 -2\n", "{path}:2: max label -2 is negative"),
     ],
-    ids=["header-field", "edge-field", "negative-n"],
+    ids=["header-field", "edge-field", "negative-n", "negative-tau"],
 )
 def test_malformed_tg_exits_2_naming_the_file(capsys, tmp_path, text, message):
     p = tmp_path / "bad.tg"
@@ -494,7 +509,9 @@ def test_malformed_tg_exits_2_naming_the_file(capsys, tmp_path, text, message):
         ("td 1 x 4\n", "{path}:1: non-integer header fields in 'td 1 x 4'"),
         ("td 1 4 4\nb 1 0 1 2 3\nb 2 0 3\n", "{path}:3: bag id 2 outside 1..1"),
         ("td 2 4 4\nb 1 0 1 3\nb 2 0 2 3\n1 3\n", "{path}:4: tree edge (1,3) references unknown bag"),
-        ("td 0 0 4\n", "decomposition has no bags"),
+        ("td 0 0 4\n", "{path}:1: header declares 0 bags, need at least 1"),
+        ("td 2 2 4\nb 1 0 3\nb 2 0 1 3\n1 2\n", "{path}:3: bag 2 has 3 vertices, header allows 2"),
+        ("td 1000000000 4 4\nb 1 0 1 2 3\n", "{path}: bag 2 never declared"),
         ("td 1 4 4\nb 1 0 1 2 9\n", "{path}:2: bag 1 contains out-of-range vertex 9"),
         ("td 1 4 4\n# bags\nb 1 0 -2 2 3\n", "{path}:3: bag 1 contains out-of-range vertex -2"),
         ("td 1 4 4\nb 1 0 1 2 3\n1 1 1\n", "{path}:3: unrecognized line '1 1 1'"),
@@ -506,6 +523,8 @@ def test_malformed_tg_exits_2_naming_the_file(capsys, tmp_path, text, message):
         "bag-id",
         "tree-edge",
         "no-bags",
+        "oversized-bag",
+        "huge-bag-count",
         "vertex-above-n",
         "negative-vertex",
         "three-fields",
@@ -519,6 +538,24 @@ def test_malformed_td_exits_2(capsys, tmp_path, g1, text, message):
     td.write_text(text)
     argv = ["solve", str(p), "--s", "0", "--z", "3", "--k", "1", "--algo", "treewidth", "--td", str(td)]
     assert run(capsys, argv) == (2, "", f"error: {message.format(path=td)}\n")
+
+
+def test_run_solve_rejects_an_unknown_algorithm(g1):
+    from temposep import Instance
+    from temposep.cli import run_solve
+    from temposep.errors import FormatError
+
+    with pytest.raises(FormatError, match="unknown algorithm 'bogus'"):
+        run_solve(Instance(g1, 0, 3, 1), algo="bogus")
+
+
+def test_run_solve_rejects_a_non_separating_witness(monkeypatch, g1):
+    from temposep import Instance, cli
+    from temposep.oracle import Separator
+
+    monkeypatch.setattr(cli, "solve_search_tree", lambda inst, strict: Separator(frozenset()))
+    with pytest.raises(AssertionError, match=r"backend search-tree produced a non-separating witness \[\]"):
+        cli.run_solve(Instance(g1, 0, 3, 1), algo="search-tree")
 
 
 def test_verify_rejects_a_non_integer_separator(capsys, g1_file):

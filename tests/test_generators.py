@@ -52,7 +52,7 @@ class TestGenerate:
             inst = generate(
                 GenSpec(n=6, tau=3, edge_prob=0.5, constraint=UnitIntervalConstraint(), seed=seed)
             )
-            assert check_order_compatible(inst.g, tuple(range(6))).ok
+            assert check_order_compatible(inst.g, tuple(range(6))) is None
 
     def test_periodic_detection_matches_request(self):
         inst = generate(
@@ -87,6 +87,22 @@ class TestGenerate:
             GenSpec(n=3, tau=5, edge_prob=0.5, constraint=PeriodicConstraint(2, 2))
         with pytest.raises(InvalidSpec):
             GenSpec(n=3, tau=2, edge_prob=0.5, constraint=MonotoneConstraint(3))
+        with pytest.raises(InvalidSpec, match="steadiness bound -1 is negative"):
+            GenSpec(n=3, tau=2, edge_prob=0.5, constraint=SteadyConstraint(-1))
+
+    def test_one_monotone_run_over_one_layer(self):
+        inst = generate(GenSpec(n=4, tau=1, edge_prob=0.5, constraint=MonotoneConstraint(1), seed=3))
+        assert inst.g.tau == 1
+        assert classify(inst.g).monotone.p == 1
+
+    def test_unrealizable_monotone_shape_raises(self):
+        # n = 2 leaves no pair besides the terminal one, so no layer can change
+        with pytest.raises(InvalidSpec, match="could not realize monotone shape p=1"):
+            generate(GenSpec(2, 3, 0.5, MonotoneConstraint(1)))
+
+    def test_unknown_constraint_raises(self):
+        with pytest.raises(InvalidSpec, match="unknown constraint 'cyclic'"):
+            generate(GenSpec(n=3, tau=2, edge_prob=0.5, constraint="cyclic"))
 
     def test_unrealizable_periodicity_raises(self):
         # probability 0 forces empty layers, whose minimal period is 1

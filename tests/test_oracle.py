@@ -107,6 +107,8 @@ class TestPathMinResets:
             path_min_resets(g1, [0, 3])
         with pytest.raises(NotAPath):
             path_min_resets(g1, [0, 1, 0])
+        with pytest.raises(NotAPath, match="empty vertex sequence"):
+            path_min_resets(g1, [])
 
     @given(
         st.lists(st.sets(st.integers(1, 3), min_size=1, max_size=3), min_size=1, max_size=6)

@@ -92,6 +92,11 @@ class TestEarliestArrival:
     def test_g2_partial(self, g2):
         assert reachable_with_earliest_arrival(g2, 0) == {0: 0, 1: 2}
 
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_source_out_of_range(self, g1, source):
+        with pytest.raises(VertexOutOfRange, match=rf"source {source} outside 0..3"):
+            reachable_with_earliest_arrival(g1, source)
+
     @given(small_graphs(max_n=5))
     @settings(max_examples=60)
     def test_arrival_is_minimum_over_enumerated_paths(self, g):

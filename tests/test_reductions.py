@@ -4,7 +4,7 @@ import pytest
 from conftest import random_instances
 from strategies import static_graph
 
-from temposep import Instance, build, classify, concat, from_layers, min_separator_bruteforce, oracle, power
+from temposep import Instance, build, classify, concat, from_layers, min_separator_bruteforce, oracle, power, reductions
 from temposep.errors import DegreeTooSmall, LayersNotEqual
 from temposep.reductions import (
     ReductionReport,
@@ -160,6 +160,30 @@ class TestLineGraphGadget:
         monkeypatch.setattr(oracle, "BRUTE_FORCE_MAX_N", 64)  # the gadget outgrows the default guard
         nonstrict_min = min_separator_bruteforce(out, strict=False)
         assert nonstrict_min.size == strict_min.size
+
+    @pytest.mark.parametrize("inst", line_graph_corpus()[:4], ids=["4-cycle-1", "4-cycle-2", "5-cycle-1", "5-cycle-2"])
+    def test_clique_check_reads_the_output(self, inst, monkeypatch):
+        """A built output missing one carrier-carrier stilt fails the clique check.
+
+        Hub v is vertex v and sees only its carriers, so the first label-1
+        edge whose ends are both hub neighbours joins two carriers of one
+        clique.  On a cycle every clique is a triangle, so the output stays
+        claw-free and only the clique check can notice.
+        """
+
+        def build_without_one_stilt(n, tau, triples):
+            g = build(n, tau, triples)
+            carriers = {v for t, u, v in g.edges if u < inst.g.n}
+            drop = next((u, v, 1) for t, u, v in g.edges if t == 1 and {u, v} <= carriers)
+            return build(n, tau, [(u, v, t) for t, u, v in g.edges if (u, v, t) != drop])
+
+        monkeypatch.setattr(reductions, "build", build_without_one_stilt)
+        _, report = line_graph_gadget(inst)
+        assert report.checks == {
+            "underlying_is_claw_free": True,
+            "clique_sizes_are_degree_plus_one": False,
+            "tau_is_2tau_plus_2": True,
+        }
 
     def test_carrier_cliques_have_degree_plus_one_vertices(self):
         inst = line_graph_corpus()[0]

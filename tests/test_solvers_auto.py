@@ -208,7 +208,7 @@ def test_all_applicable_backends_agree(seed):
         GenSpec(n=5 + seed % 3, tau=1 + seed % 4, edge_prob=0.45,
                 constraint=UnitIntervalConstraint(), seed=9000 + seed)
     )
-    assert check_order_compatible(inst.g, tuple(range(inst.g.n))).ok
+    assert check_order_compatible(inst.g, tuple(range(inst.g.n))) is None
     oracle_size = min_separator_bruteforce(inst).size
     # At exactly the oracle budget, a bounded backend's witness is minimum.
     inst = Instance(inst.g, inst.s, inst.z, oracle_size)

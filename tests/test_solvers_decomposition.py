@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from temposep.errors import InvalidDecomposition
+from temposep.errors import InvalidDecomposition, VertexOutOfRange
 from temposep.solvers import (
     build_tree_decomposition,
     minfill_tree_decomposition,
@@ -111,6 +111,28 @@ def test_external_validation_rejects_a_bag_graph_that_is_no_tree(edges, message)
     bags = [{0, 1}, {1, 2}, {1, 2}, {2, 3}]
     with pytest.raises(InvalidDecomposition, match=message):
         validate_tree_decomposition(bags, edges, g)
+
+
+def test_external_validation_rejects_no_bags():
+    g = static_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidDecomposition, match="decomposition has no bags"):
+        build_tree_decomposition(g, 0, 2, external=([], []))
+
+
+@pytest.mark.parametrize("bag", [{0, 3}, {-1, 0}])
+def test_external_validation_names_an_out_of_range_bag_vertex(bag):
+    g = static_graph(3, [(0, 1), (1, 2)])
+    outside = min(v for v in bag if not 0 <= v < 3)
+    with pytest.raises(InvalidDecomposition, match=f"bag 1 contains out-of-range vertex {outside}"):
+        validate_tree_decomposition([{0, 1, 2}, bag], [(0, 1)], g)
+
+
+@pytest.mark.parametrize("s, z", [(0, 3), (-1, 2), (1, 1)])
+@pytest.mark.parametrize("external", [None, ([{0, 1}, {1, 2}], [(0, 1)])])
+def test_terminals_are_checked_before_building(s, z, external):
+    g = static_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(VertexOutOfRange, match="terminal"):
+        build_tree_decomposition(g, s, z, external)
 
 
 def test_external_decomposition_accepted_and_nicified():

@@ -72,7 +72,7 @@ def test_reversed_and_padded_orderings_accepted():
     """s after z in the ordering, and vertices outside the s..z window."""
     g = build(5, 2, [(1, 2, 1), (2, 3, 1), (1, 2, 2), (0, 1, 2), (3, 4, 2)])
     inst = Instance(g=g, s=3, z=1, k=1)
-    assert check_order_compatible(g, (0, 1, 2, 3, 4)).ok
+    assert check_order_compatible(g, (0, 1, 2, 3, 4)) is None
     found = solve_interval_dp(inst, (0, 1, 2, 3, 4))
     oracle = min_separator_bruteforce(inst)
     assert found is not None and found.size == oracle.size
@@ -188,7 +188,7 @@ def test_interior_terminals_match_oracle():
 @given(instance_graphs(max_n=5, max_tau=3))
 @settings(max_examples=40, deadline=None)
 def test_whenever_identity_is_compatible_dp_matches_oracle(g):
-    if not check_order_compatible(g, tuple(range(g.n))).ok:
+    if check_order_compatible(g, tuple(range(g.n))) is not None:
         return
     inst = Instance(g=g, s=0, z=g.n - 1, k=g.n)
     found = solve_interval_dp(inst, tuple(range(g.n)))
