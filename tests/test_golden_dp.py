@@ -55,18 +55,18 @@ def _ladder(rails: int, length: int, tau: int, seed: int):
     rng = XorShift64Star(seed)
     n = rails * length + 2
 
-    def vid(r: int, i: int) -> int:
+    def ladder_vertex(r: int, i: int) -> int:
         return 1 + i * rails + r
 
     triples = []
     for r in range(rails):
-        triples.append((0, vid(r, 0), 1 + rng.randrange(tau)))
-        triples.append((vid(r, length - 1), n - 1, 1 + rng.randrange(tau)))
+        triples.append((0, ladder_vertex(r, 0), 1 + rng.randrange(tau)))
+        triples.append((ladder_vertex(r, length - 1), n - 1, 1 + rng.randrange(tau)))
         for i in range(length - 1):
-            triples.append((vid(r, i), vid(r, i + 1), 1 + rng.randrange(tau)))
+            triples.append((ladder_vertex(r, i), ladder_vertex(r, i + 1), 1 + rng.randrange(tau)))
     for i in range(length):
         for r in range(rails - 1):
-            triples.append((vid(r, i), vid(r + 1, i), 1 + rng.randrange(tau)))
+            triples.append((ladder_vertex(r, i), ladder_vertex(r + 1, i), 1 + rng.randrange(tau)))
     return build(n, tau, triples)
 
 

@@ -140,7 +140,7 @@ def _ramped_ladder(rails, length, tau):
     labels ramp up with the column, so every rail is a temporal path."""
     n = rails * length + 2
 
-    def vid(r, i):
+    def ladder_vertex(r, i):
         return 1 + i * rails + r
 
     def ramp(i):
@@ -148,9 +148,9 @@ def _ramped_ladder(rails, length, tau):
 
     triples = []
     for r in range(rails):
-        triples += [(0, vid(r, 0), 1), (vid(r, length - 1), n - 1, tau)]
-        triples += [(vid(r, i), vid(r, i + 1), ramp(i)) for i in range(length - 1)]
-    triples += [(vid(r, i), vid(r + 1, i), ramp(i)) for i in range(length) for r in range(rails - 1)]
+        triples += [(0, ladder_vertex(r, 0), 1), (ladder_vertex(r, length - 1), n - 1, tau)]
+        triples += [(ladder_vertex(r, i), ladder_vertex(r, i + 1), ramp(i)) for i in range(length - 1)]
+    triples += [(ladder_vertex(r, i), ladder_vertex(r + 1, i), ramp(i)) for i in range(length) for r in range(rails - 1)]
     return build(n, tau, triples)
 
 
