@@ -189,6 +189,16 @@ class TemporalGraph(_TemporalGraphFields):
         return [(u, v, t) for t, u, v in self.edges]
 
 
+def check_time_edge(n: int, tau: int, u: int, v: int, t: int) -> None:
+    """Raise SelfLoop, VertexOutOfRange or LabelOutOfRange naming the triple."""
+    if u == v:
+        raise SelfLoop(f"time-edge ({u},{v},{t}) is a self-loop")
+    if not (0 <= u < n and 0 <= v < n):
+        raise VertexOutOfRange(f"time-edge ({u},{v},{t}) has a vertex outside 0..{n - 1}")
+    if not (1 <= t <= tau):
+        raise LabelOutOfRange(f"time-edge ({u},{v},{t}) has label outside 1..{tau}")
+
+
 def build(n: int, tau: int, raw_edges: Iterable[tuple[int, int, int]]) -> TemporalGraph:
     """Build a canonical TemporalGraph from (u, v, t) triples.
 
@@ -201,12 +211,7 @@ def build(n: int, tau: int, raw_edges: Iterable[tuple[int, int, int]]) -> Tempor
         raise LabelOutOfRange(f"max label {tau} is negative")
     canon: set[tuple[int, int, int]] = set()
     for u, v, t in raw_edges:
-        if u == v:
-            raise SelfLoop(f"time-edge ({u},{v},{t}) is a self-loop")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"time-edge ({u},{v},{t}) has a vertex outside 0..{n - 1}")
-        if not (1 <= t <= tau):
-            raise LabelOutOfRange(f"time-edge ({u},{v},{t}) has label outside 1..{tau}")
+        check_time_edge(n, tau, u, v, t)
         canon.add((t, u, v) if u < v else (t, v, u))
     return TemporalGraph(n, tau, tuple(map(TimeEdge._make, sorted(canon))))
 

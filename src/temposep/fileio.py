@@ -17,10 +17,21 @@ Ordering file: a single line of n whitespace-separated distinct vertices.
 from __future__ import annotations
 
 import os
-from typing import TextIO
 
-from .core import TemporalGraph, build
-from .errors import FormatError
+from .core import TemporalGraph, build, check_time_edge, is_connected
+from .errors import FormatError, TempoSepError
+
+
+def _read(path: str | os.PathLike) -> str:
+    """The text of an ASCII file; a non-ASCII byte is a FormatError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Lines as the parsers count them: the bad byte ends the last one.
+        line = len(data[: exc.start + 1].decode("ascii", "replace").splitlines())
+        raise FormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", str(path), line) from None
 
 
 def _meaningful_lines(text: str) -> list[tuple[int, str]]:
@@ -57,16 +68,16 @@ def parse_tg(text: str, path: str = "<string>") -> TemporalGraph:
             u, v, t = (int(p) for p in parts)
         except ValueError:
             raise FormatError(f"non-integer edge fields in {line!r}", path, lineno) from None
+        try:
+            check_time_edge(n, tau, u, v, t)
+        except TempoSepError as exc:
+            raise FormatError(str(exc), path, lineno) from None
         triples.append((u, v, t))
-    try:
-        return build(n, tau, triples)
-    except Exception as exc:
-        raise FormatError(str(exc), path) from exc
+    return build(n, tau, triples)
 
 
 def load_tg(path: str | os.PathLike) -> TemporalGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_tg(fh.read(), str(path))
+    return parse_tg(_read(path), str(path))
 
 
 def format_tg(g: TemporalGraph) -> str:
@@ -127,12 +138,15 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
         missing += 1
     if missing <= num_bags:
         raise FormatError(f"bag {missing} never declared", path)
+    if len(tree_edges) != num_bags - 1:
+        raise FormatError(f"{num_bags} bags need {num_bags - 1} tree edges, got {len(tree_edges)}", path)
+    if not is_connected(num_bags, tree_edges):
+        raise FormatError("bag tree is not connected", path)
     return [bags[i] for i in range(1, num_bags + 1)], tree_edges, n
 
 
 def load_td(path: str | os.PathLike) -> tuple[list[set[int]], list[tuple[int, int]], int]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_td(fh.read(), str(path))
+    return parse_td(_read(path), str(path))
 
 
 def parse_ordering(text: str, path: str = "<string>") -> tuple[int, ...]:
@@ -143,5 +157,4 @@ def parse_ordering(text: str, path: str = "<string>") -> tuple[int, ...]:
 
 
 def load_ordering(path: str | os.PathLike) -> tuple[int, ...]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_ordering(fh.read(), str(path))
+    return parse_ordering(_read(path), str(path))

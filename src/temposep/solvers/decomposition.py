@@ -1,9 +1,11 @@
 """Nice tree decompositions with both terminals injected into every bag.
 
-The heuristic route eliminates vertices by minimum fill-in, collecting one bag
-per eliminated vertex and hanging it under the bag of its first-eliminated
-neighbor.  External decompositions are validated instead: occurrence sets must
-be non-empty and connected in the tree, and every edge must fit in some bag.
+A NiceTreeDecomposition is made only by its constructor, so each one is a
+valid nice decomposition of the graph it records.  The heuristic route
+eliminates vertices by minimum fill-in, collecting one bag per eliminated
+vertex and hanging it under the bag of its first-eliminated neighbor.
+External decompositions are validated instead: occurrence sets must be
+non-empty and connected in the tree, and every edge must fit in some bag.
 Either way, s and z are then added to every bag and the tree is rewritten into
 nice form whose node kinds are leaf ({s,z} exactly), introduce, forget, and
 join.
@@ -15,6 +17,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from ..core import StaticGraph, check_terminals, is_connected
 from ..errors import InvalidDecomposition
+
+RawDecomposition = tuple[list[set[int]], list[tuple[int, int]]]  # (bags, tree edges between bag indices)
 
 
 class NiceNode(NamedTuple):
@@ -30,14 +34,34 @@ class NiceNode(NamedTuple):
     vertex: Optional[int] = None
 
 
-class NiceTreeDecomposition(NamedTuple):
-    """A rooted nice tree decomposition; width is max bag size minus one.
+class _NiceTreeDecompositionFields(NamedTuple):
+    nodes: tuple[NiceNode, ...]
+    graph: StaticGraph
+    s: int
+    z: int
 
-    Every child comes before its parent in nodes and the root is the last
-    node, so index order is a bottom-up order.
+
+class NiceTreeDecomposition(_NiceTreeDecompositionFields):
+    """A nice tree decomposition of `graph` with s and z in every bag.
+
+    Every child comes before its parent in nodes, node 0 is a leaf and the
+    root is the last node.  Width is max bag size minus one.  As for
+    Instance, `_replace` skips the constructor: never use it.
     """
 
-    nodes: tuple[NiceNode, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls, g: StaticGraph, s: int, z: int, external: Optional[RawDecomposition] = None
+    ) -> NiceTreeDecomposition:
+        check_terminals(g.n, s, z)
+        if external is not None:
+            bags, tree_edges = external
+            validate_tree_decomposition(bags, tree_edges, g)
+        else:
+            bags, tree_edges = minfill_tree_decomposition(g)
+        nodes = _nicify([set(bag) | {s, z} for bag in bags], tree_edges, s, z)
+        return super().__new__(cls, nodes, g, s, z)
 
     @property
     def root(self) -> int:
@@ -48,7 +72,7 @@ class NiceTreeDecomposition(NamedTuple):
         return max(len(node.bag) for node in self.nodes) - 1
 
 
-def minfill_tree_decomposition(g: StaticGraph) -> tuple[list[set[int]], list[tuple[int, int]]]:
+def minfill_tree_decomposition(g: StaticGraph) -> RawDecomposition:
     """Heuristic bags and tree edges from minimum fill-in elimination."""
     adj: dict[int, set[int]] = {v: set(g.adjacency[v]) for v in range(g.n)}
     elim_pos: dict[int, int] = {}
@@ -88,9 +112,7 @@ def minfill_tree_decomposition(g: StaticGraph) -> tuple[list[set[int]], list[tup
     return bags, tree_edges
 
 
-def validate_tree_decomposition(
-    bags: list[set[int]], tree_edges: list[tuple[int, int]], g: StaticGraph
-) -> None:
+def validate_tree_decomposition(bags: list[set[int]], tree_edges: list[tuple[int, int]], g: StaticGraph) -> None:
     """Raise InvalidDecomposition naming the first violated property."""
     count = len(bags)
     if count == 0:
@@ -127,27 +149,14 @@ def validate_tree_decomposition(
 
 
 def build_tree_decomposition(
-    g: StaticGraph,
-    s: int,
-    z: int,
-    external: Optional[tuple[list[set[int]], list[tuple[int, int]]]] = None,
+    g: StaticGraph, s: int, z: int, external: Optional[RawDecomposition] = None
 ) -> NiceTreeDecomposition:
-    """A nice decomposition of g with s and z injected into every bag.
-
-    external, when given, is a raw (bags, tree edges) pair which is validated
-    first; otherwise the min-fill heuristic supplies one, a bag per vertex.
-    """
-    check_terminals(g.n, s, z)
-    if external is not None:
-        bags, tree_edges = external
-        validate_tree_decomposition(bags, tree_edges, g)
-    else:
-        bags, tree_edges = minfill_tree_decomposition(g)
-    augmented = [set(bag) | {s, z} for bag in bags]
-    return _nicify(augmented, tree_edges, s, z)
+    """The NiceTreeDecomposition of g for s and z: external, when given, is
+    validated; otherwise the min-fill heuristic supplies a bag per vertex."""
+    return NiceTreeDecomposition(g, s, z, external)
 
 
-def _nicify(bags: list[set[int]], tree_edges: list[tuple[int, int]], s: int, z: int) -> NiceTreeDecomposition:
+def _nicify(bags: list[set[int]], tree_edges: list[tuple[int, int]], s: int, z: int) -> tuple[NiceNode, ...]:
     tree_adj: dict[int, list[int]] = {i: [] for i in range(len(bags))}
     for a, b in tree_edges:
         tree_adj[a].append(b)
@@ -193,4 +202,4 @@ def _nicify(bags: list[set[int]], tree_edges: list[tuple[int, int]], s: int, z: 
                 cur = emit("join", bag, (cur, other))
         if stack:
             stack[-1][2].append(morph(cur, bag, frozenset(bags[stack[-1][0]])))
-    return NiceTreeDecomposition(tuple(nodes))
+    return tuple(nodes)

@@ -46,6 +46,10 @@ vertex order; digit value i-1 means A_i, tau means S, tau+1 means Z.  The
 mask, not the key, says which vertices are in S, so at tau = 0 the S digit may
 equal s's A_1 digit: only a neighbor's digit is compared with S, and tau = 0
 has no edges.
+
+A NiceTreeDecomposition is valid for the graph it records by construction, so
+the DP checks only that it fits the instance: the same vertex count, the same
+terminal pair, and every instance edge outside the recorded graph in a bag.
 """
 
 from __future__ import annotations
@@ -53,38 +57,27 @@ from __future__ import annotations
 from math import prod
 from typing import Optional
 
-from ..errors import DecompositionMismatch, InvalidDecomposition
+from ..errors import DecompositionMismatch
 from ..oracle import Instance, Separator
-from .decomposition import NiceTreeDecomposition, validate_tree_decomposition
+from .decomposition import NiceTreeDecomposition
 
 
 def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
-    bags = [node.bag for node in td.nodes]
-    for i, bag in enumerate(bags):
-        if inst.s not in bag or inst.z not in bag:
-            raise DecompositionMismatch(f"node {i} bag misses a terminal")
-    tree_edges = [(i, child) for i, node in enumerate(td.nodes) for child in node.children]
-    try:
-        validate_tree_decomposition(bags, tree_edges, inst.g.underlying())
-    except InvalidDecomposition as exc:
-        raise DecompositionMismatch(str(exc)) from exc
-    # The tables are filled in index order, so that order must be bottom-up.
-    # With n - 1 tree edges and no node listed twice, every node but the
-    # last, the root, is then exactly one node's child.
-    parent: dict[int, int] = {}
-    for i, child in tree_edges:
-        if child >= i:
-            raise DecompositionMismatch(f"node {i} lists child {child}, which does not come before it")
-        if child in parent:
-            raise DecompositionMismatch(f"node {child} is a child of both node {parent[child]} and node {i}")
-        parent[child] = i
-    # Each node must have the children and the bag its kind says.
-    for i, (kind, bag, children, v) in enumerate(td.nodes):
-        if kind == "leaf" and bag != {inst.s, inst.z}:
-            raise DecompositionMismatch(f"leaf bag {set(bag)} is not exactly the terminal pair")
-        nice = {"leaf": [], "introduce": [bag - {v}], "forget": [bag | {v}], "join": [bag, bag]}.get(kind)
-        if [bags[c] for c in children] != nice or (v in bag) != (kind == "introduce"):
-            raise DecompositionMismatch(f"node {i} is not a nice {kind} node")
+    """Raise DecompositionMismatch unless td fits inst.
+
+    td's bags hold exactly the vertices of td.graph and cover its edges, and
+    node 0 is the leaf {td.s, td.z}, so each message below is true of td.
+    """
+    if {inst.s, inst.z} != {td.s, td.z}:
+        raise DecompositionMismatch("node 0 bag misses a terminal")
+    n = td.graph.n
+    if inst.g.n > n:
+        raise DecompositionMismatch(f"vertex {n} appears in no bag")
+    if inst.g.n < n:
+        raise DecompositionMismatch(f"a bag contains vertex {n - 1}, outside 0..{inst.g.n - 1}")
+    for u, v in sorted(inst.g.edge_labels.keys() - td.graph.edges):
+        if not any(u in node.bag and v in node.bag for node in td.nodes):
+            raise DecompositionMismatch(f"edge ({u},{v}) is contained in no bag")
 
 
 def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:

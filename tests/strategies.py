@@ -12,12 +12,12 @@ def static_graph(n: int, pairs) -> StaticGraph:
     return StaticGraph(n, frozenset((min(u, v), max(u, v)) for u, v in pairs))
 
 
-def small_graphs(max_n: int = 6, max_tau: int = 3):
+def small_graphs(max_n: int = 6, max_tau: int = 3, min_n: int = 2):
     """Small canonical temporal graphs."""
 
     @st.composite
     def _graphs(draw):
-        n = draw(st.integers(2, max_n))
+        n = draw(st.integers(min_n, max_n))
         tau = draw(st.integers(1, max_tau))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         triples = draw(
@@ -33,12 +33,12 @@ def small_graphs(max_n: int = 6, max_tau: int = 3):
     return _graphs()
 
 
-def instance_graphs(max_n: int = 6, max_tau: int = 3):
+def instance_graphs(max_n: int = 6, max_tau: int = 3, min_n: int = 2):
     """Graphs with no time-edge between 0 and n-1, usable as instances."""
 
     @st.composite
     def _graphs(draw):
-        g = draw(small_graphs(max_n, max_tau))
+        g = draw(small_graphs(max_n, max_tau, min_n))
         sz = (0, g.n - 1)
         return build(g.n, g.tau, [t for t in g.raw_triples() if (t[0], t[1]) != sz])
 

@@ -106,6 +106,14 @@ class TestSolve:
         )
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_batch_reports_a_td_that_is_not_a_tree_once_by_its_name(self, capsys, tmp_path, g1):
+        g, h, bad = tmp_path / "g.tg", tmp_path / "h.tg", tmp_path / "bad.td"
+        dump_tg(g1, g)
+        dump_tg(g1, h)
+        bad.write_text("td 2 3 4\nb 1 0 1 2\nb 2 0 2 3\n1 1\n")
+        argv = ["solve", str(g), str(h), "--s", "0", "--z", "3", "--k", "1", "--td", str(bad)]
+        assert run(capsys, argv) == (2, "", f"error: {bad}: bag tree is not connected\n")
+
     def test_batch_outcome_does_not_depend_on_which_graph_an_ordering_fits(self, capsys, tmp_path):
         a4, b5, ordering = tmp_path / "a4.tg", tmp_path / "b5.tg", tmp_path / "ord.txt"
         dump_tg(build(4, 1, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), a4)
@@ -492,14 +500,28 @@ def test_gen_unknown_class_lists_the_forms(capsys, tmp_path):
         ("tg 4 2\n0 1 1\n0 1 x\n", "{path}:3: non-integer edge fields in '0 1 x'"),
         ("tg -1 2\n", "{path}:1: vertex count -1 is negative"),
         ("# graph\ntg 4 -2\n", "{path}:2: max label -2 is negative"),
+        ("tg 4 2\n0 1 1\n# c\n2 2 1\n", "{path}:4: time-edge (2,2,1) is a self-loop"),
+        ("tg 4 2\n\n0 4 1\n", "{path}:3: time-edge (0,4,1) has a vertex outside 0..3"),
+        ("tg 4 2\n0 1 3\n", "{path}:2: time-edge (0,1,3) has label outside 1..2"),
     ],
-    ids=["header-field", "edge-field", "negative-n", "negative-tau"],
+    ids=["header-field", "edge-field", "negative-n", "negative-tau", "self-loop", "vertex-range", "label-range"],
 )
 def test_malformed_tg_exits_2_naming_the_file(capsys, tmp_path, text, message):
     p = tmp_path / "bad.tg"
     p.write_text(text)
     code, out, err = run(capsys, ["solve", str(p), "--s", "0", "--z", "3", "--k", "1"])
     assert (code, out, err) == (2, "", f"error: {message.format(path=p)}\n")
+
+
+@pytest.mark.parametrize("flag", [None, "--td", "--ordering"])
+def test_non_ascii_input_exits_2_naming_the_file_and_line(capsys, tmp_path, g1, flag):
+    p, bad = tmp_path / "g.tg", tmp_path / "bad.txt"
+    dump_tg(g1, p)
+    bad.write_bytes(b"# ok\r\n\n\xff 1\n")
+    argv = ["solve", str(bad if flag is None else p), "--s", "0", "--z", "3", "--k", "1"]
+    if flag is not None:
+        argv += [flag, str(bad), "--algo", "treewidth" if flag == "--td" else "interval"]
+    assert run(capsys, argv) == (2, "", f"error: {bad}:3: non-ASCII byte 0xff\n")
 
 
 @pytest.mark.parametrize(
@@ -516,6 +538,7 @@ def test_malformed_tg_exits_2_naming_the_file(capsys, tmp_path, text, message):
         ("td 1 4 4\n# bags\nb 1 0 -2 2 3\n", "{path}:3: bag 1 contains out-of-range vertex -2"),
         ("td 1 4 4\nb 1 0 1 2 3\n1 1 1\n", "{path}:3: unrecognized line '1 1 1'"),
         ("td 1 4 4\nb\n", "{path}:2: unrecognized line 'b'"),
+        ("td 2 3 4\nb 1 0 1 3\nb 2 0 2 3\n", "{path}: 2 bags need 1 tree edges, got 0"),
     ],
     ids=[
         "empty",
@@ -529,6 +552,7 @@ def test_malformed_tg_exits_2_naming_the_file(capsys, tmp_path, text, message):
         "negative-vertex",
         "three-fields",
         "bag-without-id",
+        "tree-edge-count",
     ],
 )
 def test_malformed_td_exits_2(capsys, tmp_path, g1, text, message):

@@ -31,7 +31,6 @@ from temposep.generators import (
 )
 from temposep.oracle import Separator, distance_to_temporality
 from temposep.solvers import solve_interval_dp, solve_search_tree, solve_treewidth_dp, static_min_vertex_cut
-from temposep.solvers.decomposition import NiceNode, NiceTreeDecomposition
 from temposep.solvers.auto import DEFAULT_WORK_CAP, DISTANCE_PROBE_MAX_N, AutoResult
 from temposep.solvers.treewidth_dp import treewidth_work_estimate
 
@@ -121,17 +120,10 @@ def test_td_hint_over_cap_falls_back_to_search_tree(monkeypatch):
 
 def test_work_estimate_counts_canonical_colors_per_bag():
     # labels(1) = {1, 2} gives 1 four colors and labels(2) = {2} gives 2 three;
-    # the terminals have one each.  Bags: {0,3} {0,1,3} {0,1,2,3} {0,2,3} {0,3}.
+    # the terminals have one each.
     g = build(4, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 2)])
-    terminals = frozenset((0, 3))
-    nodes = (
-        NiceNode("leaf", terminals, ()),
-        NiceNode("introduce", terminals | {1}, (0,), 1),
-        NiceNode("introduce", terminals | {1, 2}, (1,), 2),
-        NiceNode("forget", terminals | {2}, (2,), 1),
-        NiceNode("forget", terminals, (3,), 2),
-    )
-    td = NiceTreeDecomposition(nodes)
+    td = build_tree_decomposition(g.underlying(), 0, 3, external=([{0, 3}, {0, 1, 2, 3}], [(0, 1)]))
+    assert [set(node.bag) for node in td.nodes] == [{0, 3}, {0, 1, 3}, {0, 1, 2, 3}, {0, 2, 3}, {0, 3}]
     assert treewidth_work_estimate(Instance(g=g, s=0, z=3, k=0), td) == 1 + 4 + 12 + 3 + 1
 
 

@@ -1,11 +1,13 @@
 """Treewidth DP against the oracle and against exhaustive coloring semantics."""
 
+import re
 from itertools import product
 
 import pytest
 from decoders import treewidth_root_table
 from strategies import instance_graphs
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temposep import (
     Instance,
@@ -17,7 +19,6 @@ from temposep import (
 )
 from temposep.errors import DecompositionMismatch
 from temposep.oracle import Separator
-from temposep.solvers.decomposition import NiceNode, NiceTreeDecomposition
 from temposep.solvers.treewidth_dp import _fill_tables
 from temposep.reachability import reachable_with_earliest_arrival
 
@@ -55,106 +56,15 @@ def test_join_unites_the_separators_of_both_sides():
         (build(4, 1, []), Instance(g=build(4, 1, [(1, 2, 1)]), s=0, z=3, k=0), "contained in no bag"),
         (build(4, 1, [(1, 2, 1)]), Instance(g=build(4, 1, [(1, 2, 1)]), s=1, z=3, k=0), "misses a terminal"),
         (build(4, 1, [(1, 2, 1)]), Instance(g=build(5, 1, [(1, 2, 1)]), s=0, z=3, k=0), "appears in no bag"),
+        (build(5, 1, []), Instance(g=build(4, 1, [(1, 2, 1)]), s=0, z=3, k=0), r"vertex 4, outside 0\.\.3"),
     ],
-    ids=["uncovered-edge", "other-terminals", "fewer-vertices"],
+    ids=["uncovered-edge", "other-terminals", "fewer-vertices", "more-vertices"],
 )
 def test_mismatched_decomposition_rejected(td_graph, inst, message):
     """Each decomposition is built for terminals 0 and 3 and does not fit `inst`."""
     td = build_tree_decomposition(td_graph.underlying(), 0, 3)
     with pytest.raises(DecompositionMismatch, match=message):
         solve_treewidth_dp(inst, td)
-
-
-def _path_and_decomposition():
-    """The path 0-1-2-3 at label 1 (every separator is non-empty) and its nice decomposition."""
-    inst = Instance(g=build(4, 1, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), s=0, z=3, k=0)
-    return inst, build_tree_decomposition(inst.g.underlying(), 0, 3)
-
-
-def _child_after_parent(td):
-    # Swap the first two nodes: the leaf moves behind the node that lists it.
-    first, second = td.nodes[0], td.nodes[1]
-    moved = [second._replace(children=(1,)), first] + [
-        node._replace(children=tuple({0: 1, 1: 0}.get(c, c) for c in node.children)) for node in td.nodes[2:]
-    ]
-    return NiceTreeDecomposition(tuple(moved))
-
-
-def _child_of_two_nodes(td):
-    # Node 0 is listed by node 1 and by the root; nothing lists node 1.  The
-    # bags and the tree edges still form a valid tree decomposition.
-    terminals = frozenset((0, 3))
-    nodes = (
-        NiceNode("leaf", terminals, ()),
-        NiceNode("introduce", frozenset(range(4)), (0,), 1),
-        NiceNode("leaf", terminals, ()),
-        NiceNode("join", terminals, (0, 2)),
-    )
-    return NiceTreeDecomposition(nodes)
-
-
-@pytest.mark.parametrize(
-    "rebuild, message",
-    [
-        (_child_after_parent, "node 0 lists child 1, which does not come before it"),
-        (_child_of_two_nodes, "node 0 is a child of both node 1 and node 3"),
-    ],
-    ids=["child-after-parent", "child-of-two-nodes"],
-)
-def test_misrooted_decomposition_rejected(rebuild, message):
-    inst, td = _path_and_decomposition()
-    assert solve_treewidth_dp(inst, td) is None  # the well-rooted original
-    with pytest.raises(DecompositionMismatch, match=message):
-        solve_treewidth_dp(inst, rebuild(td))
-
-
-_TERMINALS = frozenset((0, 3))
-_ALL = frozenset(range(4))
-
-
-@pytest.mark.parametrize(
-    "nodes, message",
-    [
-        # Introduces 1 and 2 at once, then forgets both.  Read as nice nodes,
-        # this chain yields the empty set, which does not separate.
-        (
-            (
-                NiceNode("leaf", _TERMINALS, ()),
-                NiceNode("introduce", _ALL, (0,), 1),
-                NiceNode("forget", _TERMINALS, (1,), 1),
-            ),
-            "node 1 is not a nice introduce node",
-        ),
-        (
-            (
-                NiceNode("leaf", _ALL, ()),
-                NiceNode("forget", _ALL - {2}, (0,), 2),
-                NiceNode("forget", _TERMINALS, (1,), 1),
-            ),
-            "leaf bag {0, 1, 2, 3} is not exactly the terminal pair",
-        ),
-        (
-            (
-                NiceNode("leaf", _TERMINALS, ()),
-                NiceNode("introduce", _TERMINALS | {2}, (0,), 2),
-                NiceNode("introduce", _ALL, (1,), 1),
-                NiceNode("forget", _ALL - {2}, (2,), 2),
-                NiceNode("leaf", _TERMINALS, ()),
-                NiceNode("join", _ALL - {2}, (3, 4)),
-            ),
-            "node 5 is not a nice join node",
-        ),
-        (
-            (NiceNode("leaf", _TERMINALS, ()), NiceNode("grow", _ALL, (0,), 1)),
-            "node 1 is not a nice grow node",
-        ),
-    ],
-    ids=["introduce-two", "leaf-bag", "join-unequal-bags", "unknown-kind"],
-)
-def test_node_that_is_not_nice_rejected(nodes, message):
-    inst, _ = _path_and_decomposition()
-    with pytest.raises(DecompositionMismatch, match=message):
-        solve_treewidth_dp(inst, NiceTreeDecomposition(nodes))
 
 
 def test_deep_decomposition_solves():
@@ -166,19 +76,13 @@ def test_deep_decomposition_solves():
 
 
 def test_tau_zero_join_keeps_s_out_of_the_witness():
-    # Vertex 1 is introduced on both sides of a join, so s sits in a joined bag.
-    nodes = (
-        NiceNode("leaf", _TERMINALS, ()),
-        NiceNode("introduce", _TERMINALS | {1}, (0,), 1),
-        NiceNode("leaf", _TERMINALS, ()),
-        NiceNode("introduce", _TERMINALS | {1}, (2,), 1),
-        NiceNode("join", _TERMINALS | {1}, (1, 3)),
-        NiceNode("forget", _TERMINALS, (4,), 1),
-        NiceNode("introduce", _TERMINALS | {2}, (5,), 2),
-        NiceNode("forget", _TERMINALS, (6,), 2),
-    )
+    # Vertex 1 is introduced on all three sides of two joins, so s sits in a
+    # joined bag.
+    external = ([{1}, {1}, {1}, {0, 2, 3}], [(0, 1), (0, 2), (0, 3)])
     inst = Instance(g=build(4, 0, []), s=0, z=3, k=0)
-    assert solve_treewidth_dp(inst, NiceTreeDecomposition(nodes)) == Separator(frozenset())
+    td = build_tree_decomposition(inst.g.underlying(), 0, 3, external=external)
+    assert [node.bag for node in td.nodes if node.kind == "join"] == [frozenset((0, 1, 3))] * 2
+    assert solve_treewidth_dp(inst, td) == Separator(frozenset())
 
 
 @given(instance_graphs(max_n=6, max_tau=3))
@@ -189,6 +93,23 @@ def test_matches_oracle(g):
     found = solve_treewidth_dp(inst, td)
     assert found.size == min_separator_bruteforce(inst).size
     assert is_separator(inst, found.vertices)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_decomposition_of_another_graph_fits_exactly_when_its_bags_cover_the_edges(data):
+    g = data.draw(instance_graphs(max_n=6, max_tau=3))
+    h = data.draw(instance_graphs(max_n=g.n, max_tau=3, min_n=g.n))
+    td = build_tree_decomposition(g.underlying(), 0, g.n - 1)
+    inst = Instance(g=h, s=0, z=h.n - 1, k=h.n)
+    uncovered = [(u, v) for u, v in sorted(h.underlying().edges) if not any({u, v} <= node.bag for node in td.nodes)]
+    if uncovered:
+        with pytest.raises(DecompositionMismatch, match=re.escape(f"edge ({uncovered[0][0]},{uncovered[0][1]})")):
+            solve_treewidth_dp(inst, td)
+    else:
+        found = solve_treewidth_dp(inst, td)
+        assert found.size == min_separator_bruteforce(inst).size
+        assert is_separator(inst, found.vertices)
 
 
 def _earliest_arrivals_from(g, start, depart_at_least):
