@@ -9,9 +9,11 @@ canonicalizes; the writer emits sorted canonical order with LF endings.
 Tree decomposition (.td):
     td <num_bags> <max_bag_size> <n>
     b <id> <v...>      one line per bag, ids 1..num_bags
-    <id> <id>          one line per tree edge
+    <id> <id>          one line per tree edge; the edges must form a tree
 
 Ordering file: a single line of n whitespace-separated distinct vertices.
+
+All three are ASCII; a non-ASCII byte is a FormatError at its line.
 """
 
 from __future__ import annotations

@@ -63,6 +63,10 @@ class NiceTreeDecomposition(_NiceTreeDecompositionFields):
         nodes = _nicify([set(bag) | {s, z} for bag in bags], tree_edges, s, z)
         return super().__new__(cls, nodes, g, s, z)
 
+    def __reduce__(self):
+        # Copies keep the checked fields; the raw input the constructor takes is gone.
+        return tuple.__new__, (type(self), tuple(self))
+
     @property
     def root(self) -> int:
         return len(self.nodes) - 1

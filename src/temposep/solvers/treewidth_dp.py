@@ -63,11 +63,8 @@ from .decomposition import NiceTreeDecomposition
 
 
 def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
-    """Raise DecompositionMismatch unless td fits inst.
-
-    td's bags hold exactly the vertices of td.graph and cover its edges, and
-    node 0 is the leaf {td.s, td.z}, so each message below is true of td.
-    """
+    """Raise DecompositionMismatch unless td fits inst.  td's bags hold exactly
+    td.graph's vertices and cover its edges, and node 0 is the leaf {td.s, td.z}."""
     if {inst.s, inst.z} != {td.s, td.z}:
         raise DecompositionMismatch("node 0 bag misses a terminal")
     n = td.graph.n

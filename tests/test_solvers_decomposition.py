@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -157,3 +160,11 @@ def test_heuristic_output_is_always_valid_and_nice(g):
     td = build_tree_decomposition(g, 0, g.n - 1)
     assert not nice_form_violations(td, g, 0, g.n - 1)
     assert td.width == max(len(node.bag) for node in td.nodes) - 1
+    assert (td.graph, td.s, td.z) == (g, 0, g.n - 1)
+
+
+def test_copies_and_pickles_keep_the_decomposition():
+    g = static_graph(4, [(0, 1), (1, 2), (2, 3)])
+    td = build_tree_decomposition(g, 0, 3, external=([{0, 1}, {1, 2}, {2, 3}], [(0, 1), (1, 2)]))
+    for copied in (copy.copy(td), copy.deepcopy(td), pickle.loads(pickle.dumps(td))):
+        assert type(copied) is type(td) and copied == td
