@@ -47,7 +47,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "classes": ("ClassProfile", "MonotoneShape", "check_order_compatible", "classify"),
-        "core": ("StaticGraph", "TemporalGraph", "TimeEdge", "build", "concat", "from_layers", "power"),
+        "core": ("StaticGraph", "TemporalGraph", "TimeEdge", "build", "from_layers"),
         "fileio": ("dump_tg", "load_tg"),
         "generators": (
             "GenSpec",
@@ -66,7 +66,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "min_separator_bruteforce",
             "path_min_resets",
         ),
-        "reachability": ("TemporalPath", "find_temporal_path", "reachable_with_earliest_arrival"),
+        "reachability": ("TemporalPath", "find_temporal_path"),
         "solvers.auto": ("AutoResult", "solve_auto"),
         "solvers.decomposition": ("NiceTreeDecomposition", "build_tree_decomposition"),
         "solvers.interval_dp": ("solve_interval_dp",),

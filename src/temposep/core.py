@@ -19,13 +19,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import (
-    LabelOutOfRange,
-    NonpositiveExponent,
-    SelfLoop,
-    VertexCountMismatch,
-    VertexOutOfRange,
-)
+from .errors import LabelOutOfRange, SelfLoop, VertexOutOfRange
 
 
 class TimeEdge(NamedTuple):
@@ -225,17 +219,3 @@ def from_layers(n: int, layer_sets: Iterable[Iterable[tuple[int, int]]]) -> Temp
         triples.extend((u, v, t) for u, v in pairs)
     return build(n, tau, triples)
 
-
-def concat(g1: TemporalGraph, g2: TemporalGraph) -> TemporalGraph:
-    """g1 followed by g2: g2's labels are shifted up by g1.tau."""
-    if g1.n != g2.n:
-        raise VertexCountMismatch(f"cannot concatenate graphs on {g1.n} and {g2.n} vertices")
-    shifted = tuple(TimeEdge(t + g1.tau, u, v) for t, u, v in g2.edges)
-    return TemporalGraph(g1.n, g1.tau + g2.tau, g1.edges + shifted)
-
-
-def power(g: TemporalGraph, x: int) -> TemporalGraph:
-    """x-fold self-concatenation: each (u, v, t) is copied to t + r*tau for r < x."""
-    if x < 1:
-        raise NonpositiveExponent(f"power exponent must be >= 1, got {x}")
-    return build(g.n, g.tau * x, [(u, v, t + r * g.tau) for r in range(x) for t, u, v in g.edges])

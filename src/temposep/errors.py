@@ -30,14 +30,6 @@ class LabelOutOfRange(TempoSepError):
     """A time label outside [1, tau]."""
 
 
-class VertexCountMismatch(TempoSepError):
-    """Concatenation of temporal graphs over different vertex sets."""
-
-
-class NonpositiveExponent(TempoSepError):
-    """Temporal graph power with exponent < 1."""
-
-
 class TerminalInSeparator(ContractError):
     """A candidate separator containing s or z."""
 

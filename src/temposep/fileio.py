@@ -9,7 +9,9 @@ canonicalizes; the writer emits sorted canonical order with LF endings.
 Tree decomposition (.td):
     td <num_bags> <max_bag_size> <n>
     b <id> <v...>      one line per bag, ids 1..num_bags
-    <id> <id>          one line per tree edge; the edges must form a tree
+    <id> <id>          one line per tree edge; the edges must form a tree,
+                       every vertex 0..n-1 must be in a bag, and the bags
+                       holding a vertex must be connected in the tree
 
 Ordering file: a single line of n whitespace-separated distinct vertices.
 
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 import os
 
-from .core import TemporalGraph, build, check_time_edge, is_connected
-from .errors import FormatError, TempoSepError
+from .core import StaticGraph, TemporalGraph, build, check_time_edge
+from .errors import FormatError, InvalidDecomposition, TempoSepError
 
 
 def _read(path: str | os.PathLike) -> str:
@@ -36,33 +38,34 @@ def _read(path: str | os.PathLike) -> str:
         raise FormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", str(path), line) from None
 
 
-def _meaningful_lines(text: str) -> list[tuple[int, str]]:
-    out = []
+def _header(text: str, form: str, path: str) -> tuple[list[tuple[int, str]], int, list[int]]:
+    """The meaningful lines after a header of `form` ('tg <n> <tau>', say),
+    the header's line number and its integer fields; blank and '#' lines
+    are not meaningful."""
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
+        if line and not line.startswith("#"):
+            lines.append((lineno, line))
+    if not lines:
+        raise FormatError(f"empty file, expected '{form}' header", path)
+    lineno, header = lines[0]
+    parts, expected = header.split(), form.split()
+    if len(parts) != len(expected) or parts[0] != expected[0]:
+        raise FormatError(f"bad header {header!r}, expected '{form}'", path, lineno)
+    try:
+        return lines[1:], lineno, [int(p) for p in parts[1:]]
+    except ValueError:
+        raise FormatError(f"non-integer header fields in {header!r}", path, lineno) from None
 
 
 def parse_tg(text: str, path: str = "<string>") -> TemporalGraph:
-    lines = _meaningful_lines(text)
-    if not lines:
-        raise FormatError("empty file, expected 'tg <n> <tau>' header", path)
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "tg":
-        raise FormatError(f"bad header {header!r}, expected 'tg <n> <tau>'", path, lineno)
-    try:
-        n, tau = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FormatError(f"non-integer header fields in {header!r}", path, lineno) from None
+    lines, lineno, (n, tau) = _header(text, "tg <n> <tau>", path)
     for name, value in (("vertex count", n), ("max label", tau)):
         if value < 0:
             raise FormatError(f"{name} {value} is negative", path, lineno)
     triples = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"bad edge line {line!r}, expected '<u> <v> <t>'", path, lineno)
@@ -94,24 +97,17 @@ def dump_tg(g: TemporalGraph, path: str | os.PathLike) -> None:
 
 
 def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tuple[int, int]], int]:
-    """Parse a .td file into (bags, tree edges, n); bag ids are rebased to 0."""
-    lines = _meaningful_lines(text)
-    if not lines:
-        raise FormatError("empty file, expected 'td <num_bags> <max_bag_size> <n>' header", path)
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "td":
-        raise FormatError(f"bad header {header!r}, expected 'td <num_bags> <max_bag_size> <n>'", path, lineno)
-    try:
-        num_bags, max_bag, n = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError:
-        raise FormatError(f"non-integer header fields in {header!r}", path, lineno) from None
+    """Parse a .td file into (bags, tree edges, n); bag ids are rebased to 0.
+
+    Every decomposition rule that needs no graph is checked here, so only
+    the fit to a graph is left to each solve."""
+    lines, lineno, (num_bags, max_bag, n) = _header(text, "td <num_bags> <max_bag_size> <n>", path)
     if num_bags < 1:
         raise FormatError(f"header declares {num_bags} bags, need at least 1", path, lineno)
     # Keyed by id, so a header's bag count allocates nothing before bags are read.
     bags: dict[int, set[int]] = {}
     tree_edges: list[tuple[int, int]] = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         parts = line.split()
         try:
             if parts[0] == "b":
@@ -140,11 +136,16 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
         missing += 1
     if missing <= num_bags:
         raise FormatError(f"bag {missing} never declared", path)
-    if len(tree_edges) != num_bags - 1:
-        raise FormatError(f"{num_bags} bags need {num_bags - 1} tree edges, got {len(tree_edges)}", path)
-    if not is_connected(num_bags, tree_edges):
-        raise FormatError("bag tree is not connected", path)
-    return [bags[i] for i in range(1, num_bags + 1)], tree_edges, n
+    bag_list = [bags[i] for i in range(1, num_bags + 1)]
+    # Imported here, so a solve that reads no .td never loads the solvers.
+    from .solvers.decomposition import validate_tree_decomposition
+
+    try:
+        # The edgeless graph on n breaks exactly the rules that need no graph.
+        validate_tree_decomposition(bag_list, tree_edges, StaticGraph(n, frozenset()))
+    except InvalidDecomposition as exc:
+        raise FormatError(str(exc), path) from None
+    return bag_list, tree_edges, n
 
 
 def load_td(path: str | os.PathLike) -> tuple[list[set[int]], list[tuple[int, int]], int]:

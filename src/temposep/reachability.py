@@ -107,17 +107,6 @@ def _sweep(
     return arrival, pred
 
 
-def reachable_with_earliest_arrival(g: TemporalGraph, s: int) -> dict[int, int]:
-    """Earliest arrival label of every reachable vertex; s maps to 0.
-
-    Unreachable vertices are absent from the result.
-    """
-    if not (0 <= s < g.n):
-        raise VertexOutOfRange(f"source {s} outside 0..{g.n - 1}")
-    arrival, _ = _sweep(g, s, strict=False)
-    return {v: int(a) for v, a in enumerate(arrival) if a != UNREACHED}
-
-
 def find_temporal_path(
     g: TemporalGraph, s: int, z: int, strict: bool = False, blocked: AbstractSet[int] = frozenset()
 ) -> Optional[TemporalPath]:

@@ -132,17 +132,20 @@ def validate_tree_decomposition(bags: list[set[int]], tree_edges: list[tuple[int
         raise InvalidDecomposition(f"{count} bags need {count - 1} tree edges, got {len(tree_edges)}")
     if not is_connected(count, tree_edges):
         raise InvalidDecomposition("bag tree is not connected")
-    occurrences: list[set[int]] = [set() for _ in range(g.n)]
+    # Keyed by vertex, so a .td header's vertex count allocates nothing: the
+    # scan below stops at the first vertex in no bag.
+    occurrences: dict[int, set[int]] = {}
     for i, bag in enumerate(bags):
         for v in bag:
-            occurrences[v].add(i)
+            occurrences.setdefault(v, set()).add(i)
     # In a tree, the bags holding v are connected iff exactly
     # len(occurrence) - 1 tree edges join two of them.
-    joined = [0] * g.n
+    joined = dict.fromkeys(occurrences, 0)
     for a, b in tree_edges:
         for v in set(bags[a]).intersection(bags[b]):
             joined[v] += 1
-    for v, occurrence in enumerate(occurrences):
+    for v in range(g.n):
+        occurrence = occurrences.get(v)
         if not occurrence:
             raise InvalidDecomposition(f"vertex {v} appears in no bag")
         if joined[v] != len(occurrence) - 1:

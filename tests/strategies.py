@@ -1,15 +1,33 @@
-"""Hypothesis strategies and a static-graph builder shared by the test modules."""
+"""Hypothesis strategies, and graph operations that only tests use, shared
+by the test modules."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from temposep import StaticGraph, build
+from temposep import StaticGraph, TemporalGraph, build
+from temposep.reachability import UNREACHED, _sweep
 
 
 def static_graph(n: int, pairs) -> StaticGraph:
     """A StaticGraph from pairs in any order, duplicates dropped."""
     return StaticGraph(n, frozenset((min(u, v), max(u, v)) for u, v in pairs))
+
+
+def concat(g1: TemporalGraph, g2: TemporalGraph) -> TemporalGraph:
+    """g1 followed by g2 on the same vertices: g2's labels are shifted up by g1.tau."""
+    return build(g1.n, g1.tau + g2.tau, g1.raw_triples() + [(u, v, t + g1.tau) for t, u, v in g2.edges])
+
+
+def power(g: TemporalGraph, x: int) -> TemporalGraph:
+    """x-fold self-concatenation: each (u, v, t) is copied to t + r*tau for r < x."""
+    return build(g.n, g.tau * x, [(u, v, t + r * g.tau) for r in range(x) for t, u, v in g.edges])
+
+
+def reachable_with_earliest_arrival(g: TemporalGraph, s: int) -> dict[int, int]:
+    """The non-strict sweep's earliest arrival label of every vertex s reaches; s maps to 0."""
+    arrival, _ = _sweep(g, s, strict=False)
+    return {v: int(a) for v, a in enumerate(arrival) if a != UNREACHED}
 
 
 def small_graphs(max_n: int = 6, max_tau: int = 3, min_n: int = 2):

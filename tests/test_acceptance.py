@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import pytest
 from decoders import interval_dp_table
-from strategies import static_graph
+from strategies import power, reachable_with_earliest_arrival, static_graph
 
 from temposep import (
     Instance,
@@ -27,7 +27,6 @@ from temposep import (
     min_separator_bruteforce,
     oracle,
     path_min_resets,
-    power,
     solve_auto,
     solve_interval_dp,
     solve_search_tree,
@@ -43,7 +42,6 @@ from temposep.generators import (
     generate,
 )
 from temposep.oracle import enumerate_temporal_paths, temporal_path_exists_exhaustive
-from temposep.reachability import reachable_with_earliest_arrival
 from temposep.reductions import (
     REDUCTIONS,
     add_universal_vertex,

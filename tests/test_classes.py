@@ -3,7 +3,7 @@ from decoders import NotMonotone, reduce_to_peaks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from order_reference import scan_order_compatible
-from strategies import indifference_graphs, instance_graphs, small_graphs
+from strategies import indifference_graphs, instance_graphs, power, small_graphs
 from window_reference import all_windows_interval_connected
 
 from temposep import (
@@ -13,7 +13,6 @@ from temposep import (
     classify,
     from_layers,
     min_separator_bruteforce,
-    power,
 )
 from temposep.classes import OrderViolation, periodicity
 from temposep.errors import NotAPermutation

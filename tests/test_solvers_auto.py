@@ -4,7 +4,7 @@ import pytest
 from conftest import random_instances
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import instance_graphs
+from strategies import instance_graphs, power
 
 import temposep.classes
 import temposep.solvers.auto
@@ -17,7 +17,6 @@ from temposep import (
     from_layers,
     is_separator,
     min_separator_bruteforce,
-    power,
     solve_auto,
 )
 from temposep.errors import IncompatibleOrdering

@@ -3,7 +3,7 @@
 
 import pytest
 from decoders import interval_dp_table
-from strategies import instance_graphs
+from strategies import instance_graphs, reachable_with_earliest_arrival
 from hypothesis import given, settings
 
 from temposep import (
@@ -18,7 +18,6 @@ from temposep import (
 from temposep.errors import IncompatibleOrdering, NotAPermutation
 from temposep.generators import GenSpec, UnitIntervalConstraint, generate
 from temposep.oracle import enumerate_temporal_paths
-from temposep.reachability import reachable_with_earliest_arrival
 
 
 def unit_interval_corpus(count, *, n_max=8, tau_max=4, seed0=500):

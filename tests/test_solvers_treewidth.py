@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 from decoders import treewidth_root_table
-from strategies import instance_graphs
+from strategies import instance_graphs, reachable_with_earliest_arrival
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ from temposep import (
 from temposep.errors import DecompositionMismatch
 from temposep.oracle import Separator
 from temposep.solvers.treewidth_dp import _fill_tables
-from temposep.reachability import reachable_with_earliest_arrival
 
 
 def test_g1_budget_one(g1_inst):
