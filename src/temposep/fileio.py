@@ -140,9 +140,12 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
     # Imported here, so a solve that reads no .td never loads the solvers.
     from .solvers.decomposition import validate_tree_decomposition
 
+    # The edgeless graph breaks exactly the rules that need no graph.  Its n
+    # stops one past the largest bag vertex: that vertex is in no bag, so no
+    # verdict changes, and a header's n allocates nothing.
+    edgeless = StaticGraph(min(n, max(map(max, filter(None, bag_list)), default=-1) + 2), frozenset())
     try:
-        # The edgeless graph on n breaks exactly the rules that need no graph.
-        validate_tree_decomposition(bag_list, tree_edges, StaticGraph(n, frozenset()))
+        validate_tree_decomposition(bag_list, tree_edges, edgeless)
     except InvalidDecomposition as exc:
         raise FormatError(str(exc), path) from None
     return bag_list, tree_edges, n

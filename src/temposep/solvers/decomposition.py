@@ -132,20 +132,17 @@ def validate_tree_decomposition(bags: list[set[int]], tree_edges: list[tuple[int
         raise InvalidDecomposition(f"{count} bags need {count - 1} tree edges, got {len(tree_edges)}")
     if not is_connected(count, tree_edges):
         raise InvalidDecomposition("bag tree is not connected")
-    # Keyed by vertex, so a .td header's vertex count allocates nothing: the
-    # scan below stops at the first vertex in no bag.
-    occurrences: dict[int, set[int]] = {}
+    occurrences: list[set[int]] = [set() for _ in range(g.n)]
     for i, bag in enumerate(bags):
         for v in bag:
-            occurrences.setdefault(v, set()).add(i)
+            occurrences[v].add(i)
     # In a tree, the bags holding v are connected iff exactly
     # len(occurrence) - 1 tree edges join two of them.
-    joined = dict.fromkeys(occurrences, 0)
+    joined = [0] * g.n
     for a, b in tree_edges:
         for v in set(bags[a]).intersection(bags[b]):
             joined[v] += 1
-    for v in range(g.n):
-        occurrence = occurrences.get(v)
+    for v, occurrence in enumerate(occurrences):
         if not occurrence:
             raise InvalidDecomposition(f"vertex {v} appears in no bag")
         if joined[v] != len(occurrence) - 1:
