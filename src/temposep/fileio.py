@@ -99,8 +99,8 @@ def dump_tg(g: TemporalGraph, path: str | os.PathLike) -> None:
 def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tuple[int, int]], int]:
     """Parse a .td file into (bags, tree edges, n); bag ids are rebased to 0.
 
-    Every decomposition rule that needs no graph is checked here, so only
-    the fit to a graph is left to each solve."""
+    Every decomposition rule that needs no graph is checked here, once per
+    file; only the fit to a graph can still fail in a solve."""
     lines, lineno, (num_bags, max_bag, n) = _header(text, "td <num_bags> <max_bag_size> <n>", path)
     if num_bags < 1:
         raise FormatError(f"header declares {num_bags} bags, need at least 1", path, lineno)
