@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from temposep import check_order_compatible, classify
 from temposep.errors import InvalidSpec
+from temposep.fileio import format_tg
 from temposep.generators import (
     GenSpec,
     MonotoneConstraint,
@@ -108,3 +111,45 @@ class TestGenerate:
         # probability 0 forces empty layers, whose minimal period is 1
         with pytest.raises(InvalidSpec):
             generate(GenSpec(n=4, tau=4, edge_prob=0.0, constraint=PeriodicConstraint(2, 2), seed=1))
+
+
+# sha256 of format_tg(generate(spec).g).  The benchmark's recorded verdicts
+# assume generated corpora stay byte-identical, so a change that moves any
+# of these digests changes every corpus built from the generator.
+PINNED_DIGESTS = [
+    (GenSpec(7, 3, 0.45, seed=5), "f505be84de135ec0a42b2fe9f6d229161e68fd9258ad87b422f47a76b358e021"),
+    (GenSpec(24, 6, 0.08, seed=41), "2a050ee4d281e663b424becd5733f474164bbfa9f705d0fce8ab22b222cea2bf"),
+    (
+        GenSpec(12, 4, 0.6, UnitIntervalConstraint(), seed=3),
+        "0e73565381273e2dffeaa607f1a2f003eb08f1e9f0fe10ea9cf3fe029c65656a",
+    ),
+    (
+        GenSpec(62, 12, 0.92, UnitIntervalConstraint(), seed=1234567),
+        "e772add81fe7b82341f1672e66cdbe2f56dba7f88d9051ac8c6a3bc766911bd4",
+    ),
+    (
+        GenSpec(9, 6, 0.4, PeriodicConstraint(2, 3), seed=2),
+        "ab22d491e1ad379553e9f59beaef0e4f1bf33fab0cf0356e951afe53a3c93dd2",
+    ),
+    (
+        GenSpec(400, 4, 0.05, PeriodicConstraint(1, 4), seed=9),
+        "7ef63fd7001acdbac5d0d1dcfffdba3c99c87382e9daaf0dd594bdf46776046b",
+    ),
+    (
+        GenSpec(10, 5, 0.4, SteadyConstraint(2), seed=8),
+        "efa7e0c20ae09bcf1be77308e127573b0f7f92ec9bc3359047b3d5df8f345338",
+    ),
+    (
+        GenSpec(400, 4, 0.05, MonotoneConstraint(1), seed=4),
+        "d97ade526a9aa969d006157512a8fde5461305f9b74528819f0a570eeacb4f99",
+    ),
+    (
+        GenSpec(10, 6, 0.4, MonotoneConstraint(2), seed=6),
+        "a65d0e50d28d21ed65f2043cd7367705b2df8f90a3efff0e713fdd8a0d14a6ed",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_DIGESTS, ids=[repr(spec) for spec, _ in PINNED_DIGESTS])
+def test_generated_bytes_are_pinned(spec, digest):
+    assert hashlib.sha256(format_tg(generate(spec).g).encode()).hexdigest() == digest
