@@ -152,7 +152,7 @@ def check_order_compatible(g: TemporalGraph, ordering: tuple[int, ...]) -> Optio
     checks every run.  Only the first failing layer is scanned for its
     first violating triple.
     """
-    if sorted(ordering) != list(range(g.n)):
+    if len(ordering) != g.n or sorted(ordering) != list(range(g.n)):
         raise NotAPermutation(f"ordering is not a permutation of 0..{g.n - 1}")
     pos = [0] * g.n
     for i, v in enumerate(ordering):

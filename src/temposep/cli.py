@@ -52,8 +52,9 @@ def run_solve(
     start = time.perf_counter()
     if strict and algo in ("treewidth", "interval", "static-cut"):
         raise FormatError(f"--strict is not supported by the {algo} backend")
-    if ordering is not None and _reads("interval", algo, strict) and sorted(ordering) != list(range(inst.g.n)):
-        raise NotAPermutation(f"--ordering is not a permutation of 0..{inst.g.n - 1}")
+    if ordering is not None and _reads("interval", algo, strict):
+        if len(ordering) != inst.g.n or sorted(ordering) != list(range(inst.g.n)):
+            raise NotAPermutation(f"--ordering is not a permutation of 0..{inst.g.n - 1}")
     td = None
     if _reads("treewidth", algo, strict) and (td_raw is not None or algo == "treewidth"):
         external = None

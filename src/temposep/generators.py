@@ -120,16 +120,12 @@ def _random_layer(rng: XorShift64Star, pairs: list[tuple[int, int]], prob: float
     return {pair for pair in pairs if rng.random() < prob}
 
 
-def _unit_interval_layer(rng: XorShift64Star, n: int, prob: float) -> set[tuple[int, int]]:
+def _unit_interval_layer(
+    rng: XorShift64Star, n: int, pairs: list[tuple[int, int]], prob: float
+) -> set[tuple[int, int]]:
     span = 1.0 + (n - 1) * (1.0 - prob)
     positions = sorted(rng.random() * span for _ in range(n))
-    layer = {
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if positions[v] - positions[u] <= 1.0 and (u, v) != (0, n - 1)
-    }
-    return layer
+    return {(u, v) for u, v in pairs if positions[v] - positions[u] <= 1.0}
 
 
 def _monotone_layers(rng: XorShift64Star, spec: GenSpec, pairs: list[tuple[int, int]]) -> Optional[list[set]]:
@@ -179,7 +175,7 @@ def generate(spec: GenSpec) -> Instance:
         layers = [_random_layer(rng, pairs, spec.edge_prob) for _ in range(spec.tau)]
         g = from_layers(spec.n, layers)
     elif isinstance(c, UnitIntervalConstraint):
-        layers = [_unit_interval_layer(rng, spec.n, spec.edge_prob) for _ in range(spec.tau)]
+        layers = [_unit_interval_layer(rng, spec.n, pairs, spec.edge_prob) for _ in range(spec.tau)]
         g = from_layers(spec.n, layers)
     elif isinstance(c, PeriodicConstraint):
         g = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import TemporalGraph, check_terminals
+from .core import TemporalGraph, build, check_terminals
 from .errors import NotAPath, OracleScaleError, TerminalEdgePresent
 from .reachability import find_temporal_path
 
@@ -155,34 +155,13 @@ def path_min_resets(g: TemporalGraph, p: Sequence[int]) -> int:
     return breaks
 
 
-def simple_paths(graph_adj: Sequence[Iterable[int]], s: int, z: int) -> Iterable[list[int]]:
-    """All simple (s,z)-paths of a static graph given as adjacency lists."""
-    path = [s]
-    visited = {s}
-
-    def walk(cur: int):
-        for nxt in graph_adj[cur]:
-            if nxt in visited:
-                continue
-            path.append(nxt)
-            if nxt == z:
-                yield list(path)
-            else:
-                visited.add(nxt)
-                yield from walk(nxt)
-                visited.remove(nxt)
-            path.pop()
-
-    yield from walk(s)
-
-
 def distance_to_temporality(g: TemporalGraph, s: int, z: int) -> int:
     """Max over underlying simple (s,z)-paths of the minimum reset count.
 
-    0 when no (s,z)-path exists.  Enumerates simple paths, so only suitable
-    at desk scale.
+    0 when no (s,z)-path exists.  At one label every simple path of the
+    underlying graph is temporal, so the path enumerator walks the one-label
+    copy and meets each once.  Only suitable at desk scale.
     """
-    best = 0
-    for p in simple_paths(g.underlying().adjacency, s, z):
-        best = max(best, path_min_resets(g, p))
-    return best
+    flat = build(g.n, 1, [(u, v, 1) for u, v in g.edge_labels])
+    paths = enumerate_temporal_paths(flat, s, z)
+    return max((path_min_resets(g, [s] + [to for _, to, _ in steps]) for steps in paths), default=0)

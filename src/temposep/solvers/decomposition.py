@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from ..core import StaticGraph, check_terminals, is_connected
-from ..errors import InvalidDecomposition
+from ..errors import DecompositionMismatch, InvalidDecomposition
 
 RawDecomposition = tuple[list[set[int]], list[tuple[int, int]]]  # (bags, tree edges between bag indices)
 
@@ -117,7 +117,8 @@ def minfill_tree_decomposition(g: StaticGraph) -> RawDecomposition:
 
 
 def validate_tree_decomposition(bags: list[set[int]], tree_edges: list[tuple[int, int]], g: StaticGraph) -> None:
-    """Raise InvalidDecomposition naming the first violated property."""
+    """Raise InvalidDecomposition naming the first violated property.  The one rule
+    that reads g's edges, each in some bag, is a misfit: DecompositionMismatch."""
     count = len(bags)
     if count == 0:
         raise InvalidDecomposition("decomposition has no bags")
@@ -149,7 +150,7 @@ def validate_tree_decomposition(bags: list[set[int]], tree_edges: list[tuple[int
             raise InvalidDecomposition(f"bags containing vertex {v} are not connected in the tree")
     for u, v in sorted(g.edges):
         if not occurrences[u] & occurrences[v]:
-            raise InvalidDecomposition(f"edge ({u},{v}) is contained in no bag")
+            raise DecompositionMismatch(f"edge ({u},{v}) is contained in no bag")
 
 
 def build_tree_decomposition(

@@ -57,16 +57,10 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
     bad = check_order_compatible(inst.g, order)
     if bad is not None:
         raise IncompatibleOrdering(f"layer {bad.layer} violates indifference at positions ({bad.i},{bad.j},{bad.k})")
-    index = [0] * inst.g.n
-    for i, v in enumerate(order):
-        index[v] = i
-    lo, hi = index[inst.s], index[inst.z]
-    if lo > hi:
-        order = order[::-1]
-        lo, hi = inst.g.n - 1 - lo, inst.g.n - 1 - hi
-        index = [inst.g.n - 1 - i for i in index]
-    window = order[lo : hi + 1]
+    lo, hi = order.index(inst.s), order.index(inst.z)
+    window = order[lo : hi + 1] if lo <= hi else order[hi : lo + 1][::-1]
     n = len(window)
+    pos = {v: q for q, v in enumerate(window, 1)}
 
     # larger[j][q]: positions above q adjacent to q at label labels[j], as a mask.
     labels, larger = [0], [[0] * (n + 1)]
@@ -74,10 +68,10 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
         if t != labels[-1]:
             labels.append(t)
             larger.append([0] * (n + 1))
-        a, b = index[u] - lo + 1, index[v] - lo + 1
+        a, b = pos.get(u, 0), pos.get(v, 0)  # 0: outside the window
         if a > b:
             a, b = b, a
-        if a >= 1 and b <= n:
+        if a:
             larger[-1][a] |= 1 << (n - b)
 
     sentinel = (1 << (n - 1)) - 2  # every non-terminal position: bits 1..n-2

@@ -1,10 +1,12 @@
 import time
+import tracemalloc
 
 import pytest
 
 from temposep.cli import main
+from temposep.errors import NotAPermutation
 from temposep.fileio import dump_tg, format_tg, load_tg
-from temposep import build
+from temposep import build, check_order_compatible
 
 
 @pytest.fixture
@@ -166,6 +168,24 @@ class TestSolve:
         )
         assert code == 0 and "separator=1" in out
 
+    @pytest.mark.parametrize("caller", ["solve", "check_order_compatible"])
+    def test_ordering_of_the_wrong_length_allocates_nothing_in_n(self, capsys, tmp_path, caller):
+        p, ordering = tmp_path / "big.tg", tmp_path / "ord.txt"
+        p.write_text("tg 1000000 1\n0 1 1\n1 2 1\n")
+        ordering.write_text("0 1 2\n")
+        tracemalloc.start()
+        try:
+            if caller == "solve":
+                argv = ["solve", str(p), "--s", "0", "--z", "2", "--k", "1", "--algo", "interval"]
+                assert run(capsys, argv + ["--ordering", str(ordering)]) == (2, "", "error: --ordering is not a permutation of 0..999999\n")
+            else:
+                with pytest.raises(NotAPermutation, match=r"^ordering is not a permutation of 0\.\.999999$"):
+                    check_order_compatible(build(10**6, 1, [(0, 1, 1)]), (0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_td_file(self, capsys, tmp_path, g1):
         p = tmp_path / "g.tg"
         dump_tg(g1, p)
@@ -177,17 +197,33 @@ class TestSolve:
         )
         assert code == 0 and "verdict=yes" in out
 
-    def test_td_header_vertex_count_must_match_graph(self, capsys, tmp_path, g1):
+    @pytest.mark.parametrize(
+        "graph, decomposition, message",
+        [
+            (
+                "tg 4 2\n0 1 1\n1 3 2\n0 2 2\n2 3 1\n",
+                "td 1 9 9\nb 1 0 1 2 3 4 5 6 7 8\n",
+                "decomposition header declares 9 vertices, the graph has 4",
+            ),
+            (
+                "tg 4 2\n0 1 1\n1 2 1\n2 3 2\n0 2 2\n",
+                "td 2 3 4\nb 1 0 1 3\nb 2 1 2 3\n1 2\n",
+                "edge (0,2) is contained in no bag",
+            ),
+        ],
+        ids=["header-vertex-count", "uncovered-edge"],
+    )
+    def test_td_that_misfits_the_graph_exits_3(self, capsys, tmp_path, graph, decomposition, message):
         p = tmp_path / "g.tg"
-        dump_tg(g1, p)
+        p.write_text(graph)
         td = tmp_path / "g.td"
-        td.write_text("td 1 9 9\nb 1 0 1 2 3 4 5 6 7 8\n")
+        td.write_text(decomposition)
         code, out, err = run(
             capsys,
             ["solve", str(p), "--s", "0", "--z", "3", "--k", "1", "--algo", "treewidth", "--td", str(td)],
         )
         assert code == 3 and out == ""
-        assert err == "error: decomposition header declares 9 vertices, the graph has 4\n"
+        assert err == f"error: {message}\n"
 
     def test_td_header_bag_count_allocates_nothing(self, capsys, tmp_path):
         p = tmp_path / "p4.tg"

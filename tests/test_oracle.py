@@ -1,9 +1,9 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import instance_graphs
+from strategies import instance_graphs, small_graphs
 
 from temposep import (
     Instance,
@@ -138,3 +138,18 @@ class TestDistanceToTemporality:
     def test_disconnected_terminals(self):
         g = build(4, 2, [(0, 1, 1)])
         assert distance_to_temporality(g, 0, 3) == 0
+
+    @given(small_graphs(max_n=7, max_tau=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_permutation_reference(self, g, data):
+        s, z = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        others = [v for v in range(g.n) if v not in (s, z)]
+        edges = g.edge_labels.keys()
+        resets = [
+            path_min_resets(g, p)
+            for size in range(len(others) + 1)
+            for middle in permutations(others, size)
+            for p in [(s, *middle, z)]
+            if all((min(a, b), max(a, b)) in edges for a, b in zip(p, p[1:]))
+        ]
+        assert distance_to_temporality(g, s, z) == max(resets, default=0)

@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
-from temposep.errors import InvalidDecomposition, VertexOutOfRange
+from temposep.errors import DecompositionMismatch, InvalidDecomposition, VertexOutOfRange
 from temposep.solvers import (
     build_tree_decomposition,
     minfill_tree_decomposition,
@@ -93,7 +93,7 @@ def test_external_validation_names_uncovered_edge():
     g = static_graph(3, [(0, 1), (1, 2), (0, 2)])
     bags = [{0, 1}, {1, 2}]
     edges = [(0, 1)]
-    with pytest.raises(InvalidDecomposition, match=r"\(0,2\)"):
+    with pytest.raises(DecompositionMismatch, match=r"\(0,2\)"):
         validate_tree_decomposition(bags, edges, g)
 
 
