@@ -177,7 +177,8 @@ class TestSolve:
         try:
             if caller == "solve":
                 argv = ["solve", str(p), "--s", "0", "--z", "2", "--k", "1", "--algo", "interval"]
-                assert run(capsys, argv + ["--ordering", str(ordering)]) == (2, "", "error: --ordering is not a permutation of 0..999999\n")
+                expected = (2, "", "error: --ordering is not a permutation of 0..999999\n")
+                assert run(capsys, argv + ["--ordering", str(ordering)]) == expected
             else:
                 with pytest.raises(NotAPermutation, match=r"^ordering is not a permutation of 0\.\.999999$"):
                     check_order_compatible(build(10**6, 1, [(0, 1, 1)]), (0, 1))
