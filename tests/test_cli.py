@@ -499,6 +499,54 @@ class TestGenAndVerify:
         assert code == 1
 
 
+# Every command that answers yes or no, on a yes and a no instance: the argv
+# ({a} and {b} hold g1, {none} holds g2), the exit code, stdout, and stdout
+# under --quiet.  Nothing goes to stderr.
+ANSWERS = {
+    "path-yes": (["path", "{a}"], 0, "verdict=yes path=0-1@1,1-3@2\n", "yes\n"),
+    "path-no": (["path", "{none}"], 1, "verdict=no\n", "no\n"),
+    "solve-yes": (["solve", "{a}", "--k", "1"], 0, "verdict=yes separator=1 backend=search-tree\n", "yes\n"),
+    "solve-no": (["solve", "{a}", "--k", "0"], 1, "verdict=no\n", "no\n"),
+    "batch-yes": (
+        ["solve", "{a}", "{b}", "--k", "1"],
+        0,
+        "file={a} verdict=yes separator=1 backend=search-tree\nfile={b} verdict=yes separator=1 backend=search-tree\n",
+        "yes\nyes\n",
+    ),
+    "batch-no": (["solve", "{a}", "{b}", "--k", "0"], 1, "file={a} verdict=no\nfile={b} verdict=no\n", "no\nno\n"),
+    "verify-yes": (["verify", "{a}", "--separator", "1"], 0, "verdict=yes\n", "yes\n"),
+    "verify-no": (["verify", "{a}", "--separator", ""], 1, "verdict=no\n", "no\n"),
+}
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["plain", "quiet"])
+@pytest.mark.parametrize("case", sorted(ANSWERS))
+def test_answer_line_and_exit_code(capsys, tmp_path, g1, g2, case, quiet):
+    files = {name: str(tmp_path / f"{name}.tg") for name in ("a", "b", "none")}
+    for name, g in (("a", g1), ("b", g1), ("none", g2)):
+        dump_tg(g, files[name])
+    argv, code, plain, quiet_out = ANSWERS[case]
+    argv = [arg.format(**files) for arg in argv] + ["--s", "0", "--z", "3"] + (["--quiet"] if quiet else [])
+    assert run(capsys, argv) == (code, quiet_out if quiet else plain.format(**files), "")
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["plain", "quiet"])
+def test_one_input_solve_failure_is_one_unprefixed_error_line(capsys, tmp_path, quiet):
+    span, missing = tmp_path / "span.tg", tmp_path / "missing.tg"
+    dump_tg(build(4, 1, [(0, 2, 1), (1, 3, 1)]), span)
+    flags = ["--s", "0", "--z", "3", "--k", "1", "--algo", "interval"] + (["--quiet"] if quiet else [])
+    assert run(capsys, ["solve", str(span), *flags]) == (
+        3,
+        "",
+        "error: layer 1 violates indifference at positions (0,1,2)\n",
+    )
+    assert run(capsys, ["solve", str(missing), *flags]) == (
+        2,
+        "",
+        f"error: [Errno 2] No such file or directory: '{missing}'\n",
+    )
+
+
 def test_stats_go_to_stderr_not_stdout(capsys, tmp_path, g1):
     p = tmp_path / "g.tg"
     dump_tg(g1, p)

@@ -67,7 +67,8 @@ def family_specs(seed):
     yield GenSpec(n, 4, prob, MonotoneConstraint(2), seed=seed)
 
 
-def test_same_separator_as_the_unpruned_search_on_every_family():
+def family_queries():
+    """(spec, instance, strict) for every family spec of seeds 1..24, both semantics, k = 0..minimum+1."""
     for seed in range(1, 25):
         for spec in family_specs(seed):
             inst = generate(spec)
@@ -76,8 +77,35 @@ def test_same_separator_as_the_unpruned_search_on_every_family():
                 while reference_search_tree(Instance(inst.g, inst.s, inst.z, minimum), strict) is None:
                     minimum += 1
                 for k in range(minimum + 2):
-                    expected = reference_search_tree(Instance(inst.g, inst.s, inst.z, k), strict)
-                    assert solve_search_tree(Instance(inst.g, inst.s, inst.z, k), strict) == expected, (spec, strict, k)
+                    yield spec, Instance(inst.g, inst.s, inst.z, k), strict
+
+
+def test_same_separator_as_the_unpruned_search_on_every_family():
+    for spec, inst, strict in family_queries():
+        expected = reference_search_tree(inst, strict)
+        assert solve_search_tree(inst, strict) == expected, (spec, strict, inst.k)
+
+
+def counting_sweeps(monkeypatch):
+    """The list that records each `find_temporal_path` call the search makes."""
+    calls = []
+    real = search_tree.find_temporal_path
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search_tree, "find_temporal_path", counting)
+    return calls
+
+
+def test_sweep_count_on_every_family_is_pinned(monkeypatch):
+    # Pruning effort: a change that sweeps more or less on purpose re-records it.
+    queries = list(family_queries())
+    calls = counting_sweeps(monkeypatch)
+    for _, inst, strict in queries:
+        solve_search_tree(inst, strict)
+    assert len(calls) == 6448
 
 
 def disjoint_paths_instance(width, interior, k):
@@ -91,14 +119,7 @@ def disjoint_paths_instance(width, interior, k):
 
 
 def test_packing_prunes_at_the_root(monkeypatch):
-    calls = []
-    real = search_tree.find_temporal_path
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(search_tree, "find_temporal_path", counting)
+    calls = counting_sweeps(monkeypatch)
     w = 4
     assert solve_search_tree(disjoint_paths_instance(w, 5, w - 1)) is None
     # The unpruned search takes 1 + 5 + 25 + 125 sweeps here.
