@@ -94,11 +94,20 @@ def run_solve(
     if sep is not None and not is_separator(inst, sep.vertices, strict):
         raise AssertionError(f"backend {backend} produced a non-separating witness {sep.sorted()}")
     millis = (time.perf_counter() - start) * 1000.0
-    return RunResult(verdict=sep is not None, separator=sep, backend=backend, millis=millis)
+    return RunResult(sep is not None, sep, backend, millis)
 
 
-def _fmt_vertices(vertices) -> str:
-    return ",".join(str(v) for v in sorted(vertices))
+def _answer(args, yes: bool, detail: str = "", file: Optional[str] = None) -> int:
+    """Print one answer line, a bare yes|no under --quiet; return 0 for yes, 1 for no."""
+    word = "yes" if yes else "no"
+    print(word if args.quiet else f"{'' if file is None else f'file={file} '}verdict={word}{detail}")
+    return 0 if yes else 1
+
+
+def _fail(exc: Exception, where: str = "") -> int:
+    """Print an input error to stderr; its exit code is 3 for a ContractError and 2 otherwise."""
+    print(f"error: {where}{exc}", file=sys.stderr)
+    return CONTRACT_ERROR if isinstance(exc, ContractError) else USAGE_ERROR
 
 
 def _parse_class(text: str):
@@ -188,16 +197,10 @@ def _cmd_path(args) -> int:
 
     path = find_temporal_path(g, args.s, args.z, args.strict)
     if path is None:
-        print("no" if args.quiet else "verdict=no")
-        return 1
+        return _answer(args, False)
     if not is_valid_path(g, path, args.s, args.z, args.strict):
         raise AssertionError(f"reachability produced an invalid path {path.steps}")
-    if args.quiet:
-        print("yes")
-    else:
-        rendered = ",".join(f"{st.frm}-{st.to}@{st.t}" for st in path.steps)
-        print(f"verdict=yes path={rendered}")
-    return 0
+    return _answer(args, True, " path=" + ",".join(f"{st.frm}-{st.to}@{st.t}" for st in path.steps))
 
 
 def _cmd_solve(args) -> int:
@@ -215,24 +218,12 @@ def _cmd_solve(args) -> int:
             inst = Instance(g=g, s=args.s, z=args.z, k=args.k)
             result = run_solve(inst, args.algo, ordering, td_raw, args.strict)
         except _INPUT_ERRORS as exc:
-            if len(args.inputs) == 1:
-                raise
-            named = isinstance(exc, FormatError) and exc.path == input_path
-            print(f"error: {exc}" if named else f"error: {input_path}: {exc}", file=sys.stderr)
-            exit_code = max(exit_code, CONTRACT_ERROR if isinstance(exc, ContractError) else USAGE_ERROR)
+            named = len(args.inputs) == 1 or (isinstance(exc, FormatError) and exc.path == input_path)
+            exit_code = max(exit_code, _fail(exc, "" if named else f"{input_path}: "))
             continue
-        prefix = f"file={input_path} " if len(args.inputs) > 1 else ""
-        if result.verdict:
-            if args.quiet:
-                print("yes")
-            else:
-                print(
-                    f"{prefix}verdict=yes separator={_fmt_vertices(result.separator.vertices)} "
-                    f"backend={result.backend}"
-                )
-        else:
-            print("no" if args.quiet else f"{prefix}verdict=no")
-            exit_code = max(exit_code, 1)
+        sep = result.separator
+        detail = "" if sep is None else f" separator={','.join(map(str, sep.sorted()))} backend={result.backend}"
+        exit_code = max(exit_code, _answer(args, result.verdict, detail, input_path if len(args.inputs) > 1 else None))
         if args.stats:
             print(
                 f"n={g.n} m={len(g.edges)} tau={g.tau} backend={result.backend} "
@@ -302,9 +293,7 @@ def _cmd_verify(args) -> int:
         vertices = frozenset(int(p) for p in text.split(",")) if text else frozenset()
     except ValueError:
         raise FormatError(f"bad separator list {args.separator!r}") from None
-    ok = is_separator(inst, vertices, args.strict)
-    print(("yes" if ok else "no") if args.quiet else f"verdict={'yes' if ok else 'no'}")
-    return 0 if ok else 1
+    return _answer(args, is_separator(inst, vertices, args.strict))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -315,12 +304,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.handler(args)
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONTRACT_ERROR
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(exc)
 
 
 if __name__ == "__main__":

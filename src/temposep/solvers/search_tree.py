@@ -15,10 +15,11 @@ Kumar, 2000), so a node that is not pruned may still hold no separator.
 
 A child inherits its parent's packing minus the one path whose interior
 holds the vertex just branched on; the rest still avoid the child's chosen
-set.  The node's branching path joins the packing for free when its
-interior is disjoint from the packed ones.  Then the packing grows greedily,
-one masked sweep per path with the chosen set and every packed interior
-blocked, until it holds budget+1 paths or no further path exists.
+set.  Then one loop grows the packing.  Its first candidate is the node's
+branching path, which joins when its interior avoids the chosen set and the
+packed interiors; each later path is one masked sweep with all of those
+blocked.  The loop stops before a sweep once the packing holds budget+1
+paths, and ends when no further path exists.
 
 The witness is unchanged by pruning: the branching path and the branch order
 are those of the plain search, and a pruned subtree provably returns None
@@ -29,25 +30,18 @@ change the worst case of O(path_length^k * |edges|) work.  Complete:
 whenever a separator of size at most k exists, some branch extends a subset
 of it.
 
-The depth-first walk keeps an explicit stack of lazy child iterators, one per
-open node, so the depth (up to k) is not bounded by Python's recursion limit.
+The depth-first walk pops one explicit stack of pending branches, so the
+depth (up to k) is not bounded by Python's recursion limit.  A branch holds
+its parent's chosen set and packing and builds the child's only when popped,
+so a level's sets are freed when its last branch starts.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..oracle import Instance, Separator
 from ..reachability import find_temporal_path
-
-
-def _children(chosen: frozenset[int], budget: int, hops: list[int], packed: list[frozenset[int]]) -> Iterator[tuple]:
-    """Each child's (chosen, budget, packing), built only when the walk reaches it, in hop order.
-
-    A generator function, so every node's iterator keeps its own bindings.
-    """
-    for hop in hops:
-        yield chosen | {hop}, budget - 1, tuple(p for p in packed if hop not in p)
 
 
 def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separator]:
@@ -58,31 +52,26 @@ def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separato
     always the same.
     """
     g, s, z = inst.g, inst.s, inst.z
-    stack: list[Iterator[tuple]] = [iter([(frozenset(), inst.k, ())])]
-    while stack:
-        state = next(stack[-1], None)
-        if state is None:
-            stack.pop()
-            continue
-        chosen, budget, packing = state
+    # (parent's chosen, child's budget, parent's packing, hop); the root has no hop.
+    pending: list[tuple] = [(frozenset(), inst.k, (), None)]
+    while pending:
+        chosen, budget, packing, hop = pending.pop()
+        if hop is not None:
+            chosen = chosen | {hop}
+        packed = [p for p in packing if hop not in p]
         path = find_temporal_path(g, s, z, strict, chosen)
         if path is None:
             return Separator(chosen)
-        if budget == 0:
-            continue
         hops = path.vertices()[1:-1]
-        packed = list(packing)
         used = chosen.union(*packed)
-        if used.isdisjoint(hops):
-            packed.append(frozenset(hops))
-            used = used.union(hops)
-        while len(packed) <= budget:
-            extra = find_temporal_path(g, s, z, strict, used)
-            if extra is None:
+        while path is not None:
+            interior = frozenset(path.vertices()[1:-1])
+            if used.isdisjoint(interior):
+                packed.append(interior)
+                used = used | interior
+            if len(packed) > budget:
                 break
-            interior = frozenset(extra.vertices()[1:-1])
-            packed.append(interior)
-            used = used | interior
-        if len(packed) <= budget:
-            stack.append(_children(chosen, budget, hops, packed))
+            path = find_temporal_path(g, s, z, strict, used)
+        else:
+            pending.extend((chosen, budget - 1, packed, v) for v in reversed(hops))
     return None

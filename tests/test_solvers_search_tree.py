@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import given, settings
 from search_tree_reference import reference_search_tree
 from strategies import instance_graphs
@@ -137,3 +139,18 @@ def test_depth_beyond_the_recursion_limit():
     assert backend == "search-tree"
     assert found.vertices == frozenset(range(1, 1101))
     assert solve_search_tree(Instance(inst.g, inst.s, inst.z, 1099)) is None
+
+
+def test_a_deep_search_frees_each_level_when_its_last_branch_starts():
+    # 300 levels of up to 300 packed paths each: keeping every open level's
+    # chosen set and packing would take O(k^2) memory, about 2.7 MiB here.
+    inst = disjoint_paths_instance(300, 1, 300)
+    inst.g.layer_adjacency  # the graph's cached view, built before measuring
+    tracemalloc.start()
+    try:
+        found = solve_search_tree(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.vertices == frozenset(range(1, 301))
+    assert peak < 1 << 20
