@@ -72,6 +72,6 @@ def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separato
             if len(packed) > budget:
                 break
             path = find_temporal_path(g, s, z, strict, used)
-        else:
+        else:  # not pruned: branch on every hop, the first on top
             pending.extend((chosen, budget - 1, packed, v) for v in reversed(hops))
     return None
