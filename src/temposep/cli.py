@@ -218,7 +218,11 @@ def _cmd_solve(args) -> int:
             inst = Instance(g=g, s=args.s, z=args.z, k=args.k)
             result = run_solve(inst, args.algo, ordering, td_raw, args.strict)
         except _INPUT_ERRORS as exc:
-            named = len(args.inputs) == 1 or (isinstance(exc, FormatError) and exc.path == input_path)
+            named = (
+                len(args.inputs) == 1
+                or (isinstance(exc, FormatError) and exc.path == input_path)
+                or (isinstance(exc, OSError) and exc.filename == input_path)
+            )
             exit_code = max(exit_code, _fail(exc, "" if named else f"{input_path}: "))
             continue
         sep = result.separator

@@ -5,9 +5,10 @@ adjacency of each label that has edges: within a label it runs a multi-source
 BFS from every vertex reached at an earlier label.  Non-strict paths may take
 several hops at one label, so the BFS runs to exhaustion; a strict path takes
 one hop per label, so the strict sweep stops after the first BFS level.
-Either way the work is linear in the number of time-edges.  An optional set
-of blocked vertices is excluded from the sweep, which answers reachability
-after vertex deletion without rebuilding or renumbering the graph.
+Either way the work is linear in the number of time-edges, and a witness
+search stops at the level that reaches z.  An optional set of blocked
+vertices is excluded from the sweep, which answers reachability after vertex
+deletion without rebuilding or renumbering the graph.
 """
 
 from __future__ import annotations
@@ -75,7 +76,11 @@ def _check_blocked(g: TemporalGraph, s: int, z: int, blocked: AbstractSet[int]) 
 
 
 def _sweep(
-    g: TemporalGraph, s: int, strict: bool, blocked: AbstractSet[int] = frozenset()
+    g: TemporalGraph,
+    s: int,
+    strict: bool,
+    blocked: AbstractSet[int] = frozenset(),
+    z: Optional[int] = None,
 ) -> tuple[list[float], dict[int, tuple[int, int]]]:
     """Earliest arrival labels from s, with predecessor links for witnesses.
 
@@ -84,6 +89,10 @@ def _sweep(
     order frontiers or adjacency lists are scanned in: earliest label first,
     then fewest hops within the label (a strict path takes one hop per
     label), then smallest predecessor vertex.
+
+    Given z, the sweep returns after the BFS level that reaches z, leaving
+    later arrivals unset.  Later levels only link vertices that are still
+    unreached, so z's predecessor chain is the full sweep's.
     """
     arrival: list[float] = [UNREACHED] * g.n
     for v in blocked:
@@ -103,6 +112,8 @@ def _sweep(
             for b, a in found.items():
                 arrival[b] = t
                 pred[b] = (a, t)
+            if z in found:
+                return arrival, pred
             frontier = () if strict else found.keys()
     return arrival, pred
 
@@ -123,7 +134,7 @@ def find_temporal_path(
     """
     check_terminals(g.n, s, z)
     _check_blocked(g, s, z, blocked)
-    arrival, pred = _sweep(g, s, strict, blocked)
+    arrival, pred = _sweep(g, s, strict, blocked, z)
     if arrival[z] == UNREACHED:
         return None
     steps: list[PathStep] = []

@@ -1,20 +1,34 @@
 """Minimum static (s,z)-vertex cut via unit-capacity flow.
 
-Each non-terminal vertex is split into an entry and an exit node joined by a
-unit arc; undirected edges become infinite-capacity arc pairs.  Max flow from
-the exit of s to the entry of z then equals the minimum number of internally
-vertex-disjoint (s,z)-paths, and the cut is every vertex whose entry, but not
-exit, the source still reaches in the residual graph.
+The flow runs on the split network of Even and Tarjan (1975) without
+building it.  Each non-terminal vertex v has an entry state and an exit
+state joined by a unit arc; each undirected edge joins every endpoint's exit
+to the other's entry with unbounded capacity.  The unit of flow through a
+carrying vertex enters it from one neighbour, its flow predecessor, and one
+dict of those predecessors gives every residual move:
+
+- from v's exit to the entry of any neighbour (an unbounded arc);
+- from v's entry to v's exit if v carries no flow, and otherwise back to
+  the exit of v's flow predecessor, the one arc into that entry that
+  carries flow;
+- from v's exit back to v's entry if v carries flow.
+
+Max flow from the exit of s to the entry of z equals the minimum number of
+internally vertex-disjoint (s,z)-paths, and the cut is every vertex whose
+entry, but not exit, the last, failed search reaches.  The adjacency is
+built from the edges and the searches record only the states they reach,
+so nothing is allocated per vertex of 0..n-1.
 
 That residual-reachable set is the same for every maximum flow: it is the
 source side of the minimum cut that lies inside the source side of every
 other minimum cut.  So the returned cut does not depend on which augmenting
-paths the searches happen to find, and they visit arcs in any order.
+paths the searches happen to find, and they visit arcs in any order.  Nor
+does it change when an augmentation sends a unit from x to y while one
+goes from y to x: that leaves a circulation x -> y -> x, and the flow is
+still maximum.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from ..core import StaticGraph, check_terminals
 from ..errors import TerminalsAdjacent
@@ -30,38 +44,50 @@ def static_min_vertex_cut(g: StaticGraph, s: int, z: int) -> frozenset[int]:
     if g.has_edge(s, z):
         raise TerminalsAdjacent(f"vertices {s} and {z} are adjacent, no cut exists")
 
-    # Node 2v = entry of v, 2v+1 = exit of v.  No two arcs join the same node
-    # pair, so each residual capacity is assigned once, its reverse at 0.
-    inf = g.n + 1
-    cap: list[dict[int, int]] = [{} for _ in range(2 * g.n)]
-    for v in range(g.n):
-        if v not in (s, z):
-            cap[2 * v][2 * v + 1] = 1
-            cap[2 * v + 1][2 * v] = 0
+    adj: dict[int, list[int]] = {}
     for u, v in g.edges:
-        for a, b in ((u, v), (v, u)):
-            cap[2 * a + 1][2 * b] = inf
-            cap[2 * b][2 * a + 1] = 0
-
-    source, sink = 2 * s + 1, 2 * z
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    # The flow predecessor of each carrying vertex; the terminals never carry.
+    pred: dict[int, int] = {}
     while True:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            cur = queue.popleft()
-            for nxt, c in cap[cur].items():
-                if c > 0 and nxt not in parent:
-                    parent[nxt] = cur
-                    queue.append(nxt)
-        if sink not in parent:
+        # entered[w]: the exit whose move reached w's entry (w itself when
+        # w's unit is cancelled); exited[x]: the entry whose move reached x's exit.
+        entered: dict[int, int] = {}
+        exited = {s: s}
+        stack = [s]
+        while stack and z not in entered:
+            v = stack.pop()
+            # From v's exit to each neighbour's entry w, and on to the exit
+            # of w's flow predecessor, or of w itself if w carries no flow.
+            for w in adj.get(v, ()):
+                if w not in entered:
+                    entered[w] = v
+                    x = pred.get(w, w)
+                    if x not in exited:
+                        exited[x] = w
+                        stack.append(x)
+            # From a carrying v's exit back to its entry, and on as above.
+            if v in pred and v not in entered:
+                entered[v] = v
+                x = pred[v]
+                if x not in exited:
+                    exited[x] = v
+                    stack.append(x)
+        if z not in entered:
             break
-        # Capacities are integers, so one unit always fits along the path.
-        node = sink
-        while node != source:
-            prv = parent[node]
-            cap[prv][node] -= 1
-            cap[node][prv] += 1
-            node = prv
+        # One unit along the path, walked back from z's entry: a move from
+        # v's exit to w's entry makes v w's flow predecessor, a move back from
+        # w's exit to its own entry drops w's flow.  The path's other moves
+        # cancel flow that the moves around them replace.
+        w = z
+        while w != s:
+            v = entered[w]
+            if v == w:
+                del pred[w]
+            elif w != z:
+                pred[w] = v
+            w = exited[v]
 
     # The last, failed search reached exactly the residual-reachable side.
-    return frozenset(v for v in range(g.n) if v not in (s, z) and 2 * v in parent and 2 * v + 1 not in parent)
+    return frozenset(v for v in entered if v not in exited)

@@ -547,6 +547,14 @@ def test_one_input_solve_failure_is_one_unprefixed_error_line(capsys, tmp_path, 
     )
 
 
+def test_batch_names_a_missing_file_once(capsys, tmp_path, g1_file):
+    missing = str(tmp_path / "missing.tg")
+    code, out, err = run(capsys, ["solve", g1_file, missing, "--s", "0", "--z", "3", "--k", "1"])
+    assert code == 2
+    assert out == f"file={g1_file} verdict=yes separator=1 backend=search-tree\n"
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_stats_go_to_stderr_not_stdout(capsys, tmp_path, g1):
     p = tmp_path / "g.tg"
     dump_tg(g1, p)

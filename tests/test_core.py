@@ -72,6 +72,18 @@ class TestViews:
         assert len(sets) == 250000
         assert len({id(es) for es in sets}) == 5
         assert all(es is sets[-1] for es in sets[4:]) and sets[-1] == frozenset()
+        groups = sparse_labels.layer_groups
+        assert len(groups) == 250000 and len(set(groups[:4])) == 4 and not any(groups[4:])
+
+    @given(small_graphs(max_tau=5))
+    def test_groups_compare_as_the_layer_edge_sets(self, g):
+        groups, sets = g.layer_groups, g.layer_edge_sets
+        assert len(groups) == len(sets) == g.tau
+        for a in range(g.tau):
+            assert (not groups[a]) == (not sets[a])
+            for b in range(g.tau):
+                assert (groups[a] == groups[b]) == (sets[a] == sets[b])
+                assert (groups[a] <= groups[b]) == (sets[a] <= sets[b])
 
     @given(small_graphs())
     def test_layers_union_to_underlying(self, g):

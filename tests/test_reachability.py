@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from temposep import build, find_temporal_path
 from temposep.errors import TerminalInSeparator, VertexOutOfRange
 from temposep.oracle import temporal_path_exists_exhaustive
-from temposep.reachability import PathStep, TemporalPath, is_valid_path
+from temposep.reachability import UNREACHED, PathStep, TemporalPath, _sweep, is_valid_path
 
 from expansion import build_expansion
 from strategies import reachable_with_earliest_arrival, small_graphs
@@ -71,6 +71,22 @@ class TestBlocked:
             if deleted is not None:
                 expected = TemporalPath(tuple(PathStep(back[a], back[b], t) for a, b, t in deleted.steps))
             assert find_temporal_path(g, s, z, strict, blocked) == expected
+
+    @given(small_graphs(max_n=8, max_tau=4), st.sets(st.integers(1, 6)), st.booleans())
+    @settings(max_examples=200)
+    def test_early_stop_returns_the_full_sweeps_path(self, g, drop, strict):
+        s, z = 0, g.n - 1
+        blocked = frozenset(v for v in drop if v < z)
+        arrival, pred = _sweep(g, s, strict, blocked)  # every label, no stop at z
+        expected = None
+        if arrival[z] != UNREACHED:
+            steps, cur = [], z
+            while cur != s:
+                prv, t = pred[cur]
+                steps.append(PathStep(prv, cur, t))
+                cur = prv
+            expected = TemporalPath(tuple(reversed(steps)))
+        assert find_temporal_path(g, s, z, strict, blocked) == expected
 
     @pytest.mark.parametrize(
         "blocked, error",

@@ -1,9 +1,11 @@
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from static_cut_reference import split_network_cut
 from strategies import static_graph
 
 from temposep import static_min_vertex_cut
@@ -118,6 +120,38 @@ def test_cut_is_the_source_side_minimal_minimum_cut(g):
     for other in combinations(others, len(cut)):
         if _separates(g, s, z, other):
             assert side <= _s_side(g, s, other)
+
+
+@st.composite
+def terminal_cases(draw):
+    """(graph, s, z) with s and z anywhere, non-adjacent; edges are drawn
+    from a random subset of the vertices, so a terminal may be isolated and
+    the terminals may lie in different components."""
+    n = draw(st.integers(2, 12))
+    s, z = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    live = draw(st.sets(st.integers(0, n - 1)))
+    pairs = [(u, v) for u in sorted(live) for v in sorted(live) if u < v and {u, v} != {s, z}]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    return static_graph(n, chosen), s, z
+
+
+@given(terminal_cases())
+@settings(max_examples=400, deadline=None)
+def test_same_cut_as_the_split_network(case):
+    g, s, z = case
+    assert static_min_vertex_cut(g, s, z) == split_network_cut(g, s, z)
+
+
+def test_cut_work_is_not_sized_by_the_declared_vertex_count():
+    g = StaticGraph(10**6, frozenset({(0, 1), (1, 2)}))
+    tracemalloc.start()
+    try:
+        cut = static_min_vertex_cut(g, 0, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cut == frozenset({1})
+    assert peak < 2**20
 
 
 # Seeded generator graphs whose underlying cuts are pinned in GOLDEN: general
