@@ -1,15 +1,13 @@
 """Detectors for temporal graph classes.
 
-Layer-sequence shape (monotone runs and their peaks) and periodicity only
-compare layers, so they read the layer edge groups (`layer_groups`: the edges
-that share one label tuple), which are fewer than the edges and compare the
-same way; steadiness and window connectivity read the layer edge sets.  The
-monotone detector resolves the segment definition as per-interval uniform
-direction: each of the p segments is entirely inclusion-non-decreasing or
-entirely inclusion-non-increasing.  Equal consecutive layers count as both
-directions; they never start a new segment and never create a peak.  With
-the per-step reading, a single segment would cover any comparable sequence
-and the peak notion would collapse.
+Layer-sequence shape (monotone runs and their peaks), periodicity, steadiness,
+and window connectivity are all read off the layer edge sets.  The monotone
+detector resolves the segment definition as per-interval uniform direction:
+each of the p segments is entirely inclusion-non-decreasing or entirely
+inclusion-non-increasing.  Equal consecutive layers count as both directions;
+they never start a new segment and never create a peak.  With the per-step
+reading, a single segment would cover any comparable sequence and the peak
+notion would collapse.
 """
 
 from __future__ import annotations
@@ -50,10 +48,10 @@ def monotone_shape(g: TemporalGraph) -> Optional[MonotoneShape]:
     """Segment count and peaks; None if some pair is incomparable, (0, ()) for no layers."""
     labels: list[int] = []  # first label of each run of equal layers
     sets: list[frozenset] = []
-    for idx, layer in enumerate(g.layer_groups):
-        if not sets or layer != sets[-1]:
+    for idx, es in enumerate(g.layer_edge_sets):
+        if not sets or es != sets[-1]:
             labels.append(idx + 1)
-            sets.append(layer)
+            sets.append(es)
     if not sets:
         return MonotoneShape(0, ())
     # +1 growing, -1 shrinking, 0 incomparable, between compressed layers
@@ -71,7 +69,7 @@ def monotone_shape(g: TemporalGraph) -> Optional[MonotoneShape]:
 
 def periodicity(g: TemporalGraph) -> tuple[int, int]:
     """(p, r) with p * r = tau and p minimal; (0, 0) for a graph with no layers."""
-    sets = g.layer_groups
+    sets = g.layer_edge_sets
     tau = g.tau
     if tau == 0:
         return 0, 0

@@ -2,13 +2,12 @@
 
 A temporal graph is a fixed vertex set together with time-labeled undirected
 edges over discrete labels 1..tau.  Vertices are dense 0-based integers, time
-labels are 1-based.  The layers (the edges of one label, as edge sets in
-`layer_edge_sets`, as adjacency lists in `layer_adjacency` and as sets of
-edge groups in `layer_groups`) and the labels of each edge and vertex are
-derived views, each cached on the graph; the underlying static graph (the
-union of all layers) is not: every `underlying()` call builds a new one from
-the cached edge labels.  `is_connected` is the one connectivity check on
-plain edge lists.
+labels are 1-based.  The layers (the edges of one label, as edge sets and as
+adjacency lists) and the labels of each edge and vertex are derived views,
+each cached on the graph; the underlying static graph (the union of all
+layers) is not: every `underlying()` call builds a new one from the cached
+edge labels.  `reachable` is the one search on plain edge lists, and
+`is_connected` reads it.
 
 All values are immutable after construction; every operation is a pure
 function, so values are safe to share between threads.
@@ -69,22 +68,25 @@ class StaticGraph(_StaticGraphFields):
         return len(self.adjacency[v])
 
 
-def is_connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether the graph on vertices 0..n-1 with edges `pairs` is connected."""
-    if n <= 1:
-        return True
+def reachable(pairs: Iterable[tuple[int, int]], source: int) -> set[int]:
+    """The vertices that paths over the edges `pairs` reach from `source`, itself included."""
     adj: dict[int, list[int]] = {}
     for u, v in pairs:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    seen = {0}
-    stack = [0]
+    seen = {source}
+    stack = [source]
     while stack:
         for w in adj.get(stack.pop(), ()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == n
+    return seen
+
+
+def is_connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the graph on vertices 0..n-1 with edges `pairs` is connected."""
+    return n <= 1 or len(reachable(pairs, 0)) == n
 
 
 def check_terminals(n: int, s: int, z: int) -> None:
@@ -134,24 +136,6 @@ class TemporalGraph(_TemporalGraphFields):
                 adj.setdefault(v, []).append(u)
             layers.append((t, adj))
         return tuple(layers)
-
-    @cached_property
-    def layer_groups(self) -> tuple[frozenset[int], ...]:
-        """Each layer as a set of edge groups, indexed 0..tau-1 for labels 1..tau.
-
-        Group i holds the edges whose label tuple in `edge_labels` is the i-th
-        distinct one, so a layer holds whole groups: two layers have equal
-        edge sets iff their group sets are equal, and one layer's edges are a
-        subset of another's iff its group set is.  Empty layers share one set.
-        """
-        members: dict[int, list[int]] = {}
-        for i, ts in enumerate(dict.fromkeys(self.edge_labels.values())):
-            for t in ts:
-                members.setdefault(t, []).append(i)
-        groups = [frozenset()] * self.tau
-        for t, ids in members.items():
-            groups[t - 1] = frozenset(ids)
-        return tuple(groups)
 
     @cached_property
     def edge_labels(self) -> Mapping[tuple[int, int], tuple[int, ...]]:

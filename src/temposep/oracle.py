@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import TemporalGraph, build, check_terminals
 from .errors import NotAPath, OracleScaleError, TerminalEdgePresent
-from .reachability import find_temporal_path
+from .reachability import separates
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -65,7 +65,7 @@ def is_separator(inst: Instance, candidate: Iterable[int], strict: bool = False)
 
     Raises TerminalInSeparator or VertexOutOfRange for a bad candidate.
     """
-    return find_temporal_path(inst.g, inst.s, inst.z, strict, frozenset(candidate)) is None
+    return separates(inst.g, inst.s, inst.z, frozenset(candidate), strict)
 
 
 def min_separator_bruteforce(inst: Instance, strict: bool = False) -> Separator:

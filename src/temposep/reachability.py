@@ -8,14 +8,16 @@ one hop per label, so the strict sweep stops after the first BFS level.
 Either way the work is linear in the number of time-edges, and a witness
 search stops at the level that reaches z.  An optional set of blocked
 vertices is excluded from the sweep, which answers reachability after vertex
-deletion without rebuilding or renumbering the graph.
+deletion without rebuilding or renumbering the graph.  Every temporal path
+is a path of the underlying graph, so `separates` sweeps only when the
+blocked set does not already cut s from z there.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, NamedTuple, Optional
 
-from .core import TemporalGraph, check_terminals
+from .core import TemporalGraph, check_terminals, reachable
 from .errors import TerminalInSeparator, VertexOutOfRange
 
 UNREACHED = float("inf")
@@ -145,3 +147,17 @@ def find_temporal_path(
         cur = prv
     steps.reverse()
     return TemporalPath(tuple(steps))
+
+
+def separates(g: TemporalGraph, s: int, z: int, blocked: AbstractSet[int], strict: bool = False) -> bool:
+    """Whether deleting `blocked` leaves no temporal (s,z)-path.
+
+    A set that cuts s from z in the underlying graph, as every static-cut
+    witness does, is accepted after one search of the underlying edges,
+    without a sweep.  Raises like `find_temporal_path` for a bad terminal or
+    blocked vertex.
+    """
+    check_terminals(g.n, s, z)
+    _check_blocked(g, s, z, blocked)
+    kept = ((u, v) for u, v in g.edge_labels if u not in blocked and v not in blocked)
+    return z not in reachable(kept, s) or find_temporal_path(g, s, z, strict, blocked) is None

@@ -15,9 +15,11 @@ dict of those predecessors gives every residual move:
 
 Max flow from the exit of s to the entry of z equals the minimum number of
 internally vertex-disjoint (s,z)-paths, and the cut is every vertex whose
-entry, but not exit, the last, failed search reaches.  The adjacency is
-built from the edges and the searches record only the states they reach,
-so nothing is allocated per vertex of 0..n-1.
+entry, but not exit, the last, failed search reaches.  A search ends as soon
+as it reaches the exit of a neighbour of z, one move short of z's entry, so
+the depth-first searches find short augmenting paths and leave short flow
+paths behind.  The adjacency is built from the edges and the searches record
+only the states they reach, so nothing is allocated per vertex of 0..n-1.
 
 That residual-reachable set is the same for every maximum flow: it is the
 source side of the minimum cut that lies inside the source side of every
@@ -50,6 +52,8 @@ def static_min_vertex_cut(g: StaticGraph, s: int, z: int) -> frozenset[int]:
         adj.setdefault(v, []).append(u)
     # The flow predecessor of each carrying vertex; the terminals never carry.
     pred: dict[int, int] = {}
+    # The exits from which one move enters z.
+    near_z = frozenset(adj.get(z, ()))
     while True:
         # entered[w]: the exit whose move reached w's entry (w itself when
         # w's unit is cancelled); exited[x]: the entry whose move reached x's exit.
@@ -60,20 +64,25 @@ def static_min_vertex_cut(g: StaticGraph, s: int, z: int) -> frozenset[int]:
             v = stack.pop()
             # From v's exit to each neighbour's entry w, and on to the exit
             # of w's flow predecessor, or of w itself if w carries no flow.
+            # The search ends at the first such exit next to z.
             for w in adj.get(v, ()):
                 if w not in entered:
                     entered[w] = v
                     x = pred.get(w, w)
                     if x not in exited:
                         exited[x] = w
+                        if x in near_z:
+                            entered[z] = x
+                            break
                         stack.append(x)
-            # From a carrying v's exit back to its entry, and on as above.
-            if v in pred and v not in entered:
-                entered[v] = v
-                x = pred[v]
-                if x not in exited:
-                    exited[x] = v
-                    stack.append(x)
+            else:
+                # From a carrying v's exit back to its entry, and on as above.
+                if v in pred and v not in entered:
+                    entered[v] = v
+                    x = pred[v]
+                    if x not in exited:
+                        exited[x] = v
+                        stack.append(x)
         if z not in entered:
             break
         # One unit along the path, walked back from z's entry: a move from

@@ -1,8 +1,7 @@
 import pytest
 from decoders import NotMonotone, reduce_to_peaks
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from layer_set_reference import set_monotone_shape, set_periodicity
 from order_reference import scan_order_compatible
 from strategies import indifference_graphs, instance_graphs, power, small_graphs
 from window_reference import all_windows_interval_connected
@@ -15,7 +14,7 @@ from temposep import (
     from_layers,
     min_separator_bruteforce,
 )
-from temposep.classes import OrderViolation, monotone_shape, periodicity
+from temposep.classes import OrderViolation, periodicity
 from temposep.errors import NotAPermutation
 from temposep.generators import GenSpec, MonotoneConstraint, generate
 
@@ -210,30 +209,3 @@ def test_monotone_profile_matches_definition(g):
         ]
         runs = 1 + sum(1 for d, e in zip(dirs, dirs[1:]) if d != e) if dirs else 1
         assert profile.monotone.p == runs
-
-
-@st.composite
-def layer_sequences(draw):
-    """Layer sequences over a pool of nested edge sets, the empty set and up to
-    two free sets, so runs of equal layers, empty layers at either end, rising
-    and falling steps and incomparable steps all occur; half of them tile a
-    block, so periods shorter than tau occur too.  tau may be 0."""
-    n = draw(st.integers(2, 5))
-    pairs = draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
-    cuts = draw(st.lists(st.integers(0, len(pairs)), min_size=1, max_size=4))
-    pool = [[]] + [pairs[:c] for c in cuts] + draw(st.lists(st.lists(st.sampled_from(pairs)), max_size=2))
-    picks = st.lists(st.sampled_from(range(len(pool))), max_size=8)
-    seq = draw(picks) if draw(st.booleans()) else draw(picks) * draw(st.integers(1, 3))
-    return from_layers(n, [pool[i] for i in seq])
-
-
-@given(st.one_of(layer_sequences(), small_graphs(max_tau=6)))
-@example(from_layers(4, []))  # tau 0
-@example(from_layers(4, [[]]))
-@example(from_layers(4, [[], A, A + [E_EXTRA], []]))  # empty first and last layers
-@example(from_layers(4, [A, A, [E_EXTRA], [E_EXTRA]]))  # equal runs, incomparable step
-@example(from_layers(4, [A, [], A, []]))  # period 2
-@settings(max_examples=300)
-def test_group_detectors_match_the_edge_set_references(g):
-    assert monotone_shape(g) == set_monotone_shape(g)
-    assert periodicity(g) == set_periodicity(g)

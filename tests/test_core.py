@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from strategies import concat, power, small_graphs
 
 from temposep import TimeEdge, build, from_layers
-from temposep.core import is_connected
+from temposep.core import is_connected, reachable
 from temposep.errors import LabelOutOfRange, SelfLoop, VertexOutOfRange
 
 
@@ -72,18 +72,6 @@ class TestViews:
         assert len(sets) == 250000
         assert len({id(es) for es in sets}) == 5
         assert all(es is sets[-1] for es in sets[4:]) and sets[-1] == frozenset()
-        groups = sparse_labels.layer_groups
-        assert len(groups) == 250000 and len(set(groups[:4])) == 4 and not any(groups[4:])
-
-    @given(small_graphs(max_tau=5))
-    def test_groups_compare_as_the_layer_edge_sets(self, g):
-        groups, sets = g.layer_groups, g.layer_edge_sets
-        assert len(groups) == len(sets) == g.tau
-        for a in range(g.tau):
-            assert (not groups[a]) == (not sets[a])
-            for b in range(g.tau):
-                assert (groups[a] == groups[b]) == (sets[a] == sets[b])
-                assert (groups[a] <= groups[b]) == (sets[a] <= sets[b])
 
     @given(small_graphs())
     def test_layers_union_to_underlying(self, g):
@@ -97,6 +85,12 @@ def test_is_connected_on_edge_lists():
     assert is_connected(0, []) and is_connected(1, [])
     assert is_connected(3, [(2, 1), (0, 1)])
     assert not is_connected(3, [(0, 1)])
+
+
+def test_reachable_is_the_sources_component():
+    assert reachable([(0, 1), (2, 1), (3, 4)], 0) == {0, 1, 2}
+    assert reachable(iter([(3, 4)]), 4) == {3, 4}
+    assert reachable([], 5) == {5}
     assert not is_connected(4, [(0, 1), (2, 3), (0, 1)])
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from temposep import build, find_temporal_path
 from temposep.errors import TerminalInSeparator, VertexOutOfRange
 from temposep.oracle import temporal_path_exists_exhaustive
-from temposep.reachability import UNREACHED, PathStep, TemporalPath, _sweep, is_valid_path
+from temposep.reachability import UNREACHED, PathStep, TemporalPath, _sweep, is_valid_path, separates
 
 from expansion import build_expansion
 from strategies import reachable_with_earliest_arrival, small_graphs
@@ -88,6 +88,20 @@ class TestBlocked:
             expected = TemporalPath(tuple(reversed(steps)))
         assert find_temporal_path(g, s, z, strict, blocked) == expected
 
+    @given(small_graphs(max_n=8, max_tau=4), st.sets(st.integers(1, 6)), st.booleans())
+    @settings(max_examples=200)
+    def test_separates_answers_as_the_sweep(self, g, drop, strict):
+        s, z = 0, g.n - 1
+        blocked = frozenset(v for v in drop if v < z)
+        assert separates(g, s, z, blocked, strict) == (find_temporal_path(g, s, z, strict, blocked) is None)
+
+    def test_separates_sweeps_when_the_underlying_graph_stays_joined(self):
+        # 0-1-2 runs backwards in time, 0-3-2 forwards.
+        g = build(4, 2, [(0, 1, 2), (1, 2, 1), (0, 3, 1), (2, 3, 1)])
+        assert not separates(g, 0, 2, frozenset())
+        assert separates(g, 0, 2, frozenset({3}))  # joined underneath, not in time
+        assert separates(g, 0, 2, frozenset({1, 3}))  # cut underneath
+
     @pytest.mark.parametrize(
         "blocked, error",
         [({0}, TerminalInSeparator), ({1, 3}, TerminalInSeparator), ({4}, VertexOutOfRange), ({-1}, VertexOutOfRange)],
@@ -95,6 +109,8 @@ class TestBlocked:
     def test_invalid_mask_is_rejected(self, g1, blocked, error):
         with pytest.raises(error):
             find_temporal_path(g1, 0, 3, blocked=blocked)
+        with pytest.raises(error):
+            separates(g1, 0, 3, frozenset(blocked))
 
 
 class TestEarliestArrival:
