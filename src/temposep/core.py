@@ -3,11 +3,11 @@
 A temporal graph is a fixed vertex set together with time-labeled undirected
 edges over discrete labels 1..tau.  Vertices are dense 0-based integers, time
 labels are 1-based.  The layers (the edges of one label, as edge sets and as
-adjacency lists) and the labels of each edge and vertex are derived views,
-each cached on the graph; the underlying static graph (the union of all
-layers) is not: every `underlying()` call builds a new one from the cached
-edge labels.  `reachable` is the one search on plain edge lists, and
-`is_connected` reads it.
+adjacency lists) and the labels of each edge are derived views, each cached
+on the graph; the underlying static graph (the union of all layers) is not:
+every `underlying()` call builds a new one from the cached edge labels.
+`reachable` is the one search on plain edge lists, and `is_connected` reads
+it.
 
 All values are immutable after construction; every operation is a pure
 function, so values are safe to share between threads.
@@ -145,18 +145,13 @@ class TemporalGraph(_TemporalGraphFields):
             labels.setdefault((u, v), []).append(t)
         return {pair: tuple(ts) for pair, ts in labels.items()}
 
-    @cached_property
-    def vertex_labels(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted labels of each vertex's time-edges, indexed by vertex."""
-        labels: list[set[int]] = [set() for _ in range(self.n)]
-        for t, u, v in self.edges:
-            labels[u].add(t)
-            labels[v].add(t)
-        return tuple(tuple(sorted(ts)) for ts in labels)
-
     def underlying(self) -> StaticGraph:
-        """The static union of all layers."""
-        return StaticGraph(self.n, frozenset(self.edge_labels.keys()))
+        """The static union of all layers.
+
+        The pairs of `edge_labels` are canonical and in range by construction,
+        so the graph is built without `StaticGraph`'s per-pair check.
+        """
+        return tuple.__new__(StaticGraph, (self.n, frozenset(self.edge_labels)))
 
     def delete_vertices(self, drop: Iterable[int]) -> tuple["TemporalGraph", dict[int, int]]:
         """Remove vertices and every incident time-edge.

@@ -7,12 +7,13 @@ against.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import TemporalGraph, build, check_terminals
 from .errors import NotAPath, OracleScaleError, TerminalEdgePresent
-from .reachability import separates
+from .reachability import _sweep, separates
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -29,10 +30,10 @@ class Instance(_InstanceFields):
 
     Construction rejects a time-edge between the terminals, which the
     problem definition forbids.  Build a changed copy through the
-    constructor, never `_replace`, which skips this check.
+    constructor, never `_replace`, which skips this check.  Like
+    TemporalGraph, a named tuple subclass that keeps a derived view in a
+    cached property.
     """
-
-    __slots__ = ()
 
     def __new__(cls, g: TemporalGraph, s: int, z: int, k: int) -> "Instance":
         check_terminals(g.n, s, z)
@@ -42,6 +43,12 @@ class Instance(_InstanceFields):
         if pair in g.edge_labels:
             raise TerminalEdgePresent(f"time-edge between terminals {s} and {z} at labels {g.edge_labels[pair]}")
         return super().__new__(cls, g, s, z, k)
+
+    @cached_property
+    def arrival(self) -> tuple[float, ...]:
+        """The earliest non-strict arrival label of each vertex from s, with
+        nothing deleted: 0 for s, UNREACHED for a vertex s cannot reach."""
+        return tuple(_sweep(self.g, self.s, strict=False)[0])
 
 
 class Separator(NamedTuple):

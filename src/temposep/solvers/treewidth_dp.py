@@ -8,12 +8,16 @@ Z vertex at label >= i or reach an A_j vertex strictly before label j; the
 minimum |S| over consistent colorings is the minimum separator size.
 
 The tables hold only canonical colorings: a vertex other than s and z is
-A_i only when i is in labels(v), the labels of v's own time-edges.  This
-keeps the minimum.  Given any separator S, color each other vertex by its
-earliest arrival from s once S is deleted: A_i if it is first reached at
-label i, Z if it is never reached.  That coloring passes every introduce
-check below, and it is canonical, because a vertex is first reached over one
-of its own time-edges.  So every separator has a canonical coloring.
+A_i only when i is in labels(v), the labels of v's own time-edges, and i >=
+arr(v), its earliest arrival from s in the whole graph.  This keeps the
+minimum.  Given any separator S, color each other vertex by its earliest
+arrival from s once S is deleted: A_i if it is first reached at label i, Z
+if it is never reached.  That coloring passes every introduce check below,
+and it is canonical: a vertex is first reached over one of its own
+time-edges, and deleting vertices never makes an arrival earlier, so i >=
+arr(v).  So every separator has a canonical coloring, and a vertex that s
+cannot reach is only ever S or Z.  arr comes from one full sweep per
+instance (`Instance.arrival`), which the work estimate and the tables share.
 
 Per tree node x the table D_x maps each coloring of the bag to a smallest set
 of S-vertices over consistent canonical colorings of everything introduced in
@@ -24,7 +28,7 @@ colorings extending the single finite leaf entry are ever materialized.
 Node rules:
 - leaf (bag {s,z}): the single coloring s=A_1, z=Z has no S-vertex.
 - introduce v: extend each child entry with S, which adds v to the mask and
-  is always allowed, and with Z and A_i for each i in labels(v), checking v's
+  is always allowed, and with Z and A_i for each canonical i, checking v's
   time-edges into the bag: v=Z needs every A_i neighbor with edge label t to
   satisfy t < i; v=A_i needs neighbors at labels t >= i to be in A_1..A_t or
   S, and neighbors at labels t < i to be in A_{t+1}..A_tau, S, or Z.  (All
@@ -82,7 +86,7 @@ def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
     _check_fit(inst, td)
     g, z, tau = inst.g, inst.z, inst.g.tau
     base = tau + 2
-    own = g.vertex_labels
+    own = _canonical_labels(inst)
     bags = [tuple(sorted(node.bag)) for node in td.nodes]
     pows = [base**i for i in range(max(len(bag) for bag in bags) + 1)]
     tables: dict[int, dict[int, int]] = {}
@@ -142,8 +146,20 @@ def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
     return tables[td.root]
 
 
+def _canonical_labels(inst: Instance) -> list[list[int]]:
+    """Per vertex, the ascending labels i of its own time-edges with i >=
+    arr(v); empty for a vertex that s cannot reach."""
+    arrival = inst.arrival
+    own: list[list[int]] = [[] for _ in range(inst.g.n)]
+    for t, u, v in inst.g.edges:  # ascending labels, so a repeat is the last entry
+        for w in (u, v):
+            if arrival[w] <= t and own[w][-1:] != [t]:
+                own[w].append(t)
+    return own
+
+
 def _allowed(
-    w_colors: tuple[int, ...], nbr_labels: list[tuple[int, ...]], own: tuple[int, ...], unit: int, tau: int
+    w_colors: tuple[int, ...], nbr_labels: list[tuple[int, ...]], own: list[int], unit: int, tau: int
 ) -> list[int]:
     """color * unit for each free color (A_i for i in `own`, and Z) of an
     introduced vertex that the introduce rule allows next to neighbors
@@ -162,10 +178,12 @@ def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
     """An upper bound on the table cells, summed over all bags.
 
     A bag's table holds at most the product of its vertices' color counts:
-    1 for s and z, and for any other vertex v, S, Z and A_i for each i in
-    labels(v).
+    1 for s and z, and for any other vertex v, S, Z and A_i for each label i
+    of v's own time-edges with i >= arr(v), so 2 for a vertex that s cannot
+    reach.  It reads the same arrival sweep as the tables, once per
+    instance.
     """
-    colors = [len(labels) + 2 for labels in inst.g.vertex_labels]
+    colors = [len(labels) + 2 for labels in _canonical_labels(inst)]
     colors[inst.s] = colors[inst.z] = 1
     return sum(prod(colors[v] for v in node.bag) for node in td.nodes)
 

@@ -30,6 +30,30 @@ def reachable_with_earliest_arrival(g: TemporalGraph, s: int) -> dict[int, int]:
     return {v: int(a) for v, a in enumerate(arrival) if a != UNREACHED}
 
 
+def elimination_decomposition(g: StaticGraph, order) -> tuple[list[set[int]], list[tuple[int, int]]]:
+    """Bags and tree edges from eliminating the vertices of g in `order`.
+
+    A vertex's bag is itself and its neighbours when it is eliminated, which
+    then become a clique.  The bag hangs under the bag of its
+    first-eliminated neighbour, or under the next bag when it has none.
+    """
+    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    position = {v: i for i, v in enumerate(order)}
+    bags: list[set[int]] = []
+    tree_edges: list[tuple[int, int]] = []
+    for i, v in enumerate(order):
+        nbrs = adj.pop(v)
+        bags.append({v} | nbrs)
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(v)
+        if nbrs:
+            tree_edges.append((i, min(position[w] for w in nbrs)))
+        elif i + 1 < len(order):
+            tree_edges.append((i, i + 1))
+    return bags, tree_edges
+
+
 def small_graphs(max_n: int = 6, max_tau: int = 3, min_n: int = 2):
     """Small canonical temporal graphs."""
 
@@ -85,3 +109,27 @@ def indifference_graphs(max_n: int = 7, max_tau: int = 3):
         return build(n, tau, triples), ordering
 
     return _cases()
+
+
+def late_arrival_graphs(max_n: int = 7, max_tau: int = 4):
+    """Instance graphs (s = 0, z = n-1) that s reaches only in part, and late.
+
+    A drawn set of vertices keeps only its time-edges among itself, so s
+    cannot reach it, and s's own time-edges keep only labels from a drawn
+    start on, so its neighbours are first reached late and their earlier
+    labels cannot be arrival labels.
+    """
+
+    @st.composite
+    def _graphs(draw):
+        g = draw(instance_graphs(max_n, max_tau, min_n=3))
+        cut_off = draw(st.sets(st.integers(1, g.n - 1)))
+        start = draw(st.integers(1, g.tau))
+        kept = [
+            (u, v, t)
+            for u, v, t in g.raw_triples()
+            if (u in cut_off) == (v in cut_off) and (u != 0 or t >= start)
+        ]
+        return build(g.n, g.tau, kept)
+
+    return _graphs()

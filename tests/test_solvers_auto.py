@@ -1,13 +1,17 @@
 from itertools import accumulate
+from math import prod
 
 import pytest
 from conftest import random_instances
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import instance_graphs, power
+from strategies import elimination_decomposition, instance_graphs, late_arrival_graphs, power
 
 import temposep.classes
+import temposep.oracle
+import temposep.reachability
 import temposep.solvers.auto
+import temposep.solvers.treewidth_dp
 
 from temposep import (
     Instance,
@@ -118,12 +122,59 @@ def test_td_hint_over_cap_falls_back_to_search_tree(monkeypatch):
 
 
 def test_work_estimate_counts_canonical_colors_per_bag():
-    # labels(1) = {1, 2} gives 1 four colors and labels(2) = {2} gives 2 three;
-    # the terminals have one each.
+    # s reaches 1 at label 1 and 2 at label 2: labels {1, 2} give 1 four
+    # colors and labels {2} give 2 three; the terminals have one each.
     g = build(4, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 2)])
     td = build_tree_decomposition(g.underlying(), 0, 3, external=([{0, 3}, {0, 1, 2, 3}], [(0, 1)]))
     assert [set(node.bag) for node in td.nodes] == [{0, 3}, {0, 1, 3}, {0, 1, 2, 3}, {0, 2, 3}, {0, 3}]
     assert treewidth_work_estimate(Instance(g=g, s=0, z=3, k=0), td) == 1 + 4 + 12 + 3 + 1
+
+
+def test_work_estimate_drops_labels_before_the_arrival():
+    # s reaches 1 only at label 2, so 1 keeps A_2, S and Z of its labels
+    # {1, 2}, and 2's one edge (label 1) comes too early: s never reaches 2,
+    # which keeps only S and Z.
+    g = build(4, 2, [(0, 1, 2), (1, 2, 1), (1, 3, 2)])
+    td = build_tree_decomposition(g.underlying(), 0, 3, external=([{0, 3}, {0, 1, 2, 3}], [(0, 1)]))
+    assert [set(node.bag) for node in td.nodes] == [{0, 3}, {0, 1, 3}, {0, 1, 2, 3}, {0, 2, 3}, {0, 3}]
+    assert treewidth_work_estimate(Instance(g=g, s=0, z=3, k=0), td) == 1 + 3 + 6 + 2 + 1
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_work_estimate_is_at_most_the_product_over_all_labels(data):
+    g = data.draw(late_arrival_graphs())
+    order = data.draw(st.permutations(range(g.n)))
+    td = build_tree_decomposition(g.underlying(), 0, g.n - 1, external=elimination_decomposition(g.underlying(), order))
+    colors = [len({t for t, u, v in g.edges if w in (u, v)}) + 2 for w in range(g.n)]
+    colors[0] = colors[g.n - 1] = 1
+    all_labels = sum(prod(colors[v] for v in node.bag) for node in td.nodes)
+    assert treewidth_work_estimate(Instance(g=g, s=0, z=g.n - 1, k=0), td) <= all_labels
+
+
+def test_ladder_solve_sweeps_once_before_the_dp(monkeypatch):
+    # The work estimate and the tables read one arrival sweep between them.
+    g = _ramped_ladder(3, 12, 5)
+    inst = Instance(g=g, s=0, z=g.n - 1, k=3)
+    td = build_tree_decomposition(g.underlying(), 0, g.n - 1)
+    sweeps = []
+    at_dp = []
+    real_sweep, real_dp = temposep.reachability._sweep, temposep.solvers.treewidth_dp.solve_treewidth_dp
+
+    def counting_sweep(*args, **kwargs):
+        sweeps.append(args)
+        return real_sweep(*args, **kwargs)
+
+    def noting_dp(*args, **kwargs):
+        at_dp.append(len(sweeps))
+        return real_dp(*args, **kwargs)
+
+    monkeypatch.setattr(temposep.reachability, "_sweep", counting_sweep)
+    monkeypatch.setattr(temposep.oracle, "_sweep", counting_sweep)
+    monkeypatch.setattr(temposep.solvers.treewidth_dp, "solve_treewidth_dp", noting_dp)
+    result = solve_auto(inst, td=td)
+    assert result.backend == "treewidth-dp"
+    assert at_dp == [1] and len(sweeps) == 1
 
 
 def _ramped_ladder(rails, length, tau):

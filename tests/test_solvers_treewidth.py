@@ -5,7 +5,12 @@ from itertools import product
 
 import pytest
 from decoders import treewidth_root_table
-from strategies import instance_graphs, reachable_with_earliest_arrival
+from strategies import (
+    elimination_decomposition,
+    instance_graphs,
+    late_arrival_graphs,
+    reachable_with_earliest_arrival,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +100,24 @@ def test_matches_oracle(g):
 
 
 @given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_matches_oracle_at_every_budget_on_random_elimination_orders(data):
+    # Vertices that s cannot reach, or first reaches late, lose A colours;
+    # any decomposition, not only min-fill's, must keep the minimum.
+    g = data.draw(late_arrival_graphs())
+    order = data.draw(st.permutations(range(g.n)))
+    td = build_tree_decomposition(g.underlying(), 0, g.n - 1, external=elimination_decomposition(g.underlying(), order))
+    minimum = min_separator_bruteforce(Instance(g=g, s=0, z=g.n - 1, k=g.n)).size
+    for k in range(g.n - 1):
+        inst = Instance(g=g, s=0, z=g.n - 1, k=k)
+        found = solve_treewidth_dp(inst, td)
+        if k < minimum:
+            assert found is None
+        else:
+            assert found.size == minimum and is_separator(inst, found.vertices)
+
+
+@given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_decomposition_of_another_graph_fits_exactly_when_its_bags_cover_the_edges(data):
     g = data.draw(instance_graphs(max_n=6, max_tau=3))
@@ -155,14 +178,16 @@ def brute_force_min_colorings(g, s, z, canonical=True):
     """min |S| over valid whole-graph colorings, per restriction to a bag.
 
     Canonical colorings give a vertex other than s and z the color A_i only
-    when one of its own time-edges has label i, as the DP tables do.
+    when one of its own time-edges has label i and s reaches it by label i
+    with nothing deleted, as the DP tables do.
     """
     tau = g.tau
     verts = [v for v in range(g.n) if v not in (s, z)]
     colors = {v: list(range(tau + 2)) for v in verts}
     if canonical:
+        arrival = reachable_with_earliest_arrival(g, s)
         for v in verts:
-            own = {t for t, a, b in g.edges if v in (a, b)}
+            own = {t for t, a, b in g.edges if v in (a, b) and t >= arrival.get(v, tau + 1)}
             colors[v] = [i - 1 for i in sorted(own)] + [tau, tau + 1]
     results = {}
     for combo in product(*(colors[v] for v in verts)):

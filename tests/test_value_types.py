@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from strategies import small_graphs
 
 import temposep.reductions as reductions
 from temposep import Instance, Separator, StaticGraph, build
 from temposep.errors import SelfLoop, TerminalEdgePresent, VertexOutOfRange
+from temposep.reachability import UNREACHED
 
 
 def test_instance_validates_on_construction(g1):
@@ -25,6 +28,18 @@ def test_static_graph_validates_on_construction():
         StaticGraph(3, frozenset({(1, 3)}))
     with pytest.raises(VertexOutOfRange, match="not canonical"):
         StaticGraph(3, frozenset({(2, 1)}))
+    with pytest.raises(VertexOutOfRange):
+        StaticGraph(3, frozenset({(-1, 2)}))
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_underlying_equals_the_validated_construction(g):
+    # underlying() skips the per-pair check; a built graph's pairs pass it.
+    under = g.underlying()
+    checked = StaticGraph(g.n, frozenset(g.edge_labels))
+    assert type(under) is StaticGraph and under == checked and hash(under) == hash(checked)
+    assert under.adjacency == checked.adjacency
 
 
 def test_reduction_output_is_validated_again(monkeypatch):
@@ -49,6 +64,15 @@ def test_repr_is_unchanged_by_cached_views():
     g.edge_labels, g.layer_adjacency  # fill the cached views
     assert repr(g) == expected
     assert repr(Separator(frozenset({2}))) == "Separator(vertices=frozenset({2}))"
+
+
+def test_instance_arrival_is_a_cached_view():
+    # 0-1 at label 2, 1-2 at label 1 (too early to relay), 1-3 at label 2.
+    inst = Instance(build(4, 2, [(0, 1, 2), (1, 2, 1), (1, 3, 2)]), 0, 3, 1)
+    before = repr(inst)
+    assert inst.arrival == (0, 2, UNREACHED, 2) and inst.arrival is inst.arrival
+    assert repr(inst) == before and inst == Instance(inst.g, 0, 3, 1)
+    assert hash(inst) == hash(Instance(inst.g, 0, 3, 1))
 
 
 def test_equal_graphs_hash_equal():
