@@ -145,36 +145,12 @@ def test_work_estimate_drops_labels_before_the_arrival():
 def test_work_estimate_is_at_most_the_product_over_all_labels(data):
     g = data.draw(late_arrival_graphs())
     order = data.draw(st.permutations(range(g.n)))
-    td = build_tree_decomposition(g.underlying(), 0, g.n - 1, external=elimination_decomposition(g.underlying(), order))
+    under = g.underlying()
+    td = build_tree_decomposition(under, 0, g.n - 1, external=elimination_decomposition(under, order))
     colors = [len({t for t, u, v in g.edges if w in (u, v)}) + 2 for w in range(g.n)]
     colors[0] = colors[g.n - 1] = 1
     all_labels = sum(prod(colors[v] for v in node.bag) for node in td.nodes)
     assert treewidth_work_estimate(Instance(g=g, s=0, z=g.n - 1, k=0), td) <= all_labels
-
-
-def test_ladder_solve_sweeps_once_before_the_dp(monkeypatch):
-    # The work estimate and the tables read one arrival sweep between them.
-    g = _ramped_ladder(3, 12, 5)
-    inst = Instance(g=g, s=0, z=g.n - 1, k=3)
-    td = build_tree_decomposition(g.underlying(), 0, g.n - 1)
-    sweeps = []
-    at_dp = []
-    real_sweep, real_dp = temposep.reachability._sweep, temposep.solvers.treewidth_dp.solve_treewidth_dp
-
-    def counting_sweep(*args, **kwargs):
-        sweeps.append(args)
-        return real_sweep(*args, **kwargs)
-
-    def noting_dp(*args, **kwargs):
-        at_dp.append(len(sweeps))
-        return real_dp(*args, **kwargs)
-
-    monkeypatch.setattr(temposep.reachability, "_sweep", counting_sweep)
-    monkeypatch.setattr(temposep.oracle, "_sweep", counting_sweep)
-    monkeypatch.setattr(temposep.solvers.treewidth_dp, "solve_treewidth_dp", noting_dp)
-    result = solve_auto(inst, td=td)
-    assert result.backend == "treewidth-dp"
-    assert at_dp == [1] and len(sweeps) == 1
 
 
 def _ramped_ladder(rails, length, tau):
@@ -211,6 +187,31 @@ def test_wide_ladder_is_admitted_to_treewidth_dp():
         if searched is not None:
             assert result.separator.size == searched.size
             assert is_separator(inst, result.separator.vertices)
+
+
+def test_ladder_solve_sweeps_once_before_the_dp(monkeypatch):
+    # The work estimate and the tables read one arrival sweep between them.
+    g = _ramped_ladder(3, 12, 5)
+    inst = Instance(g=g, s=0, z=g.n - 1, k=3)
+    td = build_tree_decomposition(g.underlying(), 0, g.n - 1)
+    sweeps = []
+    at_dp = []
+    real_sweep, real_dp = temposep.reachability._sweep, temposep.solvers.treewidth_dp.solve_treewidth_dp
+
+    def counting_sweep(*args, **kwargs):
+        sweeps.append(args)
+        return real_sweep(*args, **kwargs)
+
+    def noting_dp(*args, **kwargs):
+        at_dp.append(len(sweeps))
+        return real_dp(*args, **kwargs)
+
+    monkeypatch.setattr(temposep.reachability, "_sweep", counting_sweep)
+    monkeypatch.setattr(temposep.oracle, "_sweep", counting_sweep)
+    monkeypatch.setattr(temposep.solvers.treewidth_dp, "solve_treewidth_dp", noting_dp)
+    result = solve_auto(inst, td=td)
+    assert result.backend == "treewidth-dp"
+    assert at_dp == [1] and len(sweeps) == 1
 
 
 def test_generic_instance_without_hints_uses_search_tree(g1):

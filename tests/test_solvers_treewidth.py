@@ -106,7 +106,8 @@ def test_matches_oracle_at_every_budget_on_random_elimination_orders(data):
     # any decomposition, not only min-fill's, must keep the minimum.
     g = data.draw(late_arrival_graphs())
     order = data.draw(st.permutations(range(g.n)))
-    td = build_tree_decomposition(g.underlying(), 0, g.n - 1, external=elimination_decomposition(g.underlying(), order))
+    under = g.underlying()
+    td = build_tree_decomposition(under, 0, g.n - 1, external=elimination_decomposition(under, order))
     minimum = min_separator_bruteforce(Instance(g=g, s=0, z=g.n - 1, k=g.n)).size
     for k in range(g.n - 1):
         inst = Instance(g=g, s=0, z=g.n - 1, k=k)
