@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temposep import build
-from temposep.errors import FormatError
+from temposep.errors import FormatError, TempoSepError
 from temposep.fileio import (
     dump_tg,
     format_tg,
@@ -48,6 +50,54 @@ def test_bad_header():
 def test_semantic_error_carries_path():
     with pytest.raises(FormatError, match="self-loop"):
         parse_tg("tg 3 1\n1 1 1\n", path="x.tg")
+
+
+_FILLER = st.sampled_from(["", "   ", "# note", "#"])
+
+
+@st.composite
+def _tg_texts(draw):
+    """A .tg text with a header n in -1..8 and tau in -1..5, and the
+    triples of its edge lines, each with the line it sits on."""
+    lines = draw(st.lists(_FILLER, max_size=2))
+    n, tau = draw(st.integers(-1, 8)), draw(st.integers(-1, 5))
+    lines.append(f"tg {n} {tau}")
+    header_line = len(lines)
+    triples, triple_lines = [], []
+    value = st.integers(-1, 9)
+    for item in draw(st.lists(st.one_of(_FILLER, st.tuples(value, value, value)), max_size=8)):
+        if isinstance(item, tuple):
+            triples.append(item)
+            triple_lines.append(len(lines) + 1)
+            item = " ".join(map(str, item))
+        lines.append(item)
+    return "\n".join(lines) + "\n", n, tau, header_line, triples, triple_lines
+
+
+def _first_refusal(n, tau, triples):
+    """The index of the triple `build` refuses first (-1 for the header), or None."""
+    for i in range(-1, len(triples)):
+        try:
+            build(n, tau, triples[: i + 1])
+        except TempoSepError:
+            return i
+    return None
+
+
+@settings(max_examples=300)
+@given(_tg_texts())
+def test_reader_reports_builds_errors_at_their_line(case):
+    text, n, tau, header_line, triples, triple_lines = case
+    try:
+        expected = build(n, tau, triples)
+    except TempoSepError as exc:
+        refused = _first_refusal(n, tau, triples)
+        line = header_line if refused == -1 else triple_lines[refused]
+        with pytest.raises(FormatError) as info:
+            parse_tg(text)
+        assert str(info.value) == f"<string>:{line}: {exc}"
+    else:
+        assert parse_tg(text) == expected
 
 
 def test_parse_td():
