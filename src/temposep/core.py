@@ -6,8 +6,8 @@ labels are 1-based.  The layers (the edges of one label, as edge sets and as
 adjacency lists) and the labels of each edge are derived views, each cached
 on the graph; the underlying static graph (the union of all layers) is not:
 every `underlying()` call builds a new one from the cached edge labels.
-`reachable` is the one search on plain edge lists, and `is_connected` reads
-it.
+`reachable` is the one search on plain edge lists (over their
+`adjacency_lists`), and `is_connected` reads it.
 
 All values are immutable after construction; every operation is a pure
 function, so values are safe to share between threads.
@@ -68,12 +68,18 @@ class StaticGraph(_StaticGraphFields):
         return len(self.adjacency[v])
 
 
-def reachable(pairs: Iterable[tuple[int, int]], source: int) -> set[int]:
-    """The vertices that paths over the edges `pairs` reach from `source`, itself included."""
+def adjacency_lists(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """The neighbours of each vertex on an edge of `pairs`, in edge order."""
     adj: dict[int, list[int]] = {}
     for u, v in pairs:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
+    return adj
+
+
+def reachable(pairs: Iterable[tuple[int, int]], source: int) -> set[int]:
+    """The vertices that paths over the edges `pairs` reach from `source`, itself included."""
+    adj = adjacency_lists(pairs)
     seen = {source}
     stack = [source]
     while stack:
@@ -182,16 +188,6 @@ class TemporalGraph(_TemporalGraphFields):
         return [(u, v, t) for t, u, v in self.edges]
 
 
-def check_time_edge(n: int, tau: int, u: int, v: int, t: int) -> None:
-    """Raise SelfLoop, VertexOutOfRange or LabelOutOfRange naming the triple."""
-    if u == v:
-        raise SelfLoop(f"time-edge ({u},{v},{t}) is a self-loop")
-    if not (0 <= u < n and 0 <= v < n):
-        raise VertexOutOfRange(f"time-edge ({u},{v},{t}) has a vertex outside 0..{n - 1}")
-    if not (1 <= t <= tau):
-        raise LabelOutOfRange(f"time-edge ({u},{v},{t}) has label outside 1..{tau}")
-
-
 def build(n: int, tau: int, raw_edges: Iterable[tuple[int, int, int]]) -> TemporalGraph:
     """Build a canonical TemporalGraph from (u, v, t) triples.
 
@@ -204,7 +200,12 @@ def build(n: int, tau: int, raw_edges: Iterable[tuple[int, int, int]]) -> Tempor
         raise LabelOutOfRange(f"max label {tau} is negative")
     canon: set[tuple[int, int, int]] = set()
     for u, v, t in raw_edges:
-        check_time_edge(n, tau, u, v, t)
+        if u == v:
+            raise SelfLoop(f"time-edge ({u},{v},{t}) is a self-loop")
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRange(f"time-edge ({u},{v},{t}) has a vertex outside 0..{n - 1}")
+        if not (1 <= t <= tau):
+            raise LabelOutOfRange(f"time-edge ({u},{v},{t}) has label outside 1..{tau}")
         canon.add((t, u, v) if u < v else (t, v, u))
     return TemporalGraph(n, tau, tuple(map(TimeEdge._make, sorted(canon))))
 

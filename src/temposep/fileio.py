@@ -4,7 +4,9 @@ Temporal graph (.tg):
     tg <n> <tau>
     <u> <v> <t>        one time-edge per line, ASCII decimal, single spaces
 Lines starting with '#' and blank lines are ignored.  The loader
-canonicalizes; the writer emits sorted canonical order with LF endings.
+canonicalizes, and `core.build` checks n, tau and each triple once; its
+errors are reported at the line being read (the header's for n and tau).
+The writer emits sorted canonical order with LF endings.
 
 Tree decomposition (.td):
     td <num_bags> <max_bag_size> <n>
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import os
 
-from .core import StaticGraph, TemporalGraph, build, check_time_edge
-from .errors import FormatError, InvalidDecomposition, TempoSepError
+from .core import StaticGraph, TemporalGraph, build
+from .errors import FormatError, InvalidDecomposition, LabelOutOfRange, SelfLoop, VertexOutOfRange
 
 
 def _read(path: str | os.PathLike) -> str:
@@ -61,24 +63,23 @@ def _header(text: str, form: str, path: str) -> tuple[list[tuple[int, str]], int
 
 def parse_tg(text: str, path: str = "<string>") -> TemporalGraph:
     lines, lineno, (n, tau) = _header(text, "tg <n> <tau>", path)
-    for name, value in (("vertex count", n), ("max label", tau)):
-        if value < 0:
-            raise FormatError(f"{name} {value} is negative", path, lineno)
-    triples = []
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"bad edge line {line!r}, expected '<u> <v> <t>'", path, lineno)
-        try:
-            u, v, t = (int(p) for p in parts)
-        except ValueError:
-            raise FormatError(f"non-integer edge fields in {line!r}", path, lineno) from None
-        try:
-            check_time_edge(n, tau, u, v, t)
-        except TempoSepError as exc:
-            raise FormatError(str(exc), path, lineno) from None
-        triples.append((u, v, t))
-    return build(n, tau, triples)
+
+    def triples():
+        nonlocal lineno
+        for lineno, line in lines:
+            parts = line.split()
+            if len(parts) != 3:
+                raise FormatError(f"bad edge line {line!r}, expected '<u> <v> <t>'", path, lineno)
+            try:
+                u, v, t = (int(p) for p in parts)
+            except ValueError:
+                raise FormatError(f"non-integer edge fields in {line!r}", path, lineno) from None
+            yield u, v, t
+
+    try:
+        return build(n, tau, triples())
+    except (SelfLoop, VertexOutOfRange, LabelOutOfRange) as exc:
+        raise FormatError(str(exc), path, lineno) from None
 
 
 def load_tg(path: str | os.PathLike) -> TemporalGraph:

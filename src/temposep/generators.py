@@ -178,14 +178,12 @@ def generate(spec: GenSpec) -> Instance:
         layers = [_unit_interval_layer(rng, spec.n, pairs, spec.edge_prob) for _ in range(spec.tau)]
         g = from_layers(spec.n, layers)
     elif isinstance(c, PeriodicConstraint):
-        g = None
         for _ in range(_MAX_ATTEMPTS):
             block = [_random_layer(rng, pairs, spec.edge_prob) for _ in range(c.p)]
-            candidate = from_layers(spec.n, block * c.r)
-            if periodicity(candidate) == (c.p, c.r):
-                g = candidate
+            g = from_layers(spec.n, block * c.r)
+            if periodicity(g) == (c.p, c.r):
                 break
-        if g is None:
+        else:
             raise InvalidSpec(f"could not realize a minimal period of {c.p} with these parameters")
     elif isinstance(c, SteadyConstraint):
         current = _random_layer(rng, pairs, spec.edge_prob)
@@ -200,17 +198,15 @@ def generate(spec: GenSpec) -> Instance:
             layers.append(set(current))
         g = from_layers(spec.n, layers)
     elif isinstance(c, MonotoneConstraint):
-        layers = None
         for _ in range(_MAX_ATTEMPTS):
             layers = _monotone_layers(rng, spec, pairs)
             if layers is not None:
-                shape = monotone_shape(from_layers(spec.n, layers))
+                g = from_layers(spec.n, layers)
+                shape = monotone_shape(g)
                 if shape is not None and shape.p == c.p:
                     break
-                layers = None
-        if layers is None:
+        else:
             raise InvalidSpec(f"could not realize monotone shape p={c.p} with these parameters")
-        g = from_layers(spec.n, layers)
     else:
         raise InvalidSpec(f"unknown constraint {c!r}")
 

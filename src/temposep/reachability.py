@@ -154,10 +154,11 @@ def separates(g: TemporalGraph, s: int, z: int, blocked: AbstractSet[int], stric
 
     A set that cuts s from z in the underlying graph, as every static-cut
     witness does, is accepted after one search of the underlying edges,
-    without a sweep.  Raises like `find_temporal_path` for a bad terminal or
+    without a sweep; otherwise one sweep asks for z's arrival, and no path
+    is extracted.  Raises like `find_temporal_path` for a bad terminal or
     blocked vertex.
     """
     check_terminals(g.n, s, z)
     _check_blocked(g, s, z, blocked)
     kept = ((u, v) for u, v in g.edge_labels if u not in blocked and v not in blocked)
-    return z not in reachable(kept, s) or find_temporal_path(g, s, z, strict, blocked) is None
+    return z not in reachable(kept, s) or _sweep(g, s, strict, blocked, z)[0][z] == UNREACHED

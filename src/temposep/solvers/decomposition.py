@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from ..core import StaticGraph, check_terminals, is_connected
+from ..core import StaticGraph, adjacency_lists, check_terminals, is_connected
 from ..errors import DecompositionMismatch, InvalidDecomposition
 
 RawDecomposition = tuple[list[set[int]], list[tuple[int, int]]]  # (bags, tree edges between bag indices)
@@ -162,10 +162,7 @@ def build_tree_decomposition(
 
 
 def _nicify(bags: list[set[int]], tree_edges: list[tuple[int, int]], s: int, z: int) -> tuple[NiceNode, ...]:
-    tree_adj: dict[int, list[int]] = {i: [] for i in range(len(bags))}
-    for a, b in tree_edges:
-        tree_adj[a].append(b)
-        tree_adj[b].append(a)
+    tree_adj = adjacency_lists(tree_edges)
     nodes: list[NiceNode] = []
 
     def emit(kind: str, bag: Iterable[int], children: tuple[int, ...], vertex: Optional[int] = None) -> int:
@@ -190,7 +187,7 @@ def _nicify(bags: list[set[int]], tree_edges: list[tuple[int, int]], s: int, z: 
     # Each child's subtree is emitted, then morphed, before the next child
     # starts; joins follow the last child.  So every child is emitted before
     # its parent, and the root last.
-    stack: list[tuple[int, list[int], list[int]]] = [(0, tree_adj[0], [])]
+    stack: list[tuple[int, list[int], list[int]]] = [(0, tree_adj.get(0, []), [])]
     while stack:
         raw, child_raws, tops = stack[-1]
         if len(tops) < len(child_raws):

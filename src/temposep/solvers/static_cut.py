@@ -32,7 +32,7 @@ still maximum.
 
 from __future__ import annotations
 
-from ..core import StaticGraph, check_terminals
+from ..core import StaticGraph, adjacency_lists, check_terminals
 from ..errors import TerminalsAdjacent
 
 
@@ -46,10 +46,7 @@ def static_min_vertex_cut(g: StaticGraph, s: int, z: int) -> frozenset[int]:
     if g.has_edge(s, z):
         raise TerminalsAdjacent(f"vertices {s} and {z} are adjacent, no cut exists")
 
-    adj: dict[int, list[int]] = {}
-    for u, v in g.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = adjacency_lists(g.edges)
     # The flow predecessor of each carrying vertex; the terminals never carry.
     pred: dict[int, int] = {}
     # The exits from which one move enters z.

@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from temposep import check_order_compatible, classify
+from temposep import check_order_compatible, classify, generators
+from temposep.core import from_layers
 from temposep.errors import InvalidSpec
 from temposep.fileio import format_tg
 from temposep.generators import (
@@ -97,6 +98,17 @@ class TestGenerate:
         inst = generate(GenSpec(n=4, tau=1, edge_prob=0.5, constraint=MonotoneConstraint(1), seed=3))
         assert inst.g.tau == 1
         assert classify(inst.g).monotone.p == 1
+
+    def test_accepted_monotone_graph_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return from_layers(*args)
+
+        monkeypatch.setattr(generators, "from_layers", counted)
+        generate(GenSpec(10, 6, 0.4, MonotoneConstraint(2), seed=6))
+        assert len(calls) == 1  # accepted on the first attempt, and kept
 
     def test_unrealizable_monotone_shape_raises(self):
         # n = 2 leaves no pair besides the terminal one, so no layer can change

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temposep import build, find_temporal_path
+from temposep import build, find_temporal_path, reachability
 from temposep.errors import TerminalInSeparator, VertexOutOfRange
 from temposep.oracle import temporal_path_exists_exhaustive
 from temposep.reachability import UNREACHED, PathStep, TemporalPath, _sweep, is_valid_path, separates
@@ -101,6 +101,15 @@ class TestBlocked:
         assert not separates(g, 0, 2, frozenset())
         assert separates(g, 0, 2, frozenset({3}))  # joined underneath, not in time
         assert separates(g, 0, 2, frozenset({1, 3}))  # cut underneath
+
+    def test_separates_sweeps_without_extracting_a_path(self, monkeypatch):
+        def no_path(*args, **kwargs):
+            raise AssertionError("separates asked for a path")
+
+        monkeypatch.setattr(reachability, "find_temporal_path", no_path)
+        g = build(4, 2, [(0, 1, 2), (1, 2, 1), (0, 3, 1), (2, 3, 1)])
+        assert not separates(g, 0, 2, frozenset())
+        assert separates(g, 0, 2, frozenset({3}))
 
     @pytest.mark.parametrize(
         "blocked, error",
