@@ -176,13 +176,6 @@ class TemporalGraph(_TemporalGraphFields):
         kept = tuple(TimeEdge(t, remap[u], remap[v]) for t, u, v in self.edges if u in remap and v in remap)
         return TemporalGraph(self.n - len(dropped), self.tau, kept), remap
 
-    def slice_labels(self, a: int, b: int) -> "TemporalGraph":
-        """The temporal graph of labels a..b, renumbered to 1..b-a+1."""
-        if not (1 <= a <= b <= self.tau):
-            raise LabelOutOfRange(f"label window [{a},{b}] outside 1..{self.tau}")
-        kept = tuple(TimeEdge(t - a + 1, u, v) for t, u, v in self.edges if a <= t <= b)
-        return TemporalGraph(self.n, b - a + 1, kept)
-
     def raw_triples(self) -> list[tuple[int, int, int]]:
         """The edge list as (u, v, t) triples in canonical order."""
         return [(u, v, t) for t, u, v in self.edges]

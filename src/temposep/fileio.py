@@ -105,6 +105,9 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
     lines, lineno, (num_bags, max_bag, n) = _header(text, "td <num_bags> <max_bag_size> <n>", path)
     if num_bags < 1:
         raise FormatError(f"header declares {num_bags} bags, need at least 1", path, lineno)
+    for value, name in ((n, "vertex count"), (max_bag, "max bag size")):
+        if value < 0:
+            raise FormatError(f"{name} {value} is negative", path, lineno)
     # Keyed by id, so a header's bag count allocates nothing before bags are read.
     bags: dict[int, set[int]] = {}
     tree_edges: list[tuple[int, int]] = []

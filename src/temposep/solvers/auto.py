@@ -2,8 +2,7 @@
 
 Order of the rules, most specific first.  A rule computes only the evidence
 it reads, and only when no earlier rule fired: rule 1 `monotone_shape`,
-rules 2-3 `periodicity`, rule 3 the distance to temporality, rule 4 the
-order check.  The other detectors of `classify` never run here.
+rule 2 `periodicity`.  No other detector of `classify` runs here.
 
 1. at most one peak in the layer sequence: the one peak layer dominates
    every other, so temporal separation equals static separation in the
@@ -13,16 +12,12 @@ order check.  The other detectors of `classify` never run here.
    (s,z)-path splits into at most n-1 monotone label runs, and with one
    period per run it realizes as a temporal path, so the static cut is
    exact.
-3. periodic with more periods than the measured distance to temporality of
-   the period block: same run-per-period argument (d breaks need d+1
-   periods); the measurement enumerates simple paths and is therefore only
-   attempted at desk scale.
-4. a vertex ordering was supplied: interval DP, which validates the hint
+3. a vertex ordering was supplied: interval DP, which validates the hint
    itself; an ordering incompatible with some layer falls through.
-5. a tree decomposition was supplied and the treewidth DP's
+4. a tree decomposition was supplied and the treewidth DP's
    `treewidth_work_estimate` of its table cells fits `DEFAULT_WORK_CAP`:
    treewidth DP.
-6. otherwise: budget-bounded search tree.
+5. otherwise: budget-bounded search tree.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ..classes import monotone_shape, periodicity
 from ..errors import IncompatibleOrdering
-from ..oracle import Instance, Separator, distance_to_temporality
+from ..oracle import Instance, Separator
 from .search_tree import solve_search_tree
 from .static_cut import static_min_vertex_cut
 
@@ -39,7 +34,6 @@ if TYPE_CHECKING:
     from .decomposition import NiceTreeDecomposition
 
 DEFAULT_WORK_CAP = 10**8
-DISTANCE_PROBE_MAX_N = 9
 
 
 class AutoResult(NamedTuple):
@@ -61,14 +55,9 @@ def solve_auto(
     shape = monotone_shape(inst.g)
     if shape is not None and len(shape.peaks) <= 1:
         return AutoResult(_static_cut_result(inst), "static-cut")
-    p, r = periodicity(inst.g)
+    _, r = periodicity(inst.g)
     if r >= inst.g.n:
         return AutoResult(_static_cut_result(inst), "static-cut")
-    if inst.g.n <= DISTANCE_PROBE_MAX_N:
-        block = inst.g.slice_labels(1, p)
-        # d breaks need d+1 periods, one monotone run each.
-        if r >= distance_to_temporality(block, inst.s, inst.z) + 1:
-            return AutoResult(_static_cut_result(inst), "static-cut")
     # The DP backends are imported by the rule that runs them.
     if ordering is not None:
         from .interval_dp import solve_interval_dp

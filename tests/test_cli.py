@@ -295,7 +295,7 @@ class TestSolve:
         sparse.write_text("tg 4 250000\n" + four_edges)
         assert run(capsys, ["solve", str(sparse), "--s", "0", "--z", "3", "--k", "1"]) == (
             0,
-            "verdict=yes separator=1 backend=static-cut\n",
+            "verdict=yes separator=1 backend=search-tree\n",
             "",
         )
 
@@ -637,6 +637,8 @@ def test_non_ascii_input_exits_2_naming_the_file_and_line(capsys, tmp_path, g1, 
         ("td 1 4 4\nb 1 0 1 2 3\nb 2 0 3\n", "{path}:3: bag id 2 outside 1..1"),
         ("td 2 4 4\nb 1 0 1 3\nb 2 0 2 3\n1 3\n", "{path}:4: tree edge (1,3) references unknown bag"),
         ("td 0 0 4\n", "{path}:1: header declares 0 bags, need at least 1"),
+        ("td 1 1 -1\nb 1\n", "{path}:1: vertex count -1 is negative"),
+        ("td 1 -1 4\nb 1\n", "{path}:1: max bag size -1 is negative"),
         ("td 2 2 4\nb 1 0 3\nb 2 0 1 3\n1 2\n", "{path}:3: bag 2 has 3 vertices, header allows 2"),
         ("td 1000000000 4 4\nb 1 0 1 2 3\n", "{path}: bag 2 never declared"),
         ("td 1 4 4\nb 1 0 1 2 9\n", "{path}:2: bag 1 contains out-of-range vertex 9"),
@@ -653,6 +655,8 @@ def test_non_ascii_input_exits_2_naming_the_file_and_line(capsys, tmp_path, g1, 
         "bag-id",
         "tree-edge",
         "no-bags",
+        "negative-vertex-count",
+        "negative-bag-size",
         "oversized-bag",
         "huge-bag-count",
         "vertex-above-n",

@@ -41,11 +41,6 @@ class TestBuild:
         with pytest.raises(LabelOutOfRange, match="max label -1 is negative"):
             build(3, -1, [])
 
-    @pytest.mark.parametrize("a, b", [(0, 1), (2, 1), (1, 3)])
-    def test_slice_outside_the_labels(self, g1, a, b):
-        with pytest.raises(LabelOutOfRange, match=rf"label window \[{a},{b}\] outside 1..2"):
-            g1.slice_labels(a, b)
-
     @given(small_graphs())
     def test_idempotent(self, g):
         assert build(g.n, g.tau, g.raw_triples()) == g

@@ -63,8 +63,9 @@ UNREFERENCED_IN_SRC = {
     "temporal_path_exists_exhaustive",
     # perfbench/tracer.py reads it to record the decomposition width.
     "NiceTreeDecomposition.width",
-    # perfbench/tracer.py times it, and its test expects every target present.
+    # perfbench/tracer.py times them, and its test expects every target present.
     "TemporalGraph.delete_vertices",
+    "distance_to_temporality",
 }
 
 

@@ -32,9 +32,9 @@ from temposep.generators import (
     UnitIntervalConstraint,
     generate,
 )
-from temposep.oracle import Separator, distance_to_temporality
+from temposep.oracle import Separator
 from temposep.solvers import solve_interval_dp, solve_search_tree, solve_treewidth_dp, static_min_vertex_cut
-from temposep.solvers.auto import DEFAULT_WORK_CAP, DISTANCE_PROBE_MAX_N, AutoResult
+from temposep.solvers.auto import DEFAULT_WORK_CAP, AutoResult
 from temposep.solvers.treewidth_dp import treewidth_work_estimate
 
 
@@ -303,11 +303,6 @@ def _reference_auto(inst, ordering=None, td=None):
         (profile.monotone is not None and len(profile.monotone.peaks) == 1)
         or profile.periodic_p in (0, 1)
         or profile.periodic_r >= inst.g.n
-        or (
-            inst.g.n <= DISTANCE_PROBE_MAX_N
-            and profile.periodic_r
-            >= distance_to_temporality(inst.g.slice_labels(1, profile.periodic_p), inst.s, inst.z) + 1
-        )
     )
     if collapses:
         cut = static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z)
@@ -350,8 +345,14 @@ def _differential_instances(seed):
 
 @pytest.mark.parametrize("seed", range(70))
 def test_dispatch_matches_reference_over_classify(seed, monkeypatch):
-    """Same witness and backend as the dispatcher written over `classify`."""
+    """Same witness and backend as the dispatcher written over `classify`,
+    and no dispatch rule enumerates temporal paths."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dispatch enumerated temporal paths")
+
     monkeypatch.setattr(temposep.solvers.auto, "DEFAULT_WORK_CAP", 10**6)
+    monkeypatch.setattr(temposep.oracle, "enumerate_temporal_paths", refuse)
     for inst in _differential_instances(seed):
         identity = tuple(range(inst.g.n))
         hints = [{}, {"ordering": identity}, {"ordering": identity[::-1]}]

@@ -139,9 +139,10 @@ def _earliest_arrivals_from(g, start, depart_at_least):
     """Earliest arrival labels for paths leaving `start` at label >= depart_at_least."""
     if depart_at_least > g.tau:
         return {start: 0}
-    sliced = g.slice_labels(depart_at_least, g.tau)
+    shift = depart_at_least - 1
+    sliced = build(g.n, g.tau - shift, [(u, v, t - shift) for t, u, v in g.edges if t > shift])
     return {
-        v: (0 if v == start else a + depart_at_least - 1)
+        v: (0 if v == start else a + shift)
         for v, a in reachable_with_earliest_arrival(sliced, start).items()
     }
 
