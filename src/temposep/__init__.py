@@ -8,10 +8,10 @@ via four interchangeable backends, detects membership in several temporal
 graph classes, and applies class-targeted instance transformations whose
 guarantees are machine-checked.
 
-Every returned separator fits the budget.  The static cut, interval DP and
-treewidth DP return minimum separators on the instances they are exact for;
-the search tree (and `solve_auto` when it dispatches there) returns the first
-separator of size at most k it meets, which is not proven minimum.
+The static cut, interval DP and treewidth DP return their minimum separator
+whatever the budget k (the cut is the minimum where separation collapses to
+static); `solve_auto` returns a separator within k, or None.  The search tree
+returns the first separator of size at most k it meets, not proven minimum.
 
 Importing the package loads no submodule: each name in `__all__` imports its
 defining submodule on first access (PEP 562), so `from temposep import

@@ -18,12 +18,14 @@ from typing import NamedTuple, Optional, Sequence
 from . import fileio
 from .errors import ContractError, DecompositionMismatch, FormatError, NotAPermutation, TempoSepError
 from .oracle import Instance, Separator, is_separator
-from .solvers.auto import _static_cut_result, solve_auto
+from .solvers.auto import solve_auto
 from .solvers.search_tree import solve_search_tree
+from .solvers.static_cut import static_min_vertex_cut
 
 USAGE_ERROR = 2
 CONTRACT_ERROR = 3
-_INPUT_ERRORS = (TempoSepError, OSError, ValueError)
+_SIZE_ERRORS = (OverflowError, MemoryError)  # a header value too large to size a view
+_INPUT_ERRORS = (TempoSepError, OSError, ValueError, *_SIZE_ERRORS)
 # The keys of reductions.REDUCTIONS, sorted; spelled out so that parsing
 # arguments does not import the reductions.
 REDUCTION_KINDS = ("complete-but-one", "line-graph", "one-edge", "pad-monotone", "steady", "universal")
@@ -66,18 +68,14 @@ def run_solve(
         from .solvers.decomposition import build_tree_decomposition
 
         td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z, external)
-    if algo == "auto":
-        if strict:
-            sep, backend = solve_search_tree(inst, strict=True), "search-tree"
-        else:
-            sep, backend = solve_auto(inst, ordering=ordering, td=td)
+    if algo == "auto" and not strict:
+        sep, backend = solve_auto(inst, ordering=ordering, td=td)
+    elif algo in ("auto", "search-tree"):
+        sep, backend = solve_search_tree(inst, strict), "search-tree"
     elif algo == "brute":
         from .oracle import min_separator_bruteforce
 
-        best = min_separator_bruteforce(inst, strict)
-        sep, backend = (best if best.size <= inst.k else None), "brute"
-    elif algo == "search-tree":
-        sep, backend = solve_search_tree(inst, strict), "search-tree"
+        sep, backend = min_separator_bruteforce(inst, strict), "brute"
     elif algo == "treewidth":
         from .solvers.treewidth_dp import solve_treewidth_dp
 
@@ -88,9 +86,10 @@ def run_solve(
         order = tuple(ordering) if ordering is not None else tuple(range(inst.g.n))
         sep, backend = solve_interval_dp(inst, order), "interval-dp"
     elif algo == "static-cut":
-        sep, backend = _static_cut_result(inst), "static-cut"
+        sep, backend = Separator(static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z)), "static-cut"
     else:
         raise FormatError(f"unknown algorithm {algo!r}")
+    sep = sep if sep is not None and sep.size <= inst.k else None  # an exact minimum above k answers no
     if sep is not None and not is_separator(inst, sep.vertices, strict):
         raise AssertionError(f"backend {backend} produced a non-separating witness {sep.sorted()}")
     millis = (time.perf_counter() - start) * 1000.0
@@ -105,8 +104,10 @@ def _answer(args, yes: bool, detail: str = "", file: Optional[str] = None) -> in
 
 
 def _fail(exc: Exception, where: str = "") -> int:
-    """Print an input error to stderr; its exit code is 3 for a ContractError and 2 otherwise."""
-    print(f"error: {where}{exc}", file=sys.stderr)
+    """Print an input error to stderr, a size error under its type's name; its
+    exit code is 3 for a ContractError and 2 otherwise."""
+    text = ": ".join(filter(None, (type(exc).__name__, str(exc)))) if isinstance(exc, _SIZE_ERRORS) else exc
+    print(f"error: {where}{text}", file=sys.stderr)
     return CONTRACT_ERROR if isinstance(exc, ContractError) else USAGE_ERROR
 
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 import os
 
 from .core import StaticGraph, TemporalGraph, build
-from .errors import FormatError, InvalidDecomposition, LabelOutOfRange, SelfLoop, VertexOutOfRange
+from .errors import DecompositionMismatch, FormatError, InvalidDecomposition
+from .errors import LabelOutOfRange, SelfLoop, VertexOutOfRange
 
 
 def _read(path: str | os.PathLike) -> str:
@@ -144,13 +145,13 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
     # Imported here, so a solve that reads no .td never loads the solvers.
     from .solvers.decomposition import validate_tree_decomposition
 
-    # The edgeless graph breaks exactly the rules that need no graph.  Its n
-    # stops one past the largest bag vertex: that vertex is in no bag, so no
-    # verdict changes, and a header's n allocates nothing.
+    # The edgeless graph breaks the rules that need no graph, and misfits a
+    # header n above every bag vertex: its n stops one past the largest bag
+    # vertex, which is in no bag, so no verdict changes and n allocates nothing.
     edgeless = StaticGraph(min(n, max(map(max, filter(None, bag_list)), default=-1) + 2), frozenset())
     try:
         validate_tree_decomposition(bag_list, tree_edges, edgeless)
-    except InvalidDecomposition as exc:
+    except (InvalidDecomposition, DecompositionMismatch) as exc:
         raise FormatError(str(exc), path) from None
     return bag_list, tree_edges, n
 

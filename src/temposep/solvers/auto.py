@@ -18,6 +18,9 @@ rule 2 `periodicity`.  No other detector of `classify` runs here.
    `treewidth_work_estimate` of its table cells fits `DEFAULT_WORK_CAP`:
    treewidth DP.
 5. otherwise: budget-bounded search tree.
+
+Rules 1-4 run exact backends, each returning a minimum separator; `_exact`
+turns one above k into None.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ class AutoResult(NamedTuple):
     backend: str
 
 
-def _static_cut_result(inst: Instance) -> Optional[Separator]:
-    cut = static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z)
-    return Separator(cut) if len(cut) <= inst.k else None
+def _exact(sep: Separator, k: int, backend: str) -> AutoResult:
+    """An exact backend's minimum separator, or None when it exceeds k."""
+    return AutoResult(sep if sep.size <= k else None, backend)
 
 
 def solve_auto(
@@ -53,22 +56,19 @@ def solve_auto(
 ) -> AutoResult:
     """Solve the (non-strict) instance with the cheapest applicable backend."""
     shape = monotone_shape(inst.g)
-    if shape is not None and len(shape.peaks) <= 1:
-        return AutoResult(_static_cut_result(inst), "static-cut")
-    _, r = periodicity(inst.g)
-    if r >= inst.g.n:
-        return AutoResult(_static_cut_result(inst), "static-cut")
+    if (shape is not None and len(shape.peaks) <= 1) or periodicity(inst.g)[1] >= inst.g.n:
+        return _exact(Separator(static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z)), inst.k, "static-cut")
     # The DP backends are imported by the rule that runs them.
     if ordering is not None:
         from .interval_dp import solve_interval_dp
 
         try:
-            return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
+            return _exact(solve_interval_dp(inst, ordering), inst.k, "interval-dp")
         except IncompatibleOrdering:
             pass
     if td is not None:
         from .treewidth_dp import solve_treewidth_dp, treewidth_work_estimate
 
         if treewidth_work_estimate(inst, td) <= DEFAULT_WORK_CAP:
-            return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")
+            return _exact(solve_treewidth_dp(inst, td), inst.k, "treewidth-dp")
     return AutoResult(solve_search_tree(inst), "search-tree")

@@ -117,15 +117,17 @@ def minfill_tree_decomposition(g: StaticGraph) -> RawDecomposition:
 
 
 def validate_tree_decomposition(bags: list[set[int]], tree_edges: list[tuple[int, int]], g: StaticGraph) -> None:
-    """Raise InvalidDecomposition naming the first violated property.  The one rule
-    that reads g's edges, each in some bag, is a misfit: DecompositionMismatch."""
+    """Raise InvalidDecomposition naming the first violated property, or
+    DecompositionMismatch where the bags fit another graph: a bag vertex at or
+    above g.n, a vertex of g above every bag vertex, or an edge in no bag."""
     count = len(bags)
     if count == 0:
         raise InvalidDecomposition("decomposition has no bags")
     for i, bag in enumerate(bags):
         for v in bag:
             if not (0 <= v < g.n):
-                raise InvalidDecomposition(f"bag {i} contains out-of-range vertex {v}")
+                error = InvalidDecomposition if v < 0 else DecompositionMismatch
+                raise error(f"bag {i} contains out-of-range vertex {v}")
     for a, b in tree_edges:
         if a not in range(count) or b not in range(count):
             raise InvalidDecomposition(f"tree edge ({a},{b}) references unknown bag")
@@ -143,9 +145,11 @@ def validate_tree_decomposition(bags: list[set[int]], tree_edges: list[tuple[int
     for a, b in tree_edges:
         for v in set(bags[a]).intersection(bags[b]):
             joined[v] += 1
+    top = max(map(max, filter(None, bags)), default=-1)
     for v, occurrence in enumerate(occurrences):
         if not occurrence:
-            raise InvalidDecomposition(f"vertex {v} appears in no bag")
+            error = InvalidDecomposition if v < top else DecompositionMismatch
+            raise error(f"vertex {v} appears in no bag")
         if joined[v] != len(occurrence) - 1:
             raise InvalidDecomposition(f"bags containing vertex {v} are not connected in the tree")
     for u, v in sorted(g.edges):

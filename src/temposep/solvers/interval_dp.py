@@ -21,8 +21,7 @@ With position 1 = s and position n = z:
 then by their sorted position tuples.  The larger-neighborhood family of a
 position is replaced by the infeasible sentinel (all non-terminals) whenever
 that position is adjacent to z inside the label window, so the arithmetic
-needs no special cases.  The answer is yes iff some |T[tau][i]| fits the
-budget; that entry is the witness.
+needs no special cases.  The smallest T[tau][i] is a minimum separator.
 
 Sets of positions are int bitmasks: position q is bit n - q, so z is bit 0
 and a larger-neighborhood with bit 0 set marks a label at which the position
@@ -34,7 +33,7 @@ therefore orders sets exactly as (size, sorted tuple) does.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..classes import check_order_compatible
 from ..errors import IncompatibleOrdering
@@ -108,10 +107,8 @@ def _positions(mask: int, n: int) -> frozenset[int]:
     return frozenset(n - b for b in range(n) if mask >> b & 1)
 
 
-def solve_interval_dp(inst: Instance, ordering: Sequence[int]) -> Optional[Separator]:
-    """A minimum separator via the ordering table, or None above budget."""
+def solve_interval_dp(inst: Instance, ordering: Sequence[int]) -> Separator:
+    """A minimum separator via the ordering table, whatever the budget."""
     masks, _, window = _mask_table(inst, ordering)
     best = min(masks[-1][1:], key=lambda m: (m.bit_count(), -m))
-    if best.bit_count() > inst.k:
-        return None
     return Separator(frozenset(window[q - 1] for q in _positions(best, len(window))))

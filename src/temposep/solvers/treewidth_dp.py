@@ -59,7 +59,6 @@ terminal pair, and every instance edge outside the recorded graph in a bag.
 from __future__ import annotations
 
 from math import prod
-from typing import Optional
 
 from ..errors import DecompositionMismatch
 from ..oracle import Instance, Separator
@@ -188,12 +187,8 @@ def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
     return sum(prod(colors[v] for v in node.bag) for node in td.nodes)
 
 
-def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Optional[Separator]:
-    """A minimum separator via the coloring tables, or None above budget."""
-    root_table = _fill_tables(inst, td)
+def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Separator:
+    """A minimum separator via the coloring tables, whatever the budget."""
     # The fewest S-vertices, the smallest key on ties.
-    best = min(root_table.items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
-    if best[1].bit_count() > inst.k:
-        return None
-    sep = best[1]
+    _, sep = min(_fill_tables(inst, td).items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
     return Separator(frozenset(v for v in range(sep.bit_length()) if sep >> v & 1))

@@ -618,6 +618,51 @@ def test_malformed_tg_exits_2_naming_the_file(capsys, tmp_path, text, message):
     assert (code, out, err) == (2, "", f"error: {message.format(path=p)}\n")
 
 
+HUGE = 99999999999999999999  # at least 2**63: no list of that length can be sized
+
+
+@pytest.mark.parametrize(
+    "header, argv",
+    [
+        (f"tg 4 {HUGE}", ["solve", "{path}", "--s", "0", "--z", "2", "--k", "1"]),
+        (f"tg 4 {HUGE}", ["solve", "{path}", "--s", "0", "--z", "2", "--k", "1", "--algo", "interval"]),
+        (f"tg 4 {HUGE}", ["classify", "{path}"]),
+        (f"tg {HUGE} 2", ["solve", "{path}", "--s", "0", "--z", "2", "--k", "1"]),
+        (f"tg {HUGE} 2", ["solve", "{path}", "--s", "0", "--z", "2", "--k", "1", "--strict"]),
+        (f"tg {HUGE} 2", ["solve", "{path}", "--s", "0", "--z", "2", "--k", "1", "--algo", "interval"]),
+    ],
+    ids=["huge-tau", "huge-tau-interval", "huge-tau-classify", "huge-n", "huge-n-strict", "huge-n-interval"],
+)
+def test_a_header_too_large_to_size_is_one_error_line(capsys, tmp_path, header, argv):
+    p = tmp_path / "huge.tg"
+    p.write_text(f"{header}\n0 1 1\n1 2 2\n")
+    code, out, err = run(capsys, [arg.format(path=p) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+    static = ["solve", str(p), "--s", "0", "--z", "2", "--k", "1", "--algo", "static-cut"]
+    assert run(capsys, static) == (0, "verdict=yes separator=1 backend=static-cut\n", "")
+
+
+def test_a_memory_error_is_an_input_error_and_a_batch_moves_on(monkeypatch, capsys, tmp_path, g1_file):
+    import temposep.fileio
+
+    real_build = temposep.fileio.build
+
+    def build_or_run_out(n, tau, triples):
+        if n > 10**6:
+            raise MemoryError
+        return real_build(n, tau, triples)
+
+    monkeypatch.setattr(temposep.fileio, "build", build_or_run_out)
+    huge = tmp_path / "huge.tg"
+    huge.write_text("tg 1000000000000000 2\n0 1 1\n")
+    code, out, err = run(capsys, ["solve", str(huge), g1_file, "--s", "0", "--z", "3", "--k", "1"])
+    assert code == 2
+    assert out == f"file={g1_file} verdict=yes separator=1 backend=search-tree\n"
+    assert err == f"error: {huge}: MemoryError\n"
+    assert run(capsys, ["classify", str(huge)]) == (2, "", "error: MemoryError\n")
+
+
 @pytest.mark.parametrize("flag", [None, "--td", "--ordering"])
 def test_non_ascii_input_exits_2_naming_the_file_and_line(capsys, tmp_path, g1, flag):
     p, bad = tmp_path / "g.tg", tmp_path / "bad.txt"

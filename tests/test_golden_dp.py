@@ -5,8 +5,8 @@ the terminals (identity; the reversed ordering with interior terminals, so s
 comes after z and the window is padded; identity with s after z).  Small-width
 graphs and ladders go through `solve_treewidth_dp` on their min-fill
 decompositions, and their finite root entries through `treewidth_root_table`.
-Every budget from 0 to the minimum + 1 is asked, and the sorted witness or
-`none` is recorded.  The transcript must match the committed
+Each DP is solved once, and every budget from 0 to the minimum + 1 records
+the sorted minimum witness where it fits, or `none`.  The transcript must match the committed
 `tests/golden/dp_witnesses.txt` byte for byte, so a change to a table's
 tie-breaks shows even where the witness size stays minimum.
 
@@ -75,9 +75,10 @@ def _fmt(sep) -> str:
 
 
 def _budget_sweep(label: str, inst: Instance, solve) -> list[str]:
-    """One line per budget 0..minimum+1: the sorted witness or `none`."""
-    minimum = solve(Instance(inst.g, inst.s, inst.z, inst.g.n)).size
-    return [f"{label} k={k} {_fmt(solve(Instance(inst.g, inst.s, inst.z, k)))}" for k in range(minimum + 2)]
+    """One line per budget 0..minimum+1: the sorted minimum witness, or `none`
+    above the budget."""
+    best = solve(inst)
+    return [f"{label} k={k} {_fmt(best if best.size <= k else None)}" for k in range(best.size + 2)]
 
 
 def _interval_lines() -> list[str]:

@@ -114,6 +114,42 @@ def test_every_unreferenced_name_is_used_by_perfbench():
     assert stale == set(), f"no perfbench file uses these any more: drop them from the list: {stale}"
 
 
+# Underscore names that one src module imports from another, each kept for a reason.
+PRIVATE_IMPORTS = {
+    # temposep.solvers builds its lazy exports with the package's own helper.
+    ("temposep", "_lazy_exports"),
+    # Instance.arrival keeps the full earliest-arrival list of one sweep,
+    # which no public reachability function returns.
+    ("temposep.reachability", "_sweep"),
+}
+
+
+def _private_imports(src: Path) -> dict[tuple[str, str], str]:
+    """Each (src module, underscore name) that a src module imports from
+    another, with where the first such import is."""
+    found: dict[tuple[str, str], str] = {}
+    for path in sorted(src.rglob("*.py")):
+        package = ("temposep",) + path.relative_to(src).parent.parts
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = ".".join(package[: len(package) - node.level + 1]) if node.level else ""
+            source = ".".join(filter(None, (base, node.module)))
+            if source.split(".")[0] != "temposep":
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.setdefault((source, alias.name), f"{path.relative_to(src)}:{node.lineno}")
+    return found
+
+
+def test_src_modules_import_no_private_name_of_another_but_the_listed_ones():
+    found = _private_imports(Path(temposep.__file__).parent)
+    unlisted = {key: where for key, where in found.items() if key not in PRIVATE_IMPORTS}
+    assert unlisted == {}, f"a src module imports another's private name (make it public or move it): {unlisted}"
+    assert PRIVATE_IMPORTS <= set(found), "a listed private import is gone: drop it from the list"
+
+
 def test_reduce_kinds_are_the_registered_reductions():
     from temposep.reductions import REDUCTIONS
 

@@ -3,9 +3,9 @@ from math import prod
 
 import pytest
 from conftest import random_instances
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strategies import elimination_decomposition, instance_graphs, late_arrival_graphs, power
+from strategies import elimination_decomposition, indifference_graphs, instance_graphs, late_arrival_graphs, power
 
 import temposep.classes
 import temposep.oracle
@@ -17,6 +17,7 @@ from temposep import (
     Instance,
     build,
     build_tree_decomposition,
+    check_order_compatible,
     classify,
     from_layers,
     is_separator,
@@ -296,25 +297,73 @@ def test_relabelling_labels_apart_changes_no_witness(g, data):
     assert _backend_witnesses(Instance(g=spread, s=0, z=g.n - 1, k=k)) == before
 
 
-def _reference_auto(inst, ordering=None, td=None):
-    """The dispatcher's rules, in order, read off the full `classify` profile."""
-    profile = classify(inst.g)
-    collapses = (
+def _collapses(g):
+    """Rules 1-2, read off the full `classify` profile."""
+    profile = classify(g)
+    return (
         (profile.monotone is not None and len(profile.monotone.peaks) == 1)
         or profile.periodic_p in (0, 1)
-        or profile.periodic_r >= inst.g.n
+        or profile.periodic_r >= g.n
     )
-    if collapses:
-        cut = static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z)
-        return AutoResult(Separator(cut) if len(cut) <= inst.k else None, "static-cut")
+
+
+def _reference_auto(inst, ordering=None, td=None):
+    """The dispatcher's rules, in order, read off the full `classify` profile."""
+
+    def within_budget(sep):
+        return sep if sep.size <= inst.k else None
+
+    if _collapses(inst.g):
+        cut = Separator(static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z))
+        return AutoResult(within_budget(cut), "static-cut")
     if ordering is not None:
         try:
-            return AutoResult(solve_interval_dp(inst, ordering), "interval-dp")
+            return AutoResult(within_budget(solve_interval_dp(inst, ordering)), "interval-dp")
         except IncompatibleOrdering:
             pass
     if td is not None and treewidth_work_estimate(inst, td) <= temposep.solvers.auto.DEFAULT_WORK_CAP:
-        return AutoResult(solve_treewidth_dp(inst, td), "treewidth-dp")
+        return AutoResult(within_budget(solve_treewidth_dp(inst, td)), "treewidth-dp")
     return AutoResult(solve_search_tree(inst), "search-tree")
+
+
+@st.composite
+def _ordered_queries(draw):
+    """A graph, an ordering (compatible with every layer, or the identity,
+    which may not be) and two terminals with no time-edge between them."""
+    identity_ordered = instance_graphs().map(lambda g: (g, tuple(range(g.n))))
+    g, ordering = draw(st.one_of(indifference_graphs(max_n=6), identity_ordered))
+    pairs = [(s, z) for s in range(g.n) for z in range(s + 1, g.n) if (s, z) not in g.edge_labels]
+    assume(pairs)
+    s, z = draw(st.sampled_from(pairs))
+    return g, ordering, s, z
+
+
+@given(_ordered_queries())
+@settings(max_examples=80, deadline=None)
+def test_exact_backends_return_their_minimum_at_every_budget(query):
+    """At every k, the two DPs return the oracle minimum and the static cut is
+    the minimum where rules 1-2 fire; `run_solve` answers yes for an exact
+    backend exactly when its minimum fits k, with that minimum as witness."""
+    from temposep.cli import run_solve
+
+    g, ordering, s, z = query
+    minimum = min_separator_bruteforce(Instance(g, s, z, 0)).size
+    cut = len(static_min_vertex_cut(g.underlying(), s, z))
+    if _collapses(g):
+        assert cut == minimum
+    td = build_tree_decomposition(g.underlying(), s, z)
+    minima = {"brute": minimum, "treewidth": minimum, "static-cut": cut}
+    if check_order_compatible(g, ordering) is None:
+        minima["interval"] = minimum
+    for k in range(g.n + 1):
+        inst = Instance(g, s, z, k)
+        assert solve_treewidth_dp(inst, td).size == minimum
+        if "interval" in minima:
+            assert solve_interval_dp(inst, ordering).size == minimum
+        for algo, best in minima.items():
+            result = run_solve(inst, algo, ordering=ordering)
+            assert result.verdict == (best <= k), (algo, k)
+            assert result.separator is None or result.separator.size == best, (algo, k)
 
 
 _FAMILIES = [

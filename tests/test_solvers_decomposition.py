@@ -124,10 +124,29 @@ def test_external_validation_rejects_no_bags():
 
 @pytest.mark.parametrize("bag", [{0, 3}, {-1, 0}])
 def test_external_validation_names_an_out_of_range_bag_vertex(bag):
+    # A vertex past g's count fits a larger graph, a misfit; a negative one
+    # fits none.
     g = static_graph(3, [(0, 1), (1, 2)])
     outside = min(v for v in bag if not 0 <= v < 3)
-    with pytest.raises(InvalidDecomposition, match=f"bag 1 contains out-of-range vertex {outside}"):
+    error = InvalidDecomposition if outside < 0 else DecompositionMismatch
+    with pytest.raises(error, match=f"bag 1 contains out-of-range vertex {outside}"):
         validate_tree_decomposition([{0, 1, 2}, bag], [(0, 1)], g)
+
+
+def test_a_decomposition_for_more_vertices_is_a_misfit():
+    g = static_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(DecompositionMismatch, match="bag 0 contains out-of-range vertex 3"):
+        build_tree_decomposition(g, 0, 2, external=([{0, 1, 2, 3}], []))
+
+
+@pytest.mark.parametrize(
+    "bags, error, missing",
+    [([{0, 1}, {1, 2}], DecompositionMismatch, 3), ([{0, 1}, {1, 3}], InvalidDecomposition, 2)],
+    ids=["above-every-bag-vertex", "interior-hole"],
+)
+def test_a_vertex_in_no_bag_is_a_misfit_only_above_every_bag_vertex(bags, error, missing):
+    with pytest.raises(error, match=f"^vertex {missing} appears in no bag$"):
+        validate_tree_decomposition(bags, [(0, 1)], static_graph(4, []))
 
 
 @pytest.mark.parametrize("s, z", [(0, 3), (-1, 2), (1, 1)])
