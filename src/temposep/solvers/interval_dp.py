@@ -29,6 +29,20 @@ touches z.  Between two distinct sets of equal size, the smallest position in
 only one of them is the highest bit of their XOR; that set has the smaller
 sorted tuple and the larger mask.  Ordering masks by (popcount, -mask)
 therefore orders sets exactly as (size, sorted tuple) does.
+
+Two facts let the scan for T[t][i] stop before it has built every candidate,
+with popcounts stored beside the masks:
+- sizes never grow along a row, since T[t][i] starts from T[t][i-1].  So i'
+  is scanned downward from i - 1, and the first T[t'][i'] larger than the
+  best so far ends the scan: every candidate further left contains a set at
+  least as large.  An equal size may still win on the mask.
+- the largest larger-neighborhood of i over labels t'+1..t never shrinks as
+  t' falls, and every candidate contains it.  Once it is larger than the best
+  so far, no smaller t' can win.
+(popcount, -mask) is a total order on distinct masks, so the minimum is the
+same whatever order the candidates come in, and the early exits cannot
+change a witness.  The worst case is still O(L^2 * n^2) candidates for L
+labels with edges.
 """
 
 from __future__ import annotations
@@ -40,8 +54,10 @@ from ..errors import IncompatibleOrdering
 from ..oracle import Instance, Separator
 
 
-def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
-    """The table as masks, its labels and the window.
+def _mask_table(
+    inst: Instance, ordering: Sequence[int]
+) -> tuple[list[list[int]], list[list[int]], list[int], tuple[int, ...]]:
+    """The table as masks, their popcounts, its labels and the window.
 
     Row j of the table is T[labels[j]][i] for i in 1..n-1.  Row 0 is all
     zeros and stands for label 0; the others are the labels that have edges,
@@ -75,17 +91,18 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
 
     sentinel = (1 << (n - 1)) - 2  # every non-terminal position: bits 1..n-2
     table = [[0] * n for _ in labels]
+    counts = [[0] * n for _ in labels]  # counts[j][i] == table[j][i].bit_count()
     for t in range(1, len(labels)):
-        row = table[t]
+        row, row_counts = table[t], counts[t]
+        best, best_count = sentinel, sentinel.bit_count()  # row[i-1], or the sentinel at i = 1
         for i in range(1, n):
-            best = row[i - 1] if i > 1 else sentinel
-            best_count = best.bit_count()
             # tail: the largest larger-neighborhood of i over rows a..t, a
             # running max while a walks down from t; equal sizes go to the
             # new, smaller label.  It joins row a-1 at every i' < i, or
             # stands alone at a = 1.  Once i touches z the family is the
             # sentinel for every smaller a, and the sentinel contains every
-            # entry, so it never beats `best`.
+            # entry, so it never beats `best`.  Once tail outgrows `best`,
+            # so does every candidate at a smaller a.
             tail, tail_count = 0, -1
             for a in range(t, 0, -1):
                 m = larger[a][i]
@@ -94,13 +111,24 @@ def _mask_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[list[int]
                 c = m.bit_count()
                 if c >= tail_count:
                     tail, tail_count = m, c
-                for prev in table[a - 1][1:i] if a > 1 else (0,):
-                    m = prev | tail
+                if tail_count > best_count:
+                    break
+                if a == 1:
+                    if tail_count < best_count or tail > best:
+                        best, best_count = tail, tail_count
+                    break  # a = 1 is the last row
+                prev_row, prev_counts = table[a - 1], counts[a - 1]
+                # Row a-1 grows leftwards, so the first i' that outgrows
+                # `best` ends the scan; an equal size may still win on the mask.
+                for j in range(i - 1, 0, -1):
+                    if prev_counts[j] > best_count:
+                        break
+                    m = prev_row[j] | tail
                     c = m.bit_count()
                     if c < best_count or (c == best_count and m > best):
                         best, best_count = m, c
-            row[i] = best
-    return table, labels, window
+            row[i], row_counts[i] = best, best_count
+    return table, counts, labels, window
 
 
 def _positions(mask: int, n: int) -> frozenset[int]:
@@ -109,6 +137,6 @@ def _positions(mask: int, n: int) -> frozenset[int]:
 
 def solve_interval_dp(inst: Instance, ordering: Sequence[int]) -> Separator:
     """A minimum separator via the ordering table, whatever the budget."""
-    masks, _, window = _mask_table(inst, ordering)
+    masks, _, _, window = _mask_table(inst, ordering)
     best = min(masks[-1][1:], key=lambda m: (m.bit_count(), -m))
     return Separator(frozenset(window[q - 1] for q in _positions(best, len(window))))

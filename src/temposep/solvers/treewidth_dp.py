@@ -54,6 +54,8 @@ has no edges.
 A NiceTreeDecomposition is valid for the graph it records by construction, so
 the DP checks only that it fits the instance: the same vertex count, the same
 terminal pair, and every instance edge outside the recorded graph in a bag.
+After that check, an instance whose z the arrival sweep never reaches is
+answered with the empty separator, without filling any table.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from math import prod
 
 from ..errors import DecompositionMismatch
 from ..oracle import Instance, Separator
+from ..reachability import UNREACHED
 from .decomposition import NiceTreeDecomposition
 
 
@@ -82,7 +85,6 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
 
 def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
     """Fill the tables bottom-up, in node-index order; returns the root table."""
-    _check_fit(inst, td)
     g, z, tau = inst.g, inst.z, inst.g.tau
     base = tau + 2
     own = _canonical_labels(inst)
@@ -189,6 +191,9 @@ def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
 
 def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Separator:
     """A minimum separator via the coloring tables, whatever the budget."""
+    _check_fit(inst, td)
+    if inst.arrival[inst.z] == UNREACHED:
+        return Separator(frozenset())
     # The fewest S-vertices, the smallest key on ties.
     _, sep = min(_fill_tables(inst, td).items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
     return Separator(frozenset(v for v in range(sep.bit_length()) if sep >> v & 1))

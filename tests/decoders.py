@@ -28,7 +28,7 @@ def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[lis
     comes after z, and vertices outside the s..z ordering window are left
     out; neither changes the answer.
     """
-    masks, labels, window = _mask_table(inst, ordering)
+    masks, _, labels, window = _mask_table(inst, ordering)
     n = len(window)
     rows = [[_positions(m, n) for m in row] for row in masks]
     # A label without edges repeats the row of the latest label before it.

@@ -7,6 +7,10 @@ positions, the larger-neighborhood family of a position over a label window is
 rescanned for every query, and each minimum compares an explicit candidate
 list by (size, sorted tuple).  `interval_dp_table` must agree with it on every
 cell.
+
+`full_scan_mask_table` is the bitmask kernel before its early exits: for
+every cell it builds every candidate T[a-1][i'] | tail, a <= t and i' < i.
+`_mask_table` must agree with it on every mask, at sizes where the exits fire.
 """
 
 from __future__ import annotations
@@ -86,3 +90,71 @@ def reference_interval_dp_table(
                     candidates.append(table[t_prev][i_prev] | tail)
             table[t][i] = min(candidates, key=_set_key)
     return table, to_original
+
+
+def full_scan_mask_table(
+    inst: Instance, ordering: Sequence[int]
+) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
+    """The bitmask table with every candidate scanned: (masks, labels, window),
+    shaped like the first, third and fourth parts of `_mask_table`.
+
+    This is the bitmask kernel without its early exits, kept as a reference.
+
+    Row j of the table is T[labels[j]][i] for i in 1..n-1.  Row 0 is all
+    zeros and stands for label 0; the others are the labels that have edges,
+    in order.  An empty label t adds nothing to the recurrence, so T[t] equals
+    the row of the latest label before it that has edges.
+
+    window[q - 1] is the original vertex at position q.  The ordering is
+    reversed when s comes after z; edges with an end outside the s..z window
+    are skipped, which does not change the answer.
+    """
+    order = tuple(ordering)
+    bad = check_order_compatible(inst.g, order)
+    if bad is not None:
+        raise IncompatibleOrdering(f"layer {bad.layer} violates indifference at positions ({bad.i},{bad.j},{bad.k})")
+    lo, hi = order.index(inst.s), order.index(inst.z)
+    window = order[lo : hi + 1] if lo <= hi else order[hi : lo + 1][::-1]
+    n = len(window)
+    pos = {v: q for q, v in enumerate(window, 1)}
+
+    # larger[j][q]: positions above q adjacent to q at label labels[j], as a mask.
+    labels, larger = [0], [[0] * (n + 1)]
+    for t, u, v in inst.g.edges:  # sorted by label
+        if t != labels[-1]:
+            labels.append(t)
+            larger.append([0] * (n + 1))
+        a, b = pos.get(u, 0), pos.get(v, 0)  # 0: outside the window
+        if a > b:
+            a, b = b, a
+        if a:
+            larger[-1][a] |= 1 << (n - b)
+
+    sentinel = (1 << (n - 1)) - 2  # every non-terminal position: bits 1..n-2
+    table = [[0] * n for _ in labels]
+    for t in range(1, len(labels)):
+        row = table[t]
+        for i in range(1, n):
+            best = row[i - 1] if i > 1 else sentinel
+            best_count = best.bit_count()
+            # tail: the largest larger-neighborhood of i over rows a..t, a
+            # running max while a walks down from t; equal sizes go to the
+            # new, smaller label.  It joins row a-1 at every i' < i, or
+            # stands alone at a = 1.  Once i touches z the family is the
+            # sentinel for every smaller a, and the sentinel contains every
+            # entry, so it never beats `best`.
+            tail, tail_count = 0, -1
+            for a in range(t, 0, -1):
+                m = larger[a][i]
+                if m & 1:
+                    break
+                c = m.bit_count()
+                if c >= tail_count:
+                    tail, tail_count = m, c
+                for prev in table[a - 1][1:i] if a > 1 else (0,):
+                    m = prev | tail
+                    c = m.bit_count()
+                    if c < best_count or (c == best_count and m > best):
+                        best, best_count = m, c
+            row[i] = best
+    return table, labels, window

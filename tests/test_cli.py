@@ -226,6 +226,21 @@ class TestSolve:
         assert code == 3 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_unreachable_z_answers_empty_and_a_misfit_still_exits_3(self, capsys, tmp_path):
+        # 0-1@1, 1-2@3, 2-3@2, 3-4@1: no temporal path from 0 reaches 4.  The
+        # layers are pairwise incomparable and not periodic, so auto reaches
+        # the treewidth rule.
+        p = tmp_path / "g.tg"
+        p.write_text("tg 5 3\n0 1 1\n3 4 1\n2 3 2\n1 2 3\n")
+        td = tmp_path / "g.td"
+        argv = ["solve", str(p), "--s", "0", "--z", "4", "--k", "0", "--td", str(td)]
+        td.write_text("td 2 3 5\nb 1 0 1 2\nb 2 2 3 4\n1 2\n")
+        for extra in ([], ["--algo", "treewidth"]):
+            assert run(capsys, argv + extra) == (0, "verdict=yes separator= backend=treewidth-dp\n", "")
+        td.write_text("td 2 3 5\nb 1 0 1\nb 2 2 3 4\n1 2\n")
+        for extra in ([], ["--algo", "treewidth"]):
+            assert run(capsys, argv + extra) == (3, "", "error: edge (1,2) is contained in no bag\n")
+
     def test_td_header_bag_count_allocates_nothing(self, capsys, tmp_path):
         p = tmp_path / "p4.tg"
         dump_tg(build(4, 3, [(0, 1, 1), (1, 2, 2), (2, 3, 3)]), p)

@@ -11,7 +11,10 @@ the sorted minimum witness where it fits, or `none`.  The transcript must match 
 tie-breaks shows even where the witness size stays minimum.
 
 A hypothesis test also holds every cell of `interval_dp_table` to the
-frozenset reference in `interval_dp_reference.py`.
+frozenset reference in `interval_dp_reference.py`, and another checks the
+row facts that the interval DP's early exits rest on.  At the benchmark's
+interval sizes, where those exits fire, a seeded test holds every mask to
+the full-scan kernel `full_scan_mask_table`.
 
 To re-record after an intended output change:
     PYTHONPATH=src:tests python -c "import test_golden_dp as t; t.record()"
@@ -24,10 +27,11 @@ from pathlib import Path
 from decoders import interval_dp_table, treewidth_root_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from interval_dp_reference import reference_interval_dp_table
+from interval_dp_reference import full_scan_mask_table, reference_interval_dp_table
 
 from temposep import Instance, build, build_tree_decomposition, solve_interval_dp, solve_treewidth_dp
 from temposep.generators import GenSpec, UnitIntervalConstraint, XorShift64Star, generate
+from temposep.solvers.interval_dp import _mask_table
 
 GOLDEN = Path(__file__).parent / "golden" / "dp_witnesses.txt"
 
@@ -160,3 +164,49 @@ def _unit_interval_queries(draw):
 def test_interval_table_matches_frozenset_reference(query):
     inst, order = query
     assert interval_dp_table(inst, order) == reference_interval_dp_table(inst, order)
+
+
+@given(_unit_interval_queries())
+@settings(max_examples=150, deadline=None)
+def test_interval_table_sizes_never_grow_along_a_row(query):
+    """The facts the early exits rest on: every stored count is its mask's
+    popcount, and counts along a row never grow with i."""
+    masks, counts, _, _ = _mask_table(*query)
+    for row, row_counts in zip(masks, counts):
+        assert row_counts == [m.bit_count() for m in row]
+        assert all(a >= b for a, b in zip(row_counts[1:], row_counts[2:]))
+
+
+def _pool_scale_queries():
+    """Twelve dense unit-interval graphs at the benchmark's interval sizes,
+    each under the identity and the reversed ordering.  Every query draws
+    its own non-adjacent terminals, one from each end quarter of the
+    vertices, in a random direction, so windows span half the graph or more."""
+    rng = XorShift64Star(2828)
+    for j in range(12):
+        spec = GenSpec(
+            n=40 + rng.randrange(25),
+            tau=12,
+            edge_prob=0.90 + rng.randrange(5) / 100,
+            constraint=UnitIntervalConstraint(),
+            seed=3000 + j,
+        )
+        g = generate(spec).g
+        quarter = g.n // 4
+        pairs = [
+            (s, z)
+            for s in range(quarter)
+            for z in range(g.n - quarter, g.n)
+            if (s, z) not in g.edge_labels
+        ]
+        for order in (tuple(range(g.n)), tuple(range(g.n))[::-1]):
+            s, z = pairs[rng.randrange(len(pairs))]
+            if rng.randrange(2):
+                s, z = z, s
+            yield Instance(g=g, s=s, z=z, k=0), order
+
+
+def test_interval_table_matches_the_full_scan_at_pool_scale():
+    for inst, order in _pool_scale_queries():
+        masks, _, labels, window = _mask_table(inst, order)
+        assert (masks, labels, window) == full_scan_mask_table(inst, order)

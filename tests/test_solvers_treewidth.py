@@ -24,6 +24,7 @@ from temposep import (
 )
 from temposep.errors import DecompositionMismatch
 from temposep.oracle import Separator
+from temposep.solvers import treewidth_dp
 from temposep.solvers.treewidth_dp import _fill_tables
 
 
@@ -69,6 +70,22 @@ def test_mismatched_decomposition_rejected(td_graph, inst, message):
     td = build_tree_decomposition(td_graph.underlying(), 0, 3)
     with pytest.raises(DecompositionMismatch, match=message):
         solve_treewidth_dp(inst, td)
+
+
+def test_unreachable_z_is_answered_without_tables_after_the_fit_check(monkeypatch):
+    # 0-1@1, 1-2@3, 2-3@2, 3-4@1: no temporal path from 0 reaches 4.
+    g = build(5, 3, [(0, 1, 1), (3, 4, 1), (2, 3, 2), (1, 2, 3)])
+    inst = Instance(g, 0, 4, 0)
+
+    def no_tables(*args):
+        raise AssertionError("tables filled for an unreachable z")
+
+    monkeypatch.setattr(treewidth_dp, "_fill_tables", no_tables)
+    td = build_tree_decomposition(g.underlying(), 0, 4)
+    assert solve_treewidth_dp(inst, td) == Separator(frozenset())
+    misfit = build_tree_decomposition(build(5, 3, [(0, 1, 1), (2, 3, 2), (3, 4, 1)]).underlying(), 0, 4)
+    with pytest.raises(DecompositionMismatch, match=re.escape("edge (1,2) is contained in no bag")):
+        solve_treewidth_dp(inst, misfit)
 
 
 def test_deep_decomposition_solves():
