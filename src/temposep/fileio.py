@@ -145,12 +145,8 @@ def parse_td(text: str, path: str = "<string>") -> tuple[list[set[int]], list[tu
     # Imported here, so a solve that reads no .td never loads the solvers.
     from .solvers.decomposition import validate_tree_decomposition
 
-    # The edgeless graph breaks the rules that need no graph, and misfits a
-    # header n above every bag vertex: its n stops one past the largest bag
-    # vertex, which is in no bag, so no verdict changes and n allocates nothing.
-    edgeless = StaticGraph(min(n, max(map(max, filter(None, bag_list)), default=-1) + 2), frozenset())
     try:
-        validate_tree_decomposition(bag_list, tree_edges, edgeless)
+        validate_tree_decomposition(bag_list, tree_edges, StaticGraph(n, frozenset()))
     except (InvalidDecomposition, DecompositionMismatch) as exc:
         raise FormatError(str(exc), path) from None
     return bag_list, tree_edges, n

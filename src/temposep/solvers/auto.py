@@ -14,9 +14,9 @@ rule 2 `periodicity`.  No other detector of `classify` runs here.
    exact.
 3. a vertex ordering was supplied: interval DP, which validates the hint
    itself; an ordering incompatible with some layer falls through.
-4. a tree decomposition was supplied and the treewidth DP's
-   `treewidth_work_estimate` of its table cells fits `DEFAULT_WORK_CAP`:
-   treewidth DP.
+4. a tree decomposition was supplied and `treewidth_work_estimate`, which
+   first raises DecompositionMismatch unless it fits the instance, puts the
+   table cells within `DEFAULT_WORK_CAP`: treewidth DP.
 5. otherwise: budget-bounded search tree.
 
 Rules 1-4 run exact backends, each returning a minimum separator; `_exact`
@@ -54,7 +54,9 @@ def solve_auto(
     ordering: Optional[Sequence[int]] = None,
     td: Optional[NiceTreeDecomposition] = None,
 ) -> AutoResult:
-    """Solve the (non-strict) instance with the cheapest applicable backend."""
+    """Solve the (non-strict) instance with the cheapest applicable backend.
+
+    Each hint is checked when its rule is reached, and only then."""
     shape = monotone_shape(inst.g)
     if (shape is not None and len(shape.peaks) <= 1) or periodicity(inst.g)[1] >= inst.g.n:
         return _exact(Separator(static_min_vertex_cut(inst.g.underlying(), inst.s, inst.z)), inst.k, "static-cut")

@@ -135,17 +135,18 @@ def validate_tree_decomposition(bags: list[set[int]], tree_edges: list[tuple[int
         raise InvalidDecomposition(f"{count} bags need {count - 1} tree edges, got {len(tree_edges)}")
     if not is_connected(count, tree_edges):
         raise InvalidDecomposition("bag tree is not connected")
-    occurrences: list[set[int]] = [set() for _ in range(g.n)]
+    # No bag holds top + 1, so the scan below ends there however large g.n is.
+    top = max(map(max, filter(None, bags)), default=-1)
+    occurrences: list[set[int]] = [set() for _ in range(min(g.n, top + 2))]
     for i, bag in enumerate(bags):
         for v in bag:
             occurrences[v].add(i)
     # In a tree, the bags holding v are connected iff exactly
     # len(occurrence) - 1 tree edges join two of them.
-    joined = [0] * g.n
+    joined = [0] * len(occurrences)
     for a, b in tree_edges:
         for v in set(bags[a]).intersection(bags[b]):
             joined[v] += 1
-    top = max(map(max, filter(None, bags)), default=-1)
     for v, occurrence in enumerate(occurrences):
         if not occurrence:
             error = InvalidDecomposition if v < top else DecompositionMismatch

@@ -52,10 +52,10 @@ equal s's A_1 digit: only a neighbor's digit is compared with S, and tau = 0
 has no edges.
 
 A NiceTreeDecomposition is valid for the graph it records by construction, so
-the DP checks only that it fits the instance: the same vertex count, the same
-terminal pair, and every instance edge outside the recorded graph in a bag.
-After that check, an instance whose z the arrival sweep never reaches is
-answered with the empty separator, without filling any table.
+its bags cover the instance's edges when each is an edge of that graph.  The
+DP and the work estimate check only that, the terminals and the vertex count,
+before reading a bag.  After that check, an instance whose z the arrival sweep
+never reaches is answered with the empty separator, without filling any table.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ from .decomposition import NiceTreeDecomposition
 
 
 def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
-    """Raise DecompositionMismatch unless td fits inst.  td's bags hold exactly
-    td.graph's vertices and cover its edges, and node 0 is the leaf {td.s, td.z}."""
+    """Raise DecompositionMismatch unless td fits inst; no bag is read."""
     if {inst.s, inst.z} != {td.s, td.z}:
         raise DecompositionMismatch("node 0 bag misses a terminal")
     n = td.graph.n
@@ -78,9 +77,9 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
         raise DecompositionMismatch(f"vertex {n} appears in no bag")
     if inst.g.n < n:
         raise DecompositionMismatch(f"a bag contains vertex {n - 1}, outside 0..{inst.g.n - 1}")
-    for u, v in sorted(inst.g.edge_labels.keys() - td.graph.edges):
-        if not any(u in node.bag and v in node.bag for node in td.nodes):
-            raise DecompositionMismatch(f"edge ({u},{v}) is contained in no bag")
+    foreign = inst.g.edge_labels.keys() - td.graph.edges
+    if foreign:
+        raise DecompositionMismatch("edge ({},{}) is not an edge of the decomposition's graph".format(*min(foreign)))
 
 
 def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
@@ -182,8 +181,9 @@ def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
     1 for s and z, and for any other vertex v, S, Z and A_i for each label i
     of v's own time-edges with i >= arr(v), so 2 for a vertex that s cannot
     reach.  It reads the same arrival sweep as the tables, once per
-    instance.
+    instance, after the fit check.
     """
+    _check_fit(inst, td)
     colors = [len(labels) + 2 for labels in _canonical_labels(inst)]
     colors[inst.s] = colors[inst.z] = 1
     return sum(prod(colors[v] for v in node.bag) for node in td.nodes)

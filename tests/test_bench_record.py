@@ -12,9 +12,10 @@ def load_tool():
     return module
 
 
-def write_run(directory, workload, seed, trace, p50, failed=0):
+def write_run(directory, workload, seed, trace, p50, failed=0, seconds=20):
+    info = {"seconds": seconds, "src_lines": 100}
     data = {
-        "info": {"src_lines": 100, "absent": []} if trace else {"src_lines": 100},
+        "info": {**info, "absent": []} if trace else info,
         "result": {
             "correct": failed == 0,
             "attempted": 10,
@@ -44,8 +45,22 @@ def test_groups_runs_by_workload_and_trace_with_medians(tmp_path):
     assert list(untraced["seeds"]) == ["2", "11", "12"]
     assert untraced["seeds"]["11"]["failed"] == 1 and not untraced["seeds"]["11"]["correct"]
     assert untraced["median"] == {"latency_ms.p50": 2.0}
+    assert {entry["seconds"] for entry in untraced["seeds"].values()} == {20}
     traced = record["workloads"]["search-sparse"]["trace1"]
     assert traced["seeds"]["7"]["absent"] == []
+
+
+def test_a_group_that_mixes_run_lengths_is_refused_naming_seeds_and_lengths(tmp_path, capsys):
+    source = tmp_path / "out"
+    source.mkdir()
+    write_run(source, "structured-dp", 41, 0, 6.0)
+    write_run(source, "structured-dp", 42, 0, 5.0, seconds=3)
+    write_run(source, "structured-dp", 43, 1, 7.0, seconds=8)  # another group, one length
+    output = tmp_path / "BENCH_1.json"
+    assert load_tool().main(["--pr", "1", "--source", str(source), "--output", str(output)]) == 1
+    assert not output.exists()
+    err = capsys.readouterr().err
+    assert err == "structured-dp trace0 mixes run lengths: seed 41 20 s, seed 42 3 s\n"
 
 
 def test_empty_source_is_an_error(tmp_path):

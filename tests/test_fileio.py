@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,16 @@ def test_parse_td_errors():
         parse_td("td 2 2 3\nb 1 0\n")
     with pytest.raises(FormatError, match="header allows"):
         parse_td("td 1 1 3\nb 1 0 1\n")
+
+
+def test_parse_td_allocates_nothing_in_the_header_vertex_count():
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="vertex 4 appears in no bag"):
+            parse_td("td 1 4 1000000\nb 1 0 1 2 3\n")
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_parse_ordering():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,18 @@ def test_a_decomposition_for_more_vertices_is_a_misfit():
 def test_a_vertex_in_no_bag_is_a_misfit_only_above_every_bag_vertex(bags, error, missing):
     with pytest.raises(error, match=f"^vertex {missing} appears in no bag$"):
         validate_tree_decomposition(bags, [(0, 1)], static_graph(4, []))
+
+
+def test_the_vertex_lists_stop_one_past_the_largest_bag_vertex():
+    # Lists for 10**6 vertices would take about 200 MB; the scan ends at vertex 3.
+    g = static_graph(10**6, [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompositionMismatch, match="^vertex 3 appears in no bag$"):
+            validate_tree_decomposition([{0, 1}, {1, 2}], [(0, 1)], g)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("s, z", [(0, 3), (-1, 2), (1, 1)])

@@ -25,7 +25,8 @@ from temposep import (
 from temposep.errors import DecompositionMismatch
 from temposep.oracle import Separator
 from temposep.solvers import treewidth_dp
-from temposep.solvers.treewidth_dp import _fill_tables
+from temposep.solvers.auto import solve_auto
+from temposep.solvers.treewidth_dp import _fill_tables, treewidth_work_estimate
 
 
 def test_g1_budget_one(g1_inst):
@@ -58,7 +59,7 @@ def test_join_unites_the_separators_of_both_sides():
 @pytest.mark.parametrize(
     "td_graph, inst, message",
     [
-        (build(4, 1, []), Instance(g=build(4, 1, [(1, 2, 1)]), s=0, z=3, k=0), "contained in no bag"),
+        (build(4, 1, []), Instance(g=build(4, 1, [(1, 2, 1)]), s=0, z=3, k=0), r"edge \(1,2\) is not an edge of"),
         (build(4, 1, [(1, 2, 1)]), Instance(g=build(4, 1, [(1, 2, 1)]), s=1, z=3, k=0), "misses a terminal"),
         (build(4, 1, [(1, 2, 1)]), Instance(g=build(5, 1, [(1, 2, 1)]), s=0, z=3, k=0), "appears in no bag"),
         (build(5, 1, []), Instance(g=build(4, 1, [(1, 2, 1)]), s=0, z=3, k=0), r"vertex 4, outside 0\.\.3"),
@@ -84,8 +85,17 @@ def test_unreachable_z_is_answered_without_tables_after_the_fit_check(monkeypatc
     td = build_tree_decomposition(g.underlying(), 0, 4)
     assert solve_treewidth_dp(inst, td) == Separator(frozenset())
     misfit = build_tree_decomposition(build(5, 3, [(0, 1, 1), (2, 3, 2), (3, 4, 1)]).underlying(), 0, 4)
-    with pytest.raises(DecompositionMismatch, match=re.escape("edge (1,2) is contained in no bag")):
+    with pytest.raises(DecompositionMismatch, match=re.escape("edge (1,2) is not an edge of the decomposition's graph")):
         solve_treewidth_dp(inst, misfit)
+
+
+def test_a_decomposition_of_a_larger_graph_is_a_misfit_before_any_bag_is_read():
+    big = build(6, 3, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 3), (4, 5, 2), (1, 4, 1)])
+    small = Instance(build(4, 3, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 2, 3)]), 0, 3, 1)
+    td = build_tree_decomposition(big.underlying(), 0, 3)
+    for entry in (solve_treewidth_dp, treewidth_work_estimate, lambda inst, td: solve_auto(inst, td=td)):
+        with pytest.raises(DecompositionMismatch, match=re.escape("a bag contains vertex 5, outside 0..3")):
+            entry(small, td)
 
 
 def test_deep_decomposition_solves():
@@ -134,19 +144,33 @@ def test_matches_oracle_at_every_budget_on_random_elimination_orders(data):
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_decomposition_of_another_graph_fits_exactly_when_its_bags_cover_the_edges(data):
+def test_decomposition_of_another_graph_fits_exactly_when_h_is_a_subgraph_of_g(data):
     g = data.draw(instance_graphs(max_n=6, max_tau=3))
     h = data.draw(instance_graphs(max_n=g.n, max_tau=3, min_n=g.n))
     td = build_tree_decomposition(g.underlying(), 0, g.n - 1)
     inst = Instance(g=h, s=0, z=h.n - 1, k=h.n)
-    uncovered = [(u, v) for u, v in sorted(h.underlying().edges) if not any({u, v} <= node.bag for node in td.nodes)]
-    if uncovered:
-        with pytest.raises(DecompositionMismatch, match=re.escape(f"edge ({uncovered[0][0]},{uncovered[0][1]})")):
+    foreign = sorted(h.underlying().edges - g.underlying().edges)
+    if foreign:
+        with pytest.raises(DecompositionMismatch, match=re.escape(f"edge ({foreign[0][0]},{foreign[0][1]})")):
             solve_treewidth_dp(inst, td)
     else:
         found = solve_treewidth_dp(inst, td)
         assert found.size == min_separator_bruteforce(inst).size
         assert is_separator(inst, found.vertices)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_decomposition_solves_every_subgraph_on_its_vertices(data):
+    g = data.draw(instance_graphs(max_n=6, max_tau=3))
+    td = build_tree_decomposition(g.underlying(), 0, g.n - 1)
+    kept = [e for e in sorted(g.underlying().edges) if data.draw(st.booleans())]
+    labels = st.lists(st.integers(1, g.tau), min_size=1, max_size=g.tau, unique=True)
+    h = build(g.n, g.tau, [(u, v, t) for u, v in kept for t in data.draw(labels)])
+    inst = Instance(g=h, s=0, z=h.n - 1, k=h.n)
+    found = solve_treewidth_dp(inst, td)
+    assert found.size == min_separator_bruteforce(inst).size
+    assert is_separator(inst, found.vertices)
 
 
 def _earliest_arrivals_from(g, start, depart_at_least):

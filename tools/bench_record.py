@@ -4,10 +4,12 @@
 
 Every `<workload>-seed<N>-trace<T>.json` file written by `perfbench/run.py`
 becomes one entry: the seed's metric values plus `attempted`, `failed`,
-`correct` and the info line's `src_lines`.  Entries are grouped by workload,
-untraced (`trace0`) and traced (`trace1`) runs apart, and each group carries
-the median of every metric over its seeds.  Standard library only; the
-output goes to the repository root unless `--output` says otherwise.
+`correct` and the info line's `seconds` and `src_lines`.  Entries are grouped
+by workload, untraced (`trace0`) and traced (`trace1`) runs apart, and each
+group carries the median of every metric over its seeds.  A group whose runs
+differ in `seconds` is refused (exit 1): a shorter run of a seed overwrites
+the longer one's file.  Standard library only; the output goes to the
+repository root unless `--output` says otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ def run_entry(data: dict) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "correct": result["correct"],
+        "seconds": info.get("seconds"),
         "src_lines": info.get("src_lines"),
         "metrics": {name: m["value"] for name, m in sorted(result["metrics"].items())},
     }
@@ -49,8 +52,15 @@ def medians(runs: dict[str, dict]) -> dict[str, float]:
     return {name: statistics.median(vals) for name, vals in sorted(values.items())}
 
 
+class MixedRunLengths(Exception):
+    """A workload/trace group whose runs were not all of one length."""
+
+
 def gather(source: Path) -> dict[str, dict[str, dict]]:
-    """workload -> "trace<T>" -> {"seeds": {seed: entry}, "median": {...}}."""
+    """workload -> "trace<T>" -> {"seeds": {seed: entry}, "median": {...}}.
+
+    Raises MixedRunLengths, naming each seed's length, when a group's runs
+    differ in `seconds`."""
     groups: dict[tuple[str, str], dict[str, dict]] = {}
     for path in sorted(source.glob("*.json")):
         match = RESULT_NAME.fullmatch(path.name)
@@ -62,6 +72,9 @@ def gather(source: Path) -> dict[str, dict[str, dict]]:
     out: dict[str, dict[str, dict]] = {}
     for (workload, trace), runs in sorted(groups.items()):
         ordered = {seed: runs[seed] for seed in sorted(runs, key=int)}
+        if len({entry["seconds"] for entry in ordered.values()}) > 1:
+            lengths = ", ".join(f"seed {seed} {entry['seconds']} s" for seed, entry in ordered.items())
+            raise MixedRunLengths(f"{workload} {trace} mixes run lengths: {lengths}")
         out.setdefault(workload, {})[trace] = {"seeds": ordered, "median": medians(ordered)}
     return out
 
@@ -72,7 +85,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--source", type=Path, default=ROOT / ".perfbench_out", help="directory of run results")
     parser.add_argument("--output", type=Path, help="output path (default: BENCH_<pr>.json at the repo root)")
     args = parser.parse_args(argv)
-    workloads = gather(args.source)
+    try:
+        workloads = gather(args.source)
+    except MixedRunLengths as exc:
+        print(exc, file=sys.stderr)
+        return 1
     if not workloads:
         print(f"no <workload>-seed<N>-trace<T>.json files in {args.source}", file=sys.stderr)
         return 1
