@@ -17,11 +17,11 @@ With position 1 = s and position n = z:
               T[t'][i'] + the largest larger-neighborhood of i over labels
               t'+1..t, for every t' < t and i' < i.
 
-"Largest" breaks ties towards the smallest label; "min" orders sets by size,
-then by their sorted position tuples.  The larger-neighborhood family of a
-position is replaced by the infeasible sentinel (all non-terminals) whenever
-that position is adjacent to z inside the label window, so the arithmetic
-needs no special cases.  The smallest T[tau][i] is a minimum separator.
+"min" orders sets by size, then by their sorted position tuples.  The
+larger-neighborhood family of a position is replaced by the infeasible
+sentinel (all non-terminals) whenever that position is adjacent to z inside
+the label window, so the arithmetic needs no special cases.  T[t][i] starts
+from T[t][i-1], so sizes never grow along a row: T[tau][n-1] is the answer.
 
 Sets of positions are int bitmasks: position q is bit n - q, so z is bit 0
 and a larger-neighborhood with bit 0 set marks a label at which the position
@@ -30,19 +30,22 @@ only one of them is the highest bit of their XOR; that set has the smaller
 sorted tuple and the larger mask.  Ordering masks by (popcount, -mask)
 therefore orders sets exactly as (size, sorted tuple) does.
 
-Two facts let the scan for T[t][i] stop before it has built every candidate,
-with popcounts stored beside the masks:
-- sizes never grow along a row, since T[t][i] starts from T[t][i-1].  So i'
-  is scanned downward from i - 1, and the first T[t'][i'] larger than the
+The kernel rests on one fact: in a layer the ordering fits, the
+larger-neighborhood of window position q is the run q+1..r_t(q).  So
+equal-size neighborhoods of q are equal, and every non-empty entry T[.][i']
+(a union of runs from positions <= i', or the sentinel) holds a position
+<= i' + 1.  At cell i the tail, the largest larger-neighborhood of i over
+labels t'+1..t, is a run from i + 1, and every candidate other than the tail
+itself holds a position <= i, so the tail loses every size tie on the mask.
+With popcounts stored beside the masks, the scan for T[t][i] stops early:
+- i' is scanned downward from i - 1, and the first T[t'][i'] larger than the
   best so far ends the scan: every candidate further left contains a set at
   least as large.  An equal size may still win on the mask.
-- the largest larger-neighborhood of i over labels t'+1..t never shrinks as
-  t' falls, and every candidate contains it.  Once it is larger than the best
-  so far, no smaller t' can win.
-(popcount, -mask) is a total order on distinct masks, so the minimum is the
-same whatever order the candidates come in, and the early exits cannot
-change a witness.  The worst case is still O(L^2 * n^2) candidates for L
-labels with edges.
+- the tail never shrinks as t' falls, and every candidate contains it.  Once
+  it is as large as the best so far, no smaller t' can win.
+(popcount, -mask) is a total order on distinct masks, so no scan order or
+early exit can change a witness.  The worst case is still O(L^2 * n^2)
+candidates for L labels with edges.
 """
 
 from __future__ import annotations
@@ -97,25 +100,23 @@ def _mask_table(
         best, best_count = sentinel, sentinel.bit_count()  # row[i-1], or the sentinel at i = 1
         for i in range(1, n):
             # tail: the largest larger-neighborhood of i over rows a..t, a
-            # running max while a walks down from t; equal sizes go to the
-            # new, smaller label.  It joins row a-1 at every i' < i, or
-            # stands alone at a = 1.  Once i touches z the family is the
-            # sentinel for every smaller a, and the sentinel contains every
-            # entry, so it never beats `best`.  Once tail outgrows `best`,
-            # so does every candidate at a smaller a.
+            # running max while a walks down from t.  It joins row a-1 at
+            # every i' < i, or stands alone at a = 1.  Once i touches z the
+            # family is the sentinel for every smaller a, and the sentinel
+            # contains every entry, so it never beats `best`.  Once tail is
+            # as large as `best`, no candidate at a smaller a can win.
             tail, tail_count = 0, -1
             for a in range(t, 0, -1):
                 m = larger[a][i]
                 if m & 1:
                     break
                 c = m.bit_count()
-                if c >= tail_count:
+                if c > tail_count:
                     tail, tail_count = m, c
-                if tail_count > best_count:
+                if tail_count >= best_count:
                     break
                 if a == 1:
-                    if tail_count < best_count or tail > best:
-                        best, best_count = tail, tail_count
+                    best, best_count = tail, tail_count
                     break  # a = 1 is the last row
                 prev_row, prev_counts = table[a - 1], counts[a - 1]
                 # Row a-1 grows leftwards, so the first i' that outgrows
@@ -138,5 +139,4 @@ def _positions(mask: int, n: int) -> frozenset[int]:
 def solve_interval_dp(inst: Instance, ordering: Sequence[int]) -> Separator:
     """A minimum separator via the ordering table, whatever the budget."""
     masks, _, _, window = _mask_table(inst, ordering)
-    best = min(masks[-1][1:], key=lambda m: (m.bit_count(), -m))
-    return Separator(frozenset(window[q - 1] for q in _positions(best, len(window))))
+    return Separator(frozenset(window[q - 1] for q in _positions(masks[-1][-1], len(window))))
