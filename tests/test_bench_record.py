@@ -12,7 +12,7 @@ def load_tool():
     return module
 
 
-def write_run(directory, workload, seed, trace, p50, failed=0, seconds=20):
+def write_run(directory, workload, seed, trace, p50, failed=0, seconds=20, metrics=None):
     info = {"seconds": seconds, "src_lines": 100}
     data = {
         "info": {**info, "absent": []} if trace else info,
@@ -20,7 +20,10 @@ def write_run(directory, workload, seed, trace, p50, failed=0, seconds=20):
             "correct": failed == 0,
             "attempted": 10,
             "failed": failed,
-            "metrics": {"latency_ms.p50": {"value": p50, "unit": "ms"}},
+            "metrics": {
+                name: {"value": value, "unit": "?"}
+                for name, value in (metrics or {"latency_ms.p50": p50}).items()
+            },
         },
         "calls": [],
     }
@@ -66,3 +69,76 @@ def test_a_group_that_mixes_run_lengths_is_refused_naming_seeds_and_lengths(tmp_
 def test_empty_source_is_an_error(tmp_path):
     assert load_tool().main(["--pr", "1", "--source", str(tmp_path), "--output", str(tmp_path / "x.json")]) == 1
     assert not (tmp_path / "x.json").exists()
+
+
+def write_sides(tmp_path, parent_values, change_values, change_seconds=20, change_seeds=(41, 42, 43)):
+    """Parent and change result directories; each *_values maps an
+    end-to-end metric to one value per seed."""
+    sides = []
+    for side, values, seeds, seconds in (
+        ("parent", parent_values, (41, 42, 43), 20),
+        ("change", change_values, change_seeds, change_seconds),
+    ):
+        directory = tmp_path / side
+        directory.mkdir(parents=True)
+        for i, seed in enumerate(seeds):
+            metrics = {name: vals[i] for name, vals in values.items()}
+            write_run(directory, "structured-dp", seed, 0, None, seconds=seconds, metrics=metrics)
+        write_run(directory, "structured-dp", 7, 1, 1.0, seconds=8)  # traced runs are not compared
+        sides.append(directory)
+    return sides
+
+
+def test_parent_comparison_prints_medians_quartiles_better_counts_and_verdicts(tmp_path, capsys):
+    parent, change = write_sides(
+        tmp_path,
+        {
+            "latency_ms.p50": [10, 10, 10],
+            "latency_ms.p90": [10, 11, 12],
+            "instances_per_s": [100, 100, 100],
+            "setup_s": [1, 1, 1],
+            "peak_rss_mb": [20, 20, 20],
+        },
+        {
+            "latency_ms.p50": [14, 12, 13],  # median 30% worse, beyond the 0.25 bound
+            "latency_ms.p90": [6, 10, 14],  # quartiles 8-12, wider than 0.25 x 11
+            "instances_per_s": [130, 200, 300],  # wide, but every run beats every parent run
+            "setup_s": [1, 1, 1],  # ties count for neither side
+            "peak_rss_mb": [21, 21, 21],  # 5% worse, within the 0.1 bound
+        },
+    )
+    output = tmp_path / "BENCH_1.json"
+    argv = ["--pr", "1", "--source", str(change), "--parent", str(parent), "--output", str(output)]
+    assert load_tool().main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "| workload | metric | parent median [q1, q3] | change median [q1, q3] | change better | verdict |",
+        "|---|---|---|---|---|---|",
+    ]
+    assert lines[2:7] == [
+        "| structured-dp | latency_ms.p50 | 10 [10, 10] | 13 [12.5, 13.5] | 0/3 | worse |",
+        "| structured-dp | latency_ms.p90 | 11 [10.5, 11.5] | 10 [8, 12] | 2/3 | unresolved |",
+        "| structured-dp | instances_per_s | 100 [100, 100] | 200 [165, 250] | 3/3 | ok |",
+        "| structured-dp | setup_s | 1 [1, 1] | 1 [1, 1] | 0/3 | ok |",
+        "| structured-dp | peak_rss_mb | 20 [20, 20] | 21 [21, 21] | 0/3 | ok |",
+    ]
+    assert lines[7].startswith("wrote ")
+    assert json.loads(output.read_text())["workloads"]["structured-dp"]["trace0"]["median"]["latency_ms.p50"] == 13
+
+
+def test_parent_comparison_refuses_sides_that_differ_in_seeds_or_run_length(tmp_path, capsys):
+    values = {"latency_ms.p50": [5, 5, 5]}
+    for case, kwargs, message in (
+        (
+            "seeds",
+            {"change_seeds": (41, 42, 44)},
+            "structured-dp: seeds differ: parent ['41', '42', '43'], change ['41', '42', '44']",
+        ),
+        ("length", {"change_seconds": 3}, "structured-dp: run lengths differ: parent 20 s, change 3 s"),
+    ):
+        parent, change = write_sides(tmp_path / case, values, values, **kwargs)
+        output = tmp_path / case / "BENCH_1.json"
+        argv = ["--pr", "1", "--source", str(change), "--parent", str(parent), "--output", str(output)]
+        assert load_tool().main(argv) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not output.exists()

@@ -1,9 +1,16 @@
+import contextlib
+import io
+import re
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from temposep.cli import main
+from temposep.cli import REDUCTION_KINDS, main
 from temposep.errors import NotAPermutation
 from temposep.fileio import dump_tg, format_tg, load_tg
 from temposep import build, check_order_compatible
@@ -779,3 +786,119 @@ def test_contract_errors_are_exactly_the_exit_3_family():
         "TerminalInSeparator",
         "TerminalsAdjacent",
     }
+
+
+# Tokens a corruption puts into a line: out-of-range vertices, labels and
+# counts (9, -1; 2**63 and 10**30 are too large to size a view, and nothing
+# in between is drawn, so no header asks for a huge allocation), repeated
+# in-range entries, non-integers, keywords out of place and a non-ASCII digit.
+_JUNK = st.sampled_from(
+    ["0", "1", "2", "9", "-1", str(2**63), str(10**30), "x", "1.5", "0x1", "b", "tg", "td", "#", "\u0663"]
+)
+_STATS_LINE = re.compile(r"n=\d+ m=\d+ tau=\d+ backend=\S+ millis=\d+\.\d")
+
+
+@st.composite
+def _corrupted(draw, lines):
+    """`lines` (lists of tokens) after up to three corruptions: a field
+    dropped, added or replaced, a line duplicated or deleted, a junk line
+    inserted."""
+    lines = [list(line) for line in lines]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        op = draw(st.sampled_from(["drop", "add", "replace", "duplicate", "delete", "insert"]))
+        if op == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.lists(_JUNK, max_size=4)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if op == "duplicate":
+            lines.insert(i, list(line))
+        elif op == "delete":
+            del lines[i]
+        elif op == "add":
+            line.insert(draw(st.integers(0, len(line))), draw(_JUNK))
+        elif line:
+            j = draw(st.integers(0, len(line) - 1))
+            if op == "drop":
+                del line[j]
+            else:
+                line[j] = draw(_JUNK)
+    return lines
+
+
+@st.composite
+def _malformed_inputs(draw):
+    """The texts of a `.tg` file, a `.td` file, an ordering file and a
+    `--separator` value for one small graph (n <= 6, tau <= 3) with no edge
+    between its terminals s and z, each valid or corrupted; then n, s, z."""
+    n, tau = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    s, z = draw(st.permutations(range(n)))[:2]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if {u, v} != {s, z}]
+    edge = st.tuples(st.sampled_from(pairs or [(s, z)]), st.integers(1, tau))
+    edges = draw(st.lists(edge, max_size=10, unique=True))
+    tg = [["tg", str(n), str(tau)]] + [[str(u), str(v), str(t)] for (u, v), t in edges]
+    # Bag 1 holds every vertex, so any further bags hung off it keep the
+    # decomposition valid.
+    bags = [list(range(n))] + draw(st.lists(st.lists(st.integers(0, n - 1), unique=True), max_size=2))
+    td = [["td", str(len(bags)), str(n), str(n)]]
+    td += [["b", str(i), *map(str, bag)] for i, bag in enumerate(bags, 1)]
+    td += [["1", str(i)] for i in range(2, len(bags) + 1)]
+    ordering = [list(map(str, draw(st.permutations(range(n)))))]
+    separator = [list(map(str, draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3))))]
+
+    def text(lines):
+        return "".join(" ".join(line) + "\n" for line in lines)
+
+    return (
+        text(draw(_corrupted(tg))),
+        text(draw(_corrupted(td))),
+        text(draw(_corrupted(ordering))),
+        ",".join(token for line in draw(_corrupted(separator)) for token in line),
+        n,
+        s,
+        z,
+    )
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(_malformed_inputs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_malformed_files_never_escape_main(inputs, data):
+    """Every command on valid or corrupted files returns an exit code in
+    {0, 1, 2, 3}, and says on stderr only `error: ` lines and `--stats`
+    lines: no exception escapes `main`."""
+    tg_text, td_text, ordering_text, separator, n, s, z = inputs
+    draw = data.draw
+    s, z = draw(st.sampled_from([(s, z)] * 6 + [(z, s), (s, s), (-1, z), (s, n)]))
+    query = [f"--s={s}", f"--z={z}"] + (["--strict"] if draw(st.booleans()) else [])
+    k = f"--k={draw(st.sampled_from([0, 1, 2] * 2 + [-1]))}"
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: Path(tmp) / name for name in ("g.tg", "g.td", "ord.txt", "out.tg")}
+        files["g.tg"].write_text(tg_text, encoding="utf-8")
+        files["g.td"].write_text(td_text, encoding="utf-8")
+        files["ord.txt"].write_text(ordering_text, encoding="utf-8")
+        tg, td, ordering, out = (str(path) for path in files.values())
+        solve_flags = [k]
+        solve_flags += ["--td", td] if draw(st.booleans()) else []
+        solve_flags += ["--ordering", ordering] if draw(st.booleans()) else []
+        solve_flags += ["--stats"] if draw(st.booleans()) else []
+        calls = [
+            ["path", tg, *query],
+            ["classify", tg],
+            ["verify", tg, *query, f"--separator={separator}"],
+            ["reduce", tg, "--kind", draw(st.sampled_from(REDUCTION_KINDS)), "-o", out, f"--s={s}", f"--z={z}", k],
+        ]
+        batch = [tg, tg] if draw(st.booleans()) else [tg]
+        for algo in ("auto", "brute", "search-tree", "treewidth", "interval", "static-cut"):
+            calls.append(["solve", *batch, *query, "--algo", algo, *solve_flags])
+        for argv in calls:
+            code, err = _call(argv)
+            assert code in (0, 1, 2, 3), argv
+            for line in err.splitlines():
+                assert line.startswith("error: ") or _STATS_LINE.fullmatch(line), (argv, line)

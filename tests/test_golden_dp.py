@@ -12,9 +12,10 @@ tie-breaks shows even where the witness size stays minimum.
 
 A hypothesis test also holds every cell of `interval_dp_table` to the
 frozenset reference in `interval_dp_reference.py`, and another checks the
-row facts that the interval DP's early exits rest on.  At the benchmark's
-interval sizes, where those exits fire, a seeded test holds every mask to
-the full-scan kernel `full_scan_mask_table`.
+row facts that the interval DP's early exits and its last-cell answer rest
+on.  At the benchmark's interval sizes, and on 1000 seeded small queries,
+where those exits fire, seeded tests hold every mask to the full-scan
+kernel `full_scan_mask_table`.
 
 To re-record after an intended output change:
     PYTHONPATH=src:tests python -c "import test_golden_dp as t; t.record()"
@@ -165,15 +166,26 @@ def test_interval_table_matches_frozenset_reference(query):
     assert interval_dp_table(inst, order) == reference_interval_dp_table(inst, order)
 
 
-@given(_unit_interval_queries())
-@settings(max_examples=150, deadline=None)
-def test_interval_table_sizes_never_grow_along_a_row(query):
-    """The facts the early exits rest on: every stored count is its mask's
-    popcount, and counts along a row never grow with i."""
-    masks, counts, _, _ = _mask_table(*query)
+def _assert_row_facts(masks, counts, window):
+    """Every stored count is its mask's popcount; counts along a row never
+    grow with i; every non-empty T[.][i'] holds a position <= i' + 1 (bit
+    n - q is position q, so its highest bit is at least n - i' - 1); and the
+    last cell is the minimum of the last row under (popcount, -mask)."""
+    n = len(window)
     for row, row_counts in zip(masks, counts):
         assert row_counts == [m.bit_count() for m in row]
         assert all(a >= b for a, b in zip(row_counts[1:], row_counts[2:]))
+        assert all(m.bit_length() - 1 >= n - i - 1 for i, m in enumerate(row) if m)
+    assert masks[-1][-1] == min(masks[-1][1:], key=lambda m: (m.bit_count(), -m))
+
+
+@given(_unit_interval_queries())
+@settings(max_examples=150, deadline=None)
+def test_interval_table_sizes_never_grow_along_a_row(query):
+    """The facts the early exits and the last-cell answer rest on, checked
+    here on drawn queries and in the pool-scale test on its own."""
+    masks, counts, _, window = _mask_table(*query)
+    _assert_row_facts(masks, counts, window)
 
 
 def _pool_scale_queries():
@@ -207,5 +219,35 @@ def _pool_scale_queries():
 
 def test_interval_table_matches_the_full_scan_at_pool_scale():
     for inst, order in _pool_scale_queries():
-        masks, _, labels, window = _mask_table(inst, order)
+        masks, counts, labels, window = _mask_table(inst, order)
         assert (masks, labels, window) == full_scan_mask_table(inst, order)
+        _assert_row_facts(masks, counts, window)
+
+
+def _seeded_small_queries(count: int):
+    """`count` seeded unit-interval queries, n 3-30, tau 1-12, edge
+    probability 0.1-1.0, each with non-adjacent terminals drawn in either
+    direction, under the identity ordering.  Over the 1000, the a-loop
+    leaves on an equal-size tail more often than on a larger one."""
+    rng = XorShift64Star(3030)
+    for j in range(count):
+        spec = GenSpec(
+            n=3 + rng.randrange(28),
+            tau=1 + rng.randrange(12),
+            edge_prob=(1 + rng.randrange(10)) / 10,
+            constraint=UnitIntervalConstraint(),
+            seed=5000 + j,
+        )
+        g = generate(spec).g
+        pairs = [(s, z) for s in range(g.n) for z in range(s + 1, g.n) if (s, z) not in g.edge_labels]
+        s, z = pairs[rng.randrange(len(pairs))]
+        if rng.randrange(2):
+            s, z = z, s
+        yield Instance(g=g, s=s, z=z, k=0), tuple(range(g.n))
+
+
+def test_interval_table_matches_the_full_scan_on_1000_small_queries():
+    for inst, order in _seeded_small_queries(1000):
+        masks, counts, labels, window = _mask_table(inst, order)
+        assert (masks, labels, window) == full_scan_mask_table(inst, order)
+        _assert_row_facts(masks, counts, window)

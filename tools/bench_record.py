@@ -1,6 +1,7 @@
 """Gather one benchmark run's `.perfbench_out/` results into `BENCH_<pr>.json`.
 
     python3 tools/bench_record.py --pr <pr> [--source .perfbench_out] [--output PATH]
+        [--parent PARENT/.perfbench_out]
 
 Every `<workload>-seed<N>-trace<T>.json` file written by `perfbench/run.py`
 becomes one entry: the seed's metric values plus `attempted`, `failed`,
@@ -10,6 +11,16 @@ group carries the median of every metric over its seeds.  A group whose runs
 differ in `seconds` is refused (exit 1): a shorter run of a seed overwrites
 the longer one's file.  Standard library only; the output goes to the
 repository root unless `--output` says otherwise.
+
+With `--parent`, the untraced runs of `--source` (the change) are also
+compared with the parent's, seed by seed, on every `end_to_end` metric of
+`BENCHMARK.json`.  Each row prints both sides' median [q1, q3] and how many
+seeds the change ran better (a tie counts for neither side), with a verdict:
+`worse` when the change's median is worse than the parent's by more than the
+metric's bound, `unresolved` when the change's quartile distance exceeds
+bound x parent median and not every change run beats every parent run, and
+`ok` otherwise.  Sides that differ in workloads, seeds or run length are
+refused (exit 1).
 """
 
 from __future__ import annotations
@@ -79,20 +90,100 @@ def gather(source: Path) -> dict[str, dict[str, dict]]:
     return out
 
 
+class MismatchedRuns(Exception):
+    """Parent and change runs that cannot be paired seed by seed."""
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Median, q1 and q3, interpolated between runs like perfbench's percentiles."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def compare(parent: dict, change: dict, end_to_end: list[dict]) -> list[dict]:
+    """One row per workload and end-to-end metric over the untraced runs.
+
+    Raises MismatchedRuns when the sides differ in workloads, seeds or run
+    length."""
+    if sorted(parent) != sorted(change):
+        raise MismatchedRuns(f"workloads differ: parent {sorted(parent)}, change {sorted(change)}")
+    rows = []
+    for workload in sorted(change):
+        before, after = (side[workload].get("trace0", {}).get("seeds", {}) for side in (parent, change))
+        if list(before) != list(after):
+            raise MismatchedRuns(f"{workload}: seeds differ: parent {list(before)}, change {list(after)}")
+        # gather() leaves one length per group, so the first run speaks for all.
+        lengths = [next(iter(runs.values()))["seconds"] if runs else None for runs in (before, after)]
+        if lengths[0] != lengths[1]:
+            raise MismatchedRuns(f"{workload}: run lengths differ: parent {lengths[0]} s, change {lengths[1]} s")
+        for metric in end_to_end:
+            name, bound, sign = metric["name"], metric["bound"], 1 if metric["better"] == "lower" else -1
+            pairs = [(before[seed]["metrics"][name], after[seed]["metrics"][name]) for seed in after]
+            olds, news = [p for p, _ in pairs], [c for _, c in pairs]
+            (p_med, p_q1, p_q3), (c_med, c_q1, c_q3) = quartiles(olds), quartiles(news)
+            better = sum(sign * (c - p) < 0 for p, c in pairs)
+            beats_all = all(sign * (c - p) < 0 for c in news for p in olds)
+            if sign * (c_med - p_med) > bound * p_med:
+                verdict = "worse"
+            elif c_q3 - c_q1 > bound * p_med and not beats_all:
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
+            rows.append(
+                {
+                    "workload": workload,
+                    "metric": name,
+                    "parent": (p_med, p_q1, p_q3),
+                    "change": (c_med, c_q1, c_q3),
+                    "better": better,
+                    "pairs": len(pairs),
+                    "verdict": verdict,
+                }
+            )
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    """The comparison as a Markdown table."""
+    lines = [
+        "| workload | metric | parent median [q1, q3] | change median [q1, q3] | change better | verdict |",
+        "|---|---|---|---|---|---|",
+    ]
+    for row in rows:
+        p_med, p_q1, p_q3 = row["parent"]
+        c_med, c_q1, c_q3 = row["change"]
+        lines.append(
+            f"| {row['workload']} | {row['metric']} | {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}] "
+            f"| {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}] | {row['better']}/{row['pairs']} | {row['verdict']} |"
+        )
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--source", type=Path, default=ROOT / ".perfbench_out", help="directory of run results")
     parser.add_argument("--output", type=Path, help="output path (default: BENCH_<pr>.json at the repo root)")
+    parser.add_argument("--parent", type=Path, help="the parent's run results, to compare --source against")
     args = parser.parse_args(argv)
     try:
         workloads = gather(args.source)
+        parent = None if args.parent is None else gather(args.parent)
     except MixedRunLengths as exc:
         print(exc, file=sys.stderr)
         return 1
     if not workloads:
         print(f"no <workload>-seed<N>-trace<T>.json files in {args.source}", file=sys.stderr)
         return 1
+    if parent is not None:
+        end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+        try:
+            print(format_rows(compare(parent, workloads, end_to_end)))
+        except MismatchedRuns as exc:
+            print(exc, file=sys.stderr)
+            return 1
     output = args.output or ROOT / f"BENCH_{args.pr}.json"
     record = {"pr": args.pr, "workloads": workloads}
     output.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
