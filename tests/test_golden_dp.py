@@ -175,15 +175,15 @@ def _assert_row_facts(masks, counts, window):
     for row, row_counts in zip(masks, counts):
         assert row_counts == [m.bit_count() for m in row]
         assert all(a >= b for a, b in zip(row_counts[1:], row_counts[2:]))
-        assert all(m.bit_length() - 1 >= n - i - 1 for i, m in enumerate(row) if m)
+        assert all(m.bit_length() >= n - i for i, m in enumerate(row) if m)
     assert masks[-1][-1] == min(masks[-1][1:], key=lambda m: (m.bit_count(), -m))
 
 
 @given(_unit_interval_queries())
 @settings(max_examples=150, deadline=None)
 def test_interval_table_sizes_never_grow_along_a_row(query):
-    """The facts the early exits and the last-cell answer rest on, checked
-    here on drawn queries and in the pool-scale test on its own."""
+    """The facts the early exits and the last-cell answer rest on, on drawn
+    queries; the seeded full-scan tests check them too."""
     masks, counts, _, window = _mask_table(*query)
     _assert_row_facts(masks, counts, window)
 
@@ -227,7 +227,7 @@ def test_interval_table_matches_the_full_scan_at_pool_scale():
 def _seeded_small_queries(count: int):
     """`count` seeded unit-interval queries, n 3-30, tau 1-12, edge
     probability 0.1-1.0, each with non-adjacent terminals drawn in either
-    direction, under the identity ordering.  Over the 1000, the a-loop
+    direction, under the identity ordering.  Over the first 1000, the a-loop
     leaves on an equal-size tail more often than on a larger one."""
     rng = XorShift64Star(3030)
     for j in range(count):
