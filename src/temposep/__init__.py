@@ -58,15 +58,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "XorShift64Star",
             "generate",
         ),
-        "oracle": (
-            "Instance",
-            "Separator",
-            "distance_to_temporality",
-            "is_separator",
-            "min_separator_bruteforce",
-            "path_min_resets",
-        ),
-        "reachability": ("TemporalPath", "find_temporal_path"),
+        "oracle": ("distance_to_temporality", "min_separator_bruteforce", "path_min_resets"),
+        "reachability": ("Instance", "Separator", "TemporalPath", "find_temporal_path", "is_separator"),
         "solvers.auto": ("AutoResult", "solve_auto"),
         "solvers.decomposition": ("NiceTreeDecomposition", "build_tree_decomposition"),
         "solvers.interval_dp": ("solve_interval_dp",),

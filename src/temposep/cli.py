@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 # so a solve loads no generator, reduction or backend that it does not run.
 from . import fileio
 from .errors import ContractError, DecompositionMismatch, FormatError, NotAPermutation, TempoSepError
-from .oracle import Instance, Separator, is_separator
+from .reachability import Instance, Separator, is_separator
 from .solvers.auto import solve_auto
 from .solvers.search_tree import solve_search_tree
 from .solvers.static_cut import static_min_vertex_cut

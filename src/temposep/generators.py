@@ -15,7 +15,7 @@ from typing import Optional, Union
 from .classes import monotone_shape, periodicity
 from .core import from_layers
 from .errors import InvalidSpec
-from .oracle import Instance
+from .reachability import Instance
 
 _MASK = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D

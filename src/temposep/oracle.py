@@ -2,77 +2,21 @@
 
 These enumerations favor obviousness over speed: they are the reference
 answers that every solver backend and instance transformation is checked
-against.
+against.  The query and witness types they take and return are
+`reachability`'s.  No backend imports this module, and the CLI loads it
+only for `--algo brute`.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .core import TemporalGraph, build, check_terminals
-from .errors import NotAPath, OracleScaleError, TerminalEdgePresent
-from .reachability import _sweep, separates
+from .core import TemporalGraph, build
+from .errors import NotAPath, OracleScaleError
+from .reachability import Instance, Separator, is_separator
 
 BRUTE_FORCE_MAX_N = 20
-
-
-class _InstanceFields(NamedTuple):
-    g: TemporalGraph
-    s: int
-    z: int
-    k: int
-
-
-class Instance(_InstanceFields):
-    """A separation query: graph, two terminals, and a deletion budget.
-
-    Construction rejects a time-edge between the terminals, which the
-    problem definition forbids.  Build a changed copy through the
-    constructor, never `_replace`, which skips this check.  Like
-    TemporalGraph, a named tuple subclass that keeps a derived view in a
-    cached property.
-    """
-
-    def __new__(cls, g: TemporalGraph, s: int, z: int, k: int) -> "Instance":
-        check_terminals(g.n, s, z)
-        if k < 0:
-            raise ValueError(f"budget must be non-negative, got {k}")
-        pair = (min(s, z), max(s, z))
-        if pair in g.edge_labels:
-            raise TerminalEdgePresent(f"time-edge between terminals {s} and {z} at labels {g.edge_labels[pair]}")
-        return super().__new__(cls, g, s, z, k)
-
-    @cached_property
-    def arrival(self) -> tuple[float, ...]:
-        """The earliest non-strict arrival label of each vertex from s, with
-        nothing deleted: 0 for s, UNREACHED for a vertex s cannot reach."""
-        return tuple(_sweep(self.g, self.s, strict=False)[0])
-
-
-class Separator(NamedTuple):
-    """A vertex set whose deletion removes all temporal (s,z)-paths.
-
-    A one-field tuple, so `len()` of it is 1: its size is `.size`.
-    """
-
-    vertices: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def sorted(self) -> list[int]:
-        return sorted(self.vertices)
-
-
-def is_separator(inst: Instance, candidate: Iterable[int], strict: bool = False) -> bool:
-    """Whether deleting `candidate` leaves no temporal (s,z)-path.
-
-    Raises TerminalInSeparator or VertexOutOfRange for a bad candidate.
-    """
-    return separates(inst.g, inst.s, inst.z, frozenset(candidate), strict)
 
 
 def min_separator_bruteforce(inst: Instance, strict: bool = False) -> Separator:

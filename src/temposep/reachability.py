@@ -11,14 +11,20 @@ vertices is excluded from the sweep, which answers reachability after vertex
 deletion without rebuilding or renumbering the graph.  Every temporal path
 is a path of the underlying graph, so `separates` sweeps only when the
 blocked set does not already cut s from z there.
+
+The query and witness types live here too: `Instance`, whose `arrival` is
+one unblocked sweep, `Separator`, and `is_separator`, which wraps
+`separates`.  Every backend and the CLI take them from this module, so no
+backend's solve loads the exhaustive oracle.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, NamedTuple, Optional
+from functools import cached_property
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .core import TemporalGraph, check_terminals, reachable
-from .errors import TerminalInSeparator, VertexOutOfRange
+from .errors import TerminalEdgePresent, TerminalInSeparator, VertexOutOfRange
 
 UNREACHED = float("inf")
 
@@ -162,3 +168,60 @@ def separates(g: TemporalGraph, s: int, z: int, blocked: AbstractSet[int], stric
     _check_blocked(g, s, z, blocked)
     kept = ((u, v) for u, v in g.edge_labels if u not in blocked and v not in blocked)
     return z not in reachable(kept, s) or _sweep(g, s, strict, blocked, z)[0][z] == UNREACHED
+
+
+class _InstanceFields(NamedTuple):
+    g: TemporalGraph
+    s: int
+    z: int
+    k: int
+
+
+class Instance(_InstanceFields):
+    """A separation query: graph, two terminals, and a deletion budget.
+
+    Construction rejects a time-edge between the terminals, which the
+    problem definition forbids.  Build a changed copy through the
+    constructor, never `_replace`, which skips this check.  Like
+    TemporalGraph, a named tuple subclass that keeps a derived view in a
+    cached property.
+    """
+
+    def __new__(cls, g: TemporalGraph, s: int, z: int, k: int) -> "Instance":
+        check_terminals(g.n, s, z)
+        if k < 0:
+            raise ValueError(f"budget must be non-negative, got {k}")
+        pair = (min(s, z), max(s, z))
+        if pair in g.edge_labels:
+            raise TerminalEdgePresent(f"time-edge between terminals {s} and {z} at labels {g.edge_labels[pair]}")
+        return super().__new__(cls, g, s, z, k)
+
+    @cached_property
+    def arrival(self) -> tuple[float, ...]:
+        """The earliest non-strict arrival label of each vertex from s, with
+        nothing deleted: 0 for s, UNREACHED for a vertex s cannot reach."""
+        return tuple(_sweep(self.g, self.s, strict=False)[0])
+
+
+class Separator(NamedTuple):
+    """A vertex set whose deletion removes all temporal (s,z)-paths.
+
+    A one-field tuple, so `len()` of it is 1: its size is `.size`.
+    """
+
+    vertices: frozenset[int]
+
+    @property
+    def size(self) -> int:
+        return len(self.vertices)
+
+    def sorted(self) -> list[int]:
+        return sorted(self.vertices)
+
+
+def is_separator(inst: Instance, candidate: Iterable[int], strict: bool = False) -> bool:
+    """Whether deleting `candidate` leaves no temporal (s,z)-path.
+
+    Raises TerminalInSeparator or VertexOutOfRange for a bad candidate.
+    """
+    return separates(inst.g, inst.s, inst.z, frozenset(candidate), strict)

@@ -17,7 +17,7 @@ from typing import Callable
 from .classes import classify
 from .core import StaticGraph, build
 from .errors import DegreeTooSmall, LayersNotEqual
-from .oracle import Instance
+from .reachability import Instance
 
 
 @dataclass(frozen=True)

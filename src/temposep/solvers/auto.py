@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ..classes import monotone_shape, periodicity
 from ..errors import IncompatibleOrdering
-from ..oracle import Instance, Separator
+from ..reachability import Instance, Separator
 from .search_tree import solve_search_tree
 from .static_cut import static_min_vertex_cut
 

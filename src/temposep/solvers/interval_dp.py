@@ -54,7 +54,7 @@ from typing import Sequence
 
 from ..classes import check_order_compatible
 from ..errors import IncompatibleOrdering
-from ..oracle import Instance, Separator
+from ..reachability import Instance, Separator
 
 
 def _mask_table(

@@ -40,8 +40,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..oracle import Instance, Separator
-from ..reachability import find_temporal_path
+from ..reachability import Instance, Separator, find_temporal_path
 
 
 def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separator]:

@@ -63,8 +63,7 @@ from __future__ import annotations
 from math import prod
 
 from ..errors import DecompositionMismatch
-from ..oracle import Instance, Separator
-from ..reachability import UNREACHED
+from ..reachability import UNREACHED, Instance, Separator
 from .decomposition import NiceTreeDecomposition
 
 

@@ -54,7 +54,7 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from temposep import *", namespace)
     assert set(temposep.__all__) <= set(namespace)
-    assert namespace["Instance"] is temposep.oracle.Instance
+    assert namespace["Instance"] is temposep.reachability.Instance
 
 
 # Defined in src but referenced nowhere in it, each kept for a reader outside.
@@ -118,9 +118,6 @@ def test_every_unreferenced_name_is_used_by_perfbench():
 PRIVATE_IMPORTS = {
     # temposep.solvers builds its lazy exports with the package's own helper.
     ("temposep", "_lazy_exports"),
-    # Instance.arrival keeps the full earliest-arrival list of one sweep,
-    # which no public reachability function returns.
-    ("temposep.reachability", "_sweep"),
 }
 
 
@@ -159,6 +156,7 @@ def test_reduce_kinds_are_the_registered_reductions():
 OFF_THE_SOLVE_PATH = [
     "dataclasses",
     "temposep.generators",
+    "temposep.oracle",
     "temposep.reductions",
     "temposep.solvers.interval_dp",
     "temposep.solvers.treewidth_dp",

@@ -208,7 +208,6 @@ def test_ladder_solve_sweeps_once_before_the_dp(monkeypatch):
         return real_dp(*args, **kwargs)
 
     monkeypatch.setattr(temposep.reachability, "_sweep", counting_sweep)
-    monkeypatch.setattr(temposep.oracle, "_sweep", counting_sweep)
     monkeypatch.setattr(temposep.solvers.treewidth_dp, "solve_treewidth_dp", noting_dp)
     result = solve_auto(inst, td=td)
     assert result.backend == "treewidth-dp"
