@@ -21,14 +21,19 @@ packed interiors; each later path is one masked sweep with all of those
 blocked.  The loop stops before a sweep once the packing holds budget+1
 paths, and ends when no further path exists.
 
-The witness is unchanged by pruning: the branching path and the branch order
-are those of the plain search, and a pruned subtree provably returns None
-there, so the depth-first search meets the same first separator.  That
-separator fits the budget; it is not proven minimum.  The tree has depth at
-most k and fan-out at most the path length minus one; pruning does not
-change the worst case of O(path_length^k * |edges|) work.  Complete:
-whenever a separator of size at most k exists, some branch extends a subset
-of it.
+Exclusion.  A node branches on its path's interior hops h1..hl in order, and
+the branch on h_i never branches on h1..h_{i-1} or on a hop its parent
+excluded: the branch on h_j has searched every extension of the chosen set
+by h_j and found none (Cygan et al., Parameterized Algorithms, 2015, ch. 3).
+
+The witness is unchanged by pruning or exclusion: the branching path and the
+branch order are those of the plain search, and a skipped subtree provably
+returns None there, so the depth-first search meets the same first
+separator.  That separator fits the budget; it is not proven minimum.  The
+tree has depth at most k and fan-out at most the path length minus one;
+pruning does not change the worst case of O(path_length^k * |edges|) work.
+Complete: whenever a separator of size at most k exists, some branch
+extends a subset of it.
 
 The depth-first walk pops one explicit stack of pending branches, so the
 depth (up to k) is not bounded by Python's recursion limit.  A branch holds
@@ -51,26 +56,26 @@ def solve_search_tree(inst: Instance, strict: bool = False) -> Optional[Separato
     always the same.
     """
     g, s, z = inst.g, inst.s, inst.z
-    # (parent's chosen, child's budget, parent's packing, hop); the root has no hop.
-    pending: list[tuple] = [(frozenset(), inst.k, (), None)]
+    # (parent's chosen, parent's packing, hop, hops its subtree never branches on); the root has no hop.
+    pending: list[tuple] = [(frozenset(), (), None, frozenset())]
     while pending:
-        chosen, budget, packing, hop = pending.pop()
+        chosen, packing, hop, excluded = pending.pop()
         if hop is not None:
             chosen = chosen | {hop}
         packed = [p for p in packing if hop not in p]
         path = find_temporal_path(g, s, z, strict, chosen)
         if path is None:
             return Separator(chosen)
-        hops = path.vertices()[1:-1]
+        hops = [v for v in path.vertices()[1:-1] if v not in excluded]
         used = chosen.union(*packed)
         while path is not None:
             interior = frozenset(path.vertices()[1:-1])
             if used.isdisjoint(interior):
                 packed.append(interior)
                 used = used | interior
-            if len(packed) > budget:
+            if len(chosen) + len(packed) > inst.k:
                 break
             path = find_temporal_path(g, s, z, strict, used)
-        else:  # not pruned: branch on every hop, the first on top
-            pending.extend((chosen, budget - 1, packed, v) for v in reversed(hops))
+        else:  # not pruned: branch on every hop not excluded, the first on top
+            pending.extend((chosen, packed, v, excluded.union(hops[:i])) for i, v in reversed(list(enumerate(hops))))
     return None

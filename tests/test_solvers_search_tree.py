@@ -107,7 +107,33 @@ def test_sweep_count_on_every_family_is_pinned(monkeypatch):
     calls = counting_sweeps(monkeypatch)
     for _, inst, strict in queries:
         solve_search_tree(inst, strict)
-    assert len(calls) == 6448
+    assert len(calls) == 6221
+
+
+# The hard no-family: sparse general graphs at n = 20..34, tau = 6, whose
+# search-tree minima (found by deepening the budget) are pinned here.
+HARD_NO_MINIMA = [7, 8, 6, 11, 4, 7, 8, 5, 8, 7, 9, 10, 8, 11, 8, 6, 7, 4, 9, 8]
+HARD_NO_MINIMA += [6, 9, 8, 9, 6, 9, 8, 10, 10, 9, 6, 7, 4, 7, 7, 8, 7, 7, 8, 8]
+
+
+def hard_no_family():
+    """(instance, minimum) for the 40 graphs; s = 0, z = n - 1 and k = 0."""
+    for j, minimum in enumerate(HARD_NO_MINIMA):
+        n = 20 + j % 15
+        yield generate(GenSpec(n, 6, 2.5 / n, seed=1000 + j)), minimum
+
+
+def test_exclusion_pins_the_path_calls_of_a_full_search_on_the_hard_no_family(monkeypatch):
+    # Every budget below the minimum is a full search.  Without exclusion,
+    # sibling subtrees re-search refuted chosen sets: 28,784 path calls.
+    family = list(hard_no_family())
+    calls = counting_sweeps(monkeypatch)
+    for inst, minimum in family:
+        assert solve_search_tree(Instance(inst.g, inst.s, inst.z, minimum - 1)) is None
+    assert len(calls) == 6175
+    for inst, minimum in family:
+        found = solve_search_tree(Instance(inst.g, inst.s, inst.z, minimum))
+        assert found is not None and found.size == minimum and is_separator(inst, found.vertices)
 
 
 def disjoint_paths_instance(width, interior, k):
