@@ -12,8 +12,8 @@ def load_tool():
     return module
 
 
-def write_run(directory, workload, seed, trace, p50, failed=0, seconds=20, metrics=None):
-    info = {"seconds": seconds, "src_lines": 100}
+def write_run(directory, workload, seed, trace, p50, failed=0, seconds=20, metrics=None, src_lines=100):
+    info = {"seconds": seconds, "src_lines": src_lines}
     data = {
         "info": {**info, "absent": []} if trace else info,
         "result": {
@@ -71,20 +71,23 @@ def test_empty_source_is_an_error(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
-def write_sides(tmp_path, parent_values, change_values, change_seconds=20, change_seeds=(41, 42, 43)):
+def write_sides(
+    tmp_path, parent_values, change_values, change_seconds=20, change_seeds=(41, 42, 43), change_src_lines=100
+):
     """Parent and change result directories; each *_values maps an
     end-to-end metric to one value per seed."""
     sides = []
-    for side, values, seeds, seconds in (
-        ("parent", parent_values, (41, 42, 43), 20),
-        ("change", change_values, change_seeds, change_seconds),
+    for side, values, seeds, seconds, lines in (
+        ("parent", parent_values, (41, 42, 43), 20, 100),
+        ("change", change_values, change_seeds, change_seconds, change_src_lines),
     ):
         directory = tmp_path / side
         directory.mkdir(parents=True)
         for i, seed in enumerate(seeds):
             metrics = {name: vals[i] for name, vals in values.items()}
-            write_run(directory, "structured-dp", seed, 0, None, seconds=seconds, metrics=metrics)
-        write_run(directory, "structured-dp", 7, 1, 1.0, seconds=8)  # traced runs are not compared
+            write_run(directory, "structured-dp", seed, 0, None, seconds=seconds, metrics=metrics, src_lines=lines)
+        # Traced runs are not compared, but their src_lines must agree.
+        write_run(directory, "structured-dp", 7, 1, 1.0, seconds=8, src_lines=lines)
         sides.append(directory)
     return sides
 
@@ -106,6 +109,7 @@ def test_parent_comparison_prints_medians_quartiles_better_counts_and_verdicts(t
             "setup_s": [1, 1, 1],  # ties count for neither side
             "peak_rss_mb": [21, 21, 21],  # 5% worse, within the 0.1 bound
         },
+        change_src_lines=97,
     )
     output = tmp_path / "BENCH_1.json"
     argv = ["--pr", "1", "--source", str(change), "--parent", str(parent), "--output", str(output)]
@@ -122,7 +126,8 @@ def test_parent_comparison_prints_medians_quartiles_better_counts_and_verdicts(t
         "| structured-dp | setup_s | 1 [1, 1] | 1 [1, 1] | 0/3 | ok |",
         "| structured-dp | peak_rss_mb | 20 [20, 20] | 21 [21, 21] | 0/3 | ok |",
     ]
-    assert lines[7].startswith("wrote ")
+    assert lines[7] == "src_lines: parent 100, change 97, difference -3"
+    assert lines[8].startswith("wrote ")
     assert json.loads(output.read_text())["workloads"]["structured-dp"]["trace0"]["median"]["latency_ms.p50"] == 13
 
 
@@ -142,3 +147,15 @@ def test_parent_comparison_refuses_sides_that_differ_in_seeds_or_run_length(tmp_
         assert load_tool().main(argv) == 1
         assert capsys.readouterr().err == message + "\n"
         assert not output.exists()
+
+
+def test_parent_comparison_refuses_a_side_whose_entries_disagree_on_src_lines(tmp_path, capsys):
+    metrics = ("latency_ms.p50", "latency_ms.p90", "instances_per_s", "setup_s", "peak_rss_mb")
+    values = {name: [5, 5, 5] for name in metrics}
+    parent, change = write_sides(tmp_path, values, values)
+    write_run(change, "structured-dp", 7, 1, 1.0, seconds=8, src_lines=101)  # a traced run of another tree
+    output = tmp_path / "BENCH_1.json"
+    argv = ["--pr", "1", "--source", str(change), "--parent", str(parent), "--output", str(output)]
+    assert load_tool().main(argv) == 1
+    assert capsys.readouterr() == ("", "change: src_lines differ across entries: 100, 101\n")
+    assert not output.exists()

@@ -19,8 +19,9 @@ seeds the change ran better (a tie counts for neither side), with a verdict:
 `worse` when the change's median is worse than the parent's by more than the
 metric's bound, `unresolved` when the change's quartile distance exceeds
 bound x parent median and not every change run beats every parent run, and
-`ok` otherwise.  Sides that differ in workloads, seeds or run length are
-refused (exit 1).
+`ok` otherwise.  A line after the table gives each side's `src_lines` and
+the difference.  Sides that differ in workloads, seeds or run length, and a
+side whose entries disagree on `src_lines`, are refused (exit 1).
 """
 
 from __future__ import annotations
@@ -145,6 +146,17 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> list[dict]:
     return rows
 
 
+def side_src_lines(side: dict, name: str) -> int:
+    """The `src_lines` that every entry of one side reports.
+
+    Raises MismatchedRuns when the entries disagree."""
+    groups = [group for traces in side.values() for group in traces.values()]
+    found = {entry["src_lines"] for group in groups for entry in group["seeds"].values()}
+    if len(found) != 1:
+        raise MismatchedRuns(f"{name}: src_lines differ across entries: {', '.join(map(str, sorted(found, key=str)))}")
+    return found.pop()
+
+
 def format_rows(rows: list[dict]) -> str:
     """The comparison as a Markdown table."""
     lines = [
@@ -180,10 +192,13 @@ def main(argv: list[str] | None = None) -> int:
     if parent is not None:
         end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
         try:
-            print(format_rows(compare(parent, workloads, end_to_end)))
+            rows = compare(parent, workloads, end_to_end)
+            before, after = side_src_lines(parent, "parent"), side_src_lines(workloads, "change")
         except MismatchedRuns as exc:
             print(exc, file=sys.stderr)
             return 1
+        print(format_rows(rows))
+        print(f"src_lines: parent {before}, change {after}, difference {after - before:+d}")
     output = args.output or ROOT / f"BENCH_{args.pr}.json"
     record = {"pr": args.pr, "workloads": workloads}
     output.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
