@@ -10,18 +10,23 @@ search stops at the level that reaches z.  An optional set of blocked
 vertices is excluded from the sweep, which answers reachability after vertex
 deletion without rebuilding or renumbering the graph.  Every temporal path
 is a path of the underlying graph, so `separates` sweeps only when the
-blocked set does not already cut s from z there.
+blocked set does not already cut s from z there.  Walked over the layers in
+reverse, with layer t read as label tau+1-t, the same sweep started at z
+gives each vertex's latest departure towards z.
 
 The query and witness types live here too: `Instance`, whose `arrival` is
 one unblocked sweep, `Separator`, and `is_separator`, which wraps
-`separates`.  Every backend and the CLI take them from this module, so no
+`separates`.  `Instance.walk_labels` adds one reversed sweep from z and keeps
+the time-edges that some temporal s->z walk uses: a time-edge of a temporal
+(s,z)-path after any deletion is one of them, so the pruned graph has the
+same separators as the input.  Every backend and the CLI take them from this module, so no
 backend's solve loads the exhaustive oracle.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import AbstractSet, Iterable, NamedTuple, Optional
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional
 
 from .core import TemporalGraph, check_terminals, reachable
 from .errors import TerminalEdgePresent, TerminalInSeparator, VertexOutOfRange
@@ -89,6 +94,7 @@ def _sweep(
     strict: bool,
     blocked: AbstractSet[int] = frozenset(),
     z: Optional[int] = None,
+    reverse: bool = False,
 ) -> tuple[list[float], dict[int, tuple[int, int]]]:
     """Earliest arrival labels from s, with predecessor links for witnesses.
 
@@ -101,13 +107,22 @@ def _sweep(
     Given z, the sweep returns after the BFS level that reaches z, leaving
     later arrivals unset.  Later levels only link vertices that are still
     unreached, so z's predecessor chain is the full sweep's.
+
+    With `reverse`, the layers are walked from the last label down and
+    layer t is read as label tau+1-t: the sweep runs on the time-reversed
+    graph, so started at z it returns tau+1-dep(v) for each v, where dep(v)
+    is v's latest departure towards z; z gets 0, and a vertex that cannot
+    reach z gets UNREACHED.
     """
     arrival: list[float] = [UNREACHED] * g.n
     for v in blocked:
         arrival[v] = g.tau + 1
     arrival[s] = 0
     pred: dict[int, tuple[int, int]] = {}
-    for t, adj in g.layer_adjacency:
+    layers: Iterable[tuple[int, dict[int, list[int]]]] = g.layer_adjacency
+    if reverse:
+        layers = ((g.tau + 1 - t, adj) for t, adj in reversed(g.layer_adjacency))
+    for t, adj in layers:
         # Level-synchronized multi-source BFS inside the layer.  Its first level
         # relaxes arrivals from earlier labels only: the whole strict step.
         frontier = [v for v in adj if arrival[v] < t]
@@ -201,6 +216,22 @@ class Instance(_InstanceFields):
         """The earliest non-strict arrival label of each vertex from s, with
         nothing deleted: 0 for s, UNREACHED for a vertex s cannot reach."""
         return tuple(_sweep(self.g, self.s, strict=False)[0])
+
+    @cached_property
+    def walk_labels(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
+        """`g.edge_labels` restricted to the time-edges on some temporal s->z
+        walk: label t of pair (u, v) is kept when arr(u) <= t <= dep(v) or
+        arr(v) <= t <= dep(u), with arr the `arrival` labels and dep(v) the
+        latest departure from v towards z (tau+1 for z), from one reversed
+        sweep.  A pair with no label left is dropped.  Non-strict."""
+        arr, last = self.arrival, self.g.tau + 1
+        dep = [last - r for r in _sweep(self.g, self.z, strict=False, reverse=True)[0]]  # -inf: no way to z
+        kept = {}
+        for (u, v), labels in self.g.edge_labels.items():
+            ts = tuple(t for t in labels if arr[u] <= t <= dep[v] or arr[v] <= t <= dep[u])
+            if ts:
+                kept[(u, v)] = ts
+        return kept
 
 
 class Separator(NamedTuple):

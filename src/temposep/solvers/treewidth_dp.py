@@ -7,17 +7,24 @@ vertex set is consistent exactly when no time-edge lets an A_i vertex reach a
 Z vertex at label >= i or reach an A_j vertex strictly before label j; the
 minimum |S| over consistent colorings is the minimum separator size.
 
+The DP colors G', the time-edges of the input G that lie on some temporal
+s->z walk (`Instance.walk_labels`), not G itself.  This keeps the answer
+exact.  Each time-edge of a temporal (s,z)-path in G-S lies on an s->z walk
+of G, so G-S and G'-S have the same temporal (s,z)-paths: G and G' have the
+same separators and the same minimum.
+
 The tables hold only canonical colorings: a vertex other than s and z is
-A_i only when i is in labels(v), the labels of v's own time-edges, and i >=
-arr(v), its earliest arrival from s in the whole graph.  This keeps the
-minimum.  Given any separator S, color each other vertex by its earliest
-arrival from s once S is deleted: A_i if it is first reached at label i, Z
+A_i only when i is in labels(v), the labels of v's own time-edges in G', and
+i >= arr(v), its earliest arrival from s in the whole input G.  This keeps
+the minimum.  Given any separator S, color each other vertex by its
+earliest arrival from s in G'-S: A_i if it is first reached at label i, Z
 if it is never reached.  That coloring passes every introduce check below,
 and it is canonical: a vertex is first reached over one of its own
-time-edges, and deleting vertices never makes an arrival earlier, so i >=
-arr(v).  So every separator has a canonical coloring, and a vertex that s
-cannot reach is only ever S or Z.  arr comes from one full sweep per
-instance (`Instance.arrival`), which the work estimate and the tables share.
+time-edges of G', and G'-S is a subgraph of G, so no arrival in it is
+earlier than arr, and i >= arr(v).  So every separator has a canonical
+coloring, and a vertex on no s->z walk is only ever S or Z.  arr comes from
+one full sweep per instance (`Instance.arrival`), and G' from one reversed
+sweep more; the work estimate and the tables share both.
 
 Per tree node x the table D_x maps each coloring of the bag to a smallest set
 of S-vertices over consistent canonical colorings of everything introduced in
@@ -52,9 +59,10 @@ equal s's A_1 digit: only a neighbor's digit is compared with S, and tau = 0
 has no edges.
 
 A NiceTreeDecomposition is valid for the graph it records by construction, so
-its bags cover the instance's edges when each is an edge of that graph.  The
-DP and the work estimate check only that, the terminals and the vertex count,
-before reading a bag.  After that check, an instance whose z the arrival sweep
+its bags cover the instance's edges when each is an edge of that graph, and
+then cover G's subgraph G' too.  The DP and the work estimate check only
+that, on the input's edges, the terminals and the vertex count, before
+reading a bag.  After that check, an instance whose z the arrival sweep
 never reaches is answered with the empty separator, without filling any table.
 """
 
@@ -83,7 +91,7 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
 
 def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
     """Fill the tables bottom-up, in node-index order; returns the root table."""
-    g, z, tau = inst.g, inst.z, inst.g.tau
+    walk, z, tau = inst.walk_labels, inst.z, inst.g.tau
     base = tau + 2
     own = _canonical_labels(inst)
     bags = [tuple(sorted(node.bag)) for node in td.nodes]
@@ -103,7 +111,7 @@ def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
             nbr_units: list[int] = []  # pows[q] for each child position q of a neighbor of v
             nbr_labels: list[tuple[int, ...]] = []
             for q, w in enumerate(bags[child]):
-                labels = g.edge_labels.get((min(v, w), max(v, w)))
+                labels = walk.get((min(v, w), max(v, w)))
                 if labels:
                     nbr_units.append(pows[q])
                     nbr_labels.append(labels)
@@ -146,15 +154,14 @@ def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
 
 
 def _canonical_labels(inst: Instance) -> list[list[int]]:
-    """Per vertex, the ascending labels i of its own time-edges with i >=
-    arr(v); empty for a vertex that s cannot reach."""
+    """Per vertex, the ascending labels i of its own walk time-edges with i >=
+    arr(v); empty for a vertex on no s->z walk."""
     arrival = inst.arrival
-    own: list[list[int]] = [[] for _ in range(inst.g.n)]
-    for t, u, v in inst.g.edges:  # ascending labels, so a repeat is the last entry
+    own: list[set[int]] = [set() for _ in range(inst.g.n)]
+    for (u, v), labels in inst.walk_labels.items():
         for w in (u, v):
-            if arrival[w] <= t and own[w][-1:] != [t]:
-                own[w].append(t)
-    return own
+            own[w].update(t for t in labels if arrival[w] <= t)
+    return [sorted(labels) for labels in own]
 
 
 def _allowed(
@@ -178,8 +185,8 @@ def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
 
     A bag's table holds at most the product of its vertices' color counts:
     1 for s and z, and for any other vertex v, S, Z and A_i for each label i
-    of v's own time-edges with i >= arr(v), so 2 for a vertex that s cannot
-    reach.  It reads the same arrival sweep as the tables, once per
+    of v's own walk time-edges with i >= arr(v), so 2 for a vertex on no
+    s->z walk.  It reads the same labels as the tables, computed once per
     instance, after the fit check.
     """
     _check_fit(inst, td)
