@@ -190,8 +190,9 @@ def test_wide_ladder_is_admitted_to_treewidth_dp():
             assert is_separator(inst, result.separator.vertices)
 
 
-def test_ladder_solve_sweeps_once_before_the_dp(monkeypatch):
-    # The work estimate and the tables read one arrival sweep between them.
+def test_ladder_solve_sweeps_forward_and_back_once_before_the_dp(monkeypatch):
+    # The work estimate and the tables share one arrival sweep from s and one
+    # reversed sweep from z, which `Instance.walk_labels` prunes with.
     g = _ramped_ladder(3, 12, 5)
     inst = Instance(g=g, s=0, z=g.n - 1, k=3)
     td = build_tree_decomposition(g.underlying(), 0, g.n - 1)
@@ -199,9 +200,9 @@ def test_ladder_solve_sweeps_once_before_the_dp(monkeypatch):
     at_dp = []
     real_sweep, real_dp = temposep.reachability._sweep, temposep.solvers.treewidth_dp.solve_treewidth_dp
 
-    def counting_sweep(*args, **kwargs):
-        sweeps.append(args)
-        return real_sweep(*args, **kwargs)
+    def counting_sweep(g, start, *args, reverse=False, **kwargs):
+        sweeps.append((start, reverse))
+        return real_sweep(g, start, *args, reverse=reverse, **kwargs)
 
     def noting_dp(*args, **kwargs):
         at_dp.append(len(sweeps))
@@ -211,7 +212,7 @@ def test_ladder_solve_sweeps_once_before_the_dp(monkeypatch):
     monkeypatch.setattr(temposep.solvers.treewidth_dp, "solve_treewidth_dp", noting_dp)
     result = solve_auto(inst, td=td)
     assert result.backend == "treewidth-dp"
-    assert at_dp == [1] and len(sweeps) == 1
+    assert at_dp == [2] and sorted(sweeps) == [(0, False), (g.n - 1, True)]
 
 
 def test_generic_instance_without_hints_uses_search_tree(g1):
