@@ -251,14 +251,18 @@ def test_root_table_equals_exhaustive_coloring_minimum(seed):
     g = inst.g
     td = build_tree_decomposition(g.underlying(), inst.s, inst.z)
     table = treewidth_root_table(inst, td)
-    whole = brute_force_min_colorings(g, inst.s, inst.z)
+    # The DP colors the graph of the time-edges on some s->z walk.
+    pruned = build(g.n, g.tau, [(u, v, t) for (u, v), labels in inst.walk_labels.items() for t in labels])
+    whole = brute_force_min_colorings(pruned, inst.s, inst.z)
     root_bag = sorted(td.nodes[td.root].bag)
 
     # Canonical colorings lose no minimum: the earliest-arrival argument of
     # the DP's docstring, checked against every coloring.
-    unrestricted = brute_force_min_colorings(g, inst.s, inst.z, canonical=False)
+    unrestricted = brute_force_min_colorings(pruned, inst.s, inst.z, canonical=False)
     assert whole.keys() <= unrestricted.keys()
     assert min(whole.values()) == min(unrestricted.values())
+    # And the prune loses none either.
+    assert min(whole.values()) == min(brute_force_min_colorings(g, inst.s, inst.z).values())
 
     # For every root entry: its cost must equal the min over valid global
     # colorings agreeing with it on the root bag (infinite entries absent).
