@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temposep import build, find_temporal_path, reachability
+from temposep import Instance, build, find_temporal_path, reachability
 from temposep.errors import TerminalInSeparator, VertexOutOfRange
 from temposep.oracle import temporal_path_exists_exhaustive
 from temposep.reachability import UNREACHED, PathStep, TemporalPath, _sweep, is_valid_path, separates
 
 from expansion import build_expansion
-from strategies import reachable_with_earliest_arrival, small_graphs
+from strategies import instance_graphs, reachable_with_earliest_arrival, small_graphs
 
 
 class TestFindPath:
@@ -120,6 +120,28 @@ class TestBlocked:
             find_temporal_path(g1, 0, 3, blocked=blocked)
         with pytest.raises(error):
             separates(g1, 0, 3, frozenset(blocked))
+
+
+class TestWalkLabels:
+    @given(small_graphs(max_n=8, max_tau=4), st.sets(st.integers(0, 7)), st.booleans())
+    @settings(max_examples=200)
+    def test_reversed_sweep_is_the_forward_sweep_of_the_time_reversed_graph(self, g, drop, strict):
+        z = g.n - 1
+        blocked = frozenset(v for v in drop if v < z)
+        flipped = build(g.n, g.tau, [(u, v, g.tau + 1 - t) for t, u, v in g.edges])
+        assert _sweep(g, z, strict, blocked, reverse=True) == _sweep(flipped, z, strict, blocked)
+
+    @given(instance_graphs(max_n=8, max_tau=4, min_n=3), st.sets(st.integers(1, 6)))
+    @settings(max_examples=200)
+    def test_pruned_graph_has_the_same_paths_under_any_deletion(self, g, drop):
+        s, z = 0, g.n - 1
+        walk = Instance(g, s, z, 0).walk_labels
+        assert all(labels and set(labels) <= set(g.edge_labels[pair]) for pair, labels in walk.items())
+        pruned = build(g.n, g.tau, [(u, v, t) for (u, v), labels in walk.items() for t in labels])
+        blocked = frozenset(v for v in drop if v < z)
+        found = find_temporal_path(pruned, s, z, blocked=blocked)
+        assert (found is None) == (find_temporal_path(g, s, z, blocked=blocked) is None)
+        assert found is None or is_valid_path(g, found, s, z)
 
 
 class TestEarliestArrival:
