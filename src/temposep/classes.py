@@ -12,7 +12,8 @@ notion would collapse.
 
 from __future__ import annotations
 
-from operator import le
+from itertools import groupby
+from operator import itemgetter, le
 from typing import NamedTuple, Optional
 
 from .core import TemporalGraph, is_connected
@@ -150,28 +151,27 @@ def check_order_compatible(g: TemporalGraph, ordering: tuple[int, ...]) -> Optio
     the run and (j,k) from r(j) >= r(i) >= k; conversely the property forces
     both.  As no i has more than r(i) - i higher neighbours, one edge count
     checks every run.  Only the first failing layer is scanned for its
-    first violating triple.
+    first violating triple.  The layers are read off the edge list grouped
+    by label, so an empty layer passes unread and no work is sized by tau.
     """
     if len(ordering) != g.n or sorted(ordering) != list(range(g.n)):
         raise NotAPermutation(f"ordering is not a permutation of 0..{g.n - 1}")
     pos = [0] * g.n
     for i, v in enumerate(ordering):
         pos[v] = i
-    for t_idx, pairs in enumerate(g.layer_edge_sets):
-        if not pairs:  # an empty layer passes
-            continue
+    for t, group in groupby(g.edges, key=itemgetter(0)):
         reach = list(range(g.n))
-        for u, v in pairs:
+        for m, (_, u, v) in enumerate(group, 1):  # a group is never empty
             a, b = pos[u], pos[v]
             if a > b:
                 a, b = b, a
             if b > reach[a]:
                 reach[a] = b
-        if len(pairs) == sum(reach) - g.n * (g.n - 1) // 2 and all(map(le, reach, reach[1:])):
+        if m == sum(reach) - g.n * (g.n - 1) // 2 and all(map(le, reach, reach[1:])):
             continue
-        by_pos = {(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in pairs}
+        by_pos = {(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for e, u, v in g.edges if e == t}
         for i, k in sorted(by_pos):
             for j in range(i + 1, k):
                 if (i, j) not in by_pos or (j, k) not in by_pos:
-                    return OrderViolation(t_idx + 1, i, j, k)
+                    return OrderViolation(t, i, j, k)
     return None
