@@ -116,19 +116,42 @@ def test_parent_comparison_prints_medians_quartiles_better_counts_and_verdicts(t
     assert load_tool().main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [
-        "| workload | metric | parent median [q1, q3] | change median [q1, q3] | change better | verdict |",
-        "|---|---|---|---|---|---|",
+        "| workload | metric | parent median [q1, q3] | change median [q1, q3] | change better | spread | verdict |",
+        "|---|---|---|---|---|---|---|",
     ]
+    # spread: the change's quartile distance / (bound x parent median).
     assert lines[2:7] == [
-        "| structured-dp | latency_ms.p50 | 10 [10, 10] | 13 [12.5, 13.5] | 0/3 | worse |",
-        "| structured-dp | latency_ms.p90 | 11 [10.5, 11.5] | 10 [8, 12] | 2/3 | unresolved |",
-        "| structured-dp | instances_per_s | 100 [100, 100] | 200 [165, 250] | 3/3 | ok |",
-        "| structured-dp | setup_s | 1 [1, 1] | 1 [1, 1] | 0/3 | ok |",
-        "| structured-dp | peak_rss_mb | 20 [20, 20] | 21 [21, 21] | 0/3 | ok |",
+        "| structured-dp | latency_ms.p50 | 10 [10, 10] | 13 [12.5, 13.5] | 0/3 | 0.40 | worse |",
+        "| structured-dp | latency_ms.p90 | 11 [10.5, 11.5] | 10 [8, 12] | 2/3 | 1.45 | unresolved |",
+        "| structured-dp | instances_per_s | 100 [100, 100] | 200 [165, 250] | 3/3 | 4.25 | ok |",
+        "| structured-dp | setup_s | 1 [1, 1] | 1 [1, 1] | 0/3 | 0.00 | ok |",
+        "| structured-dp | peak_rss_mb | 20 [20, 20] | 21 [21, 21] | 0/3 | 0.00 | ok |",
     ]
     assert lines[7] == "src_lines: parent 100, change 97, difference -3"
     assert lines[8].startswith("wrote ")
     assert json.loads(output.read_text())["workloads"]["structured-dp"]["trace0"]["median"]["latency_ms.p50"] == 13
+
+
+def test_spread_shows_a_change_that_beats_every_parent_run_but_spreads_beyond_the_bound(tmp_path, capsys):
+    # A ten-seed throughput row whose change quartiles lie 14.25 apart
+    # against 0.2 x 43 = 8.6.  Every change run beats every parent run, so
+    # the verdict reads ok, and only the spread shows the width.
+    parent_values = [42.0, 42.5, 43.0, 43.0, 43.0, 43.0, 43.0, 43.0, 43.5, 44.0]
+    change_values = [45.0, 46.0, 48.0, 50.0, 55.0, 60.0, 62.0, 63.0, 64.0, 65.0]
+    seeds = tuple(range(41, 51))
+    sides = []
+    for side, values in (("parent", parent_values), ("change", change_values)):
+        directory = tmp_path / side
+        directory.mkdir()
+        for seed, value in zip(seeds, values):
+            write_run(directory, "collapse-static", seed, 0, None, metrics={"instances_per_s": value})
+        sides.append(directory)
+    tool = load_tool()
+    metric = {"name": "instances_per_s", "better": "higher", "bound": 0.2}
+    (row,) = tool.compare(*(tool.gather(d) for d in sides), [metric])
+    assert (row["better"], row["verdict"]) == (10, "ok")
+    assert row["change"][2] - row["change"][1] == 14.25 and round(row["spread"], 2) == 1.66
+    assert "| 10/10 | 1.66 | ok |" in tool.format_rows([row])
 
 
 def test_parent_comparison_refuses_sides_that_differ_in_seeds_or_run_length(tmp_path, capsys):

@@ -14,12 +14,14 @@ repository root unless `--output` says otherwise.
 
 With `--parent`, the untraced runs of `--source` (the change) are also
 compared with the parent's, seed by seed, on every `end_to_end` metric of
-`BENCHMARK.json`.  Each row prints both sides' median [q1, q3] and how many
-seeds the change ran better (a tie counts for neither side), with a verdict:
+`BENCHMARK.json`.  Each row prints both sides' median [q1, q3], how many
+seeds the change ran better (a tie counts for neither side), the change's
+spread, its quartile distance / (bound x parent median), and a verdict:
 `worse` when the change's median is worse than the parent's by more than the
-metric's bound, `unresolved` when the change's quartile distance exceeds
-bound x parent median and not every change run beats every parent run, and
-`ok` otherwise.  A line after the table gives each side's `src_lines` and
+metric's bound, `unresolved` when the spread exceeds 1 and not every change
+run beats every parent run, and `ok` otherwise.  So an `ok` row can still
+spread beyond 1, when every change run beats every parent run; the spread
+column shows it.  A line after the table gives each side's `src_lines` and
 the difference.  Sides that differ in workloads, seeds or run length, and a
 side whose entries disagree on `src_lines`, are refused (exit 1).
 """
@@ -126,9 +128,10 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> list[dict]:
             (p_med, p_q1, p_q3), (c_med, c_q1, c_q3) = quartiles(olds), quartiles(news)
             better = sum(sign * (c - p) < 0 for p, c in pairs)
             beats_all = all(sign * (c - p) < 0 for c in news for p in olds)
+            spread = (c_q3 - c_q1) / (bound * p_med)
             if sign * (c_med - p_med) > bound * p_med:
                 verdict = "worse"
-            elif c_q3 - c_q1 > bound * p_med and not beats_all:
+            elif spread > 1 and not beats_all:
                 verdict = "unresolved"
             else:
                 verdict = "ok"
@@ -140,6 +143,7 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> list[dict]:
                     "change": (c_med, c_q1, c_q3),
                     "better": better,
                     "pairs": len(pairs),
+                    "spread": spread,
                     "verdict": verdict,
                 }
             )
@@ -160,15 +164,16 @@ def side_src_lines(side: dict, name: str) -> int:
 def format_rows(rows: list[dict]) -> str:
     """The comparison as a Markdown table."""
     lines = [
-        "| workload | metric | parent median [q1, q3] | change median [q1, q3] | change better | verdict |",
-        "|---|---|---|---|---|---|",
+        "| workload | metric | parent median [q1, q3] | change median [q1, q3] | change better | spread | verdict |",
+        "|---|---|---|---|---|---|---|",
     ]
     for row in rows:
         p_med, p_q1, p_q3 = row["parent"]
         c_med, c_q1, c_q3 = row["change"]
         lines.append(
             f"| {row['workload']} | {row['metric']} | {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}] "
-            f"| {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}] | {row['better']}/{row['pairs']} | {row['verdict']} |"
+            f"| {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}] | {row['better']}/{row['pairs']} | {row['spread']:.2f} "
+            f"| {row['verdict']} |"
         )
     return "\n".join(lines)
 
