@@ -16,11 +16,11 @@ gives each vertex's latest departure towards z.
 
 The query and witness types live here too: `Instance`, whose `arrival` is
 one unblocked sweep, `Separator`, and `is_separator`, which wraps
-`separates`.  `Instance.walk_labels` adds one reversed sweep from z and keeps
-the time-edges that some temporal s->z walk uses: a time-edge of a temporal
-(s,z)-path after any deletion is one of them, so the pruned graph has the
-same separators as the input.  Every backend and the CLI take them from this module, so no
-backend's solve loads the exhaustive oracle.
+`separates`.  Every backend and the CLI take them from this module, so no
+backend's solve loads the exhaustive oracle.  `Instance.walk_labels` adds
+one reversed sweep from z and keeps the time-edges that some temporal s->z
+walk uses: a time-edge of a temporal (s,z)-path after any deletion is one
+of them, so the pruned graph has the same separators as the input.
 """
 
 from __future__ import annotations
