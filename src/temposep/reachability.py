@@ -10,17 +10,16 @@ search stops at the level that reaches z.  An optional set of blocked
 vertices is excluded from the sweep, which answers reachability after vertex
 deletion without rebuilding or renumbering the graph.  Every temporal path
 is a path of the underlying graph, so `separates` sweeps only when the
-blocked set does not already cut s from z there.  Walked over the layers in
-reverse, with layer t read as label tau+1-t, the same sweep started at z
-gives each vertex's latest departure towards z.
+blocked set does not already cut s from z there.
 
 The query and witness types live here too: `Instance`, whose `arrival` is
 one unblocked sweep, `Separator`, and `is_separator`, which wraps
 `separates`.  Every backend and the CLI take them from this module, so no
-backend's solve loads the exhaustive oracle.  `Instance.walk_labels` adds
-one reversed sweep from z and keeps the time-edges that some temporal s->z
-walk uses: a time-edge of a temporal (s,z)-path after any deletion is one
-of them, so the pruned graph has the same separators as the input.
+backend's solve loads the exhaustive oracle.  `Instance.walk_labels` keeps
+the time-edges on some temporal s->z walk, read off `arrival` and one sweep
+from z over the layers in reverse: a time-edge of a temporal (s,z)-path
+after any deletion is one of them, so the pruned graph has the same
+separators as the input.
 """
 
 from __future__ import annotations
@@ -108,11 +107,9 @@ def _sweep(
     later arrivals unset.  Later levels only link vertices that are still
     unreached, so z's predecessor chain is the full sweep's.
 
-    With `reverse`, the layers are walked from the last label down and
-    layer t is read as label tau+1-t: the sweep runs on the time-reversed
-    graph, so started at z it returns tau+1-dep(v) for each v, where dep(v)
-    is v's latest departure towards z; z gets 0, and a vertex that cannot
-    reach z gets UNREACHED.
+    With `reverse`, layer t is read as label tau+1-t, last label first.
+    Started at z, the sweep then returns tau+1-dep(v), with dep(v) v's
+    latest departure towards z: 0 for z, UNREACHED if v cannot reach z.
     """
     arrival: list[float] = [UNREACHED] * g.n
     for v in blocked:
@@ -219,11 +216,10 @@ class Instance(_InstanceFields):
 
     @cached_property
     def walk_labels(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
-        """`g.edge_labels` restricted to the time-edges on some temporal s->z
-        walk: label t of pair (u, v) is kept when arr(u) <= t <= dep(v) or
-        arr(v) <= t <= dep(u), with arr the `arrival` labels and dep(v) the
-        latest departure from v towards z (tau+1 for z), from one reversed
-        sweep.  A pair with no label left is dropped.  Non-strict."""
+        """`g.edge_labels` with label t of pair (u, v) kept only when
+        arr(u) <= t <= dep(v) or arr(v) <= t <= dep(u), and a pair with no
+        label left dropped: arr is `arrival`, dep(v) the latest non-strict
+        departure from v towards z (tau+1 for z)."""
         arr, last = self.arrival, self.g.tau + 1
         dep = [last - r for r in _sweep(self.g, self.z, strict=False, reverse=True)[0]]  # -inf: no way to z
         kept = {}

@@ -7,11 +7,10 @@ vertex set is consistent exactly when no time-edge lets an A_i vertex reach a
 Z vertex at label >= i or reach an A_j vertex strictly before label j; the
 minimum |S| over consistent colorings is the minimum separator size.
 
-The DP colors G', the time-edges of the input G that lie on some temporal
-s->z walk (`Instance.walk_labels`), not G itself.  This keeps the answer
-exact.  Each time-edge of a temporal (s,z)-path in G-S lies on an s->z walk
-of G, so G-S and G'-S have the same temporal (s,z)-paths: G and G' have the
-same separators and the same minimum.
+The DP colors G', the time-edges of the input G on some temporal s->z walk
+(`Instance.walk_labels`).  Each time-edge of a temporal (s,z)-path in G-S
+lies on an s->z walk of G, so G-S and G'-S have the same temporal
+(s,z)-paths: G and G' have the same separators and the same minimum.
 
 The tables hold only canonical colorings: a vertex other than s and z is
 A_i only when i is in labels(v), the labels of v's own time-edges in G', and
@@ -59,10 +58,9 @@ equal s's A_1 digit: only a neighbor's digit is compared with S, and tau = 0
 has no edges.
 
 A NiceTreeDecomposition is valid for the graph it records by construction, so
-its bags cover the instance's edges when each is an edge of that graph, and
-then cover G's subgraph G' too.  The DP and the work estimate check only
-that, on the input's edges, the terminals and the vertex count, before
-reading a bag.  After that check, an instance whose z the arrival sweep
+its bags cover the instance's edges, and those of G', when each is an edge
+of that graph.  The DP and the work estimate check only that, the terminals
+and the vertex count, before reading a bag.  After that check, an instance whose z the arrival sweep
 never reaches is answered with the empty separator, without filling any table.
 """
 
