@@ -132,7 +132,7 @@ def test_parent_comparison_prints_medians_quartiles_better_counts_and_verdicts(t
     assert json.loads(output.read_text())["workloads"]["structured-dp"]["trace0"]["median"]["latency_ms.p50"] == 13
 
 
-def test_spread_shows_a_change_that_beats_every_parent_run_but_spreads_beyond_the_bound(tmp_path, capsys):
+def test_spread_shows_a_change_that_beats_every_parent_run_but_spreads_beyond_the_bound(tmp_path):
     # A ten-seed throughput row whose change quartiles lie 14.25 apart
     # against 0.2 x 43 = 8.6.  Every change run beats every parent run, so
     # the verdict reads ok, and only the spread shows the width.
