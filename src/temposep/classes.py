@@ -161,12 +161,14 @@ def check_order_compatible(g: TemporalGraph, ordering: tuple[int, ...]) -> Optio
         pos[v] = i
     for t, group in groupby(g.edges, key=itemgetter(0)):
         reach = list(range(g.n))
-        for m, (_, u, v) in enumerate(group, 1):  # a group is never empty
-            a, b = pos[u], pos[v]
+        m = 0
+        for e in group:  # indexed: a TimeEdge, a tuple subclass, unpacks slowly
+            a, b = pos[e[1]], pos[e[2]]
             if a > b:
                 a, b = b, a
             if b > reach[a]:
                 reach[a] = b
+            m += 1
         if m == sum(reach) - g.n * (g.n - 1) // 2 and all(map(le, reach, reach[1:])):
             continue
         by_pos = {(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for e, u, v in g.edges if e == t}
