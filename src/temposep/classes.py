@@ -12,8 +12,7 @@ notion would collapse.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter, le
+from operator import le
 from typing import NamedTuple, Optional
 
 from .core import TemporalGraph, is_connected
@@ -151,27 +150,25 @@ def check_order_compatible(g: TemporalGraph, ordering: tuple[int, ...]) -> Optio
     the run and (j,k) from r(j) >= r(i) >= k; conversely the property forces
     both.  As no i has more than r(i) - i higher neighbours, one edge count
     checks every run.  Only the first failing layer is scanned for its
-    first violating triple.  The layers are read off the edge list grouped
-    by label, so an empty layer passes unread and no work is sized by tau.
+    first violating triple.  The layers are read off `g.layer_pairs`, so an
+    empty layer passes unread and no work is sized by tau.
     """
     if len(ordering) != g.n or sorted(ordering) != list(range(g.n)):
         raise NotAPermutation(f"ordering is not a permutation of 0..{g.n - 1}")
     pos = [0] * g.n
     for i, v in enumerate(ordering):
         pos[v] = i
-    for t, group in groupby(g.edges, key=itemgetter(0)):
+    for t, pairs in g.layer_pairs:
         reach = list(range(g.n))
-        m = 0
-        for e in group:  # indexed: a TimeEdge, a tuple subclass, unpacks slowly
-            a, b = pos[e[1]], pos[e[2]]
+        for u, v in pairs:
+            a, b = pos[u], pos[v]
             if a > b:
                 a, b = b, a
             if b > reach[a]:
                 reach[a] = b
-            m += 1
-        if m == sum(reach) - g.n * (g.n - 1) // 2 and all(map(le, reach, reach[1:])):
+        if len(pairs) == sum(reach) - g.n * (g.n - 1) // 2 and all(map(le, reach, reach[1:])):
             continue
-        by_pos = {(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for e, u, v in g.edges if e == t}
+        by_pos = {(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in pairs}
         for i, k in sorted(by_pos):
             for j in range(i + 1, k):
                 if (i, j) not in by_pos or (j, k) not in by_pos:

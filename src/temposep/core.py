@@ -2,12 +2,12 @@
 
 A temporal graph is a fixed vertex set together with time-labeled undirected
 edges over discrete labels 1..tau.  Vertices are dense 0-based integers, time
-labels are 1-based.  The layers (the edges of one label, as edge sets and as
-adjacency lists) and the labels of each edge are derived views, each cached
-on the graph; the underlying static graph (the union of all layers) is not:
-every `underlying()` call builds a new one from the cached edge labels.
-`reachable` is the one search on plain edge lists (over their
-`adjacency_lists`), and `is_connected` reads it.
+labels are 1-based.  Derived views are cached on the graph: `layer_pairs`,
+the one grouping of the time-edges by label, the layer edge sets and adjacency
+lists built from it, and the labels of each edge.  The underlying static graph
+(the union of all layers) is not cached: every `underlying()` call builds a
+new one from the cached edge labels.  `reachable` is the one search on plain
+edge lists (over their `adjacency_lists`), and `is_connected` reads it.
 
 All values are immutable after construction; every operation is a pure
 function, so values are safe to share between threads.
@@ -120,28 +120,24 @@ class TemporalGraph(_TemporalGraphFields):
     """
 
     @cached_property
+    def layer_pairs(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """(label, the (u, v) of its time-edges in edge order) for each label that has an edge, in label order."""
+        return tuple((t, tuple(map(itemgetter(1, 2), group))) for t, group in groupby(self.edges, key=itemgetter(0)))
+
+    @cached_property
     def layer_edge_sets(self) -> tuple[frozenset[tuple[int, int]], ...]:
         """Edge set of each layer, indexed 0..tau-1 for labels 1..tau; empty layers share one set."""
         sets = [frozenset()] * self.tau
-        for t, group in groupby(self.edges, key=itemgetter(0)):
-            sets[t - 1] = frozenset((u, v) for _, u, v in group)
+        for t, pairs in self.layer_pairs:
+            sets[t - 1] = frozenset(pairs)
         return tuple(sets)
 
     @cached_property
     def layer_adjacency(self) -> tuple[tuple[int, dict[int, list[int]]], ...]:
-        """(label, adjacency lists) for each label that has an edge, in label order.
+        """(label, `adjacency_lists` of its pairs) for each entry of `layer_pairs`.
 
-        Built once per graph and shared by every reachability sweep; callers
-        must treat the lists as read-only.
-        """
-        layers = []
-        for t, group in groupby(self.edges, key=itemgetter(0)):
-            adj: dict[int, list[int]] = {}
-            for _, u, v in group:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-            layers.append((t, adj))
-        return tuple(layers)
+        Shared by every reachability sweep; callers must treat the lists as read-only."""
+        return tuple((t, adjacency_lists(pairs)) for t, pairs in self.layer_pairs)
 
     @cached_property
     def edge_labels(self) -> Mapping[tuple[int, int], tuple[int, ...]]:

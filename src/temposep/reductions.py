@@ -43,9 +43,9 @@ def one_edge_per_layer(inst: Instance) -> tuple[Instance, ReductionReport]:
     """
     g = inst.g
     triples, base = [], 0
-    for es in g.layer_edge_sets:
-        m = len(es)
-        for i, (u, v) in enumerate(sorted(es)):
+    for _, pairs in g.layer_pairs:
+        m = len(pairs)
+        for i, (u, v) in enumerate(pairs):
             triples.extend((u, v, base + r * m + i + 1) for r in range(m))
         base += m * m
     out_g = build(g.n, base, triples)
@@ -146,15 +146,15 @@ def steadyify(inst: Instance) -> tuple[Instance, ReductionReport]:
     """
     g = inst.g
     triples, base = [], 1
-    for es in g.layer_edge_sets:
-        m = len(es)
-        for j, (u, v) in enumerate(sorted(es)):
+    for _, pairs in g.layer_pairs:
+        m = len(pairs)
+        for j, (u, v) in enumerate(pairs):
             triples.extend((u, v, t) for t in range(base + 1 + j, base + m + j + 1))
         base += 2 * m
     out_g = build(g.n, base, triples)
     out = Instance(out_g, inst.s, inst.z, inst.k)
     lam = classify(out_g).steady_lambda
-    total_edges = sum(len(es) for es in g.layer_edge_sets)
+    total_edges = len(g.edges)
     checks = {
         "output_is_at_most_1_steady": lam <= 1,
         "tau_is_2m_plus_1": out_g.tau == 2 * total_edges + 1,

@@ -82,15 +82,15 @@ def _mask_table(
 
     # larger[j][q]: positions above q adjacent to q at label labels[j], as a mask.
     labels, larger = [0], [[0] * (n + 1)]
-    for t, u, v in inst.g.edges:  # sorted by label
-        if t != labels[-1]:
-            labels.append(t)
-            larger.append([0] * (n + 1))
-        a, b = pos.get(u, 0), pos.get(v, 0)  # 0: outside the window
-        if a > b:
-            a, b = b, a
-        if a:
-            larger[-1][a] |= 1 << (n - b)
+    for t, pairs in inst.g.layer_pairs:
+        labels.append(t)
+        larger.append([0] * (n + 1))
+        for u, v in pairs:
+            a, b = pos.get(u, 0), pos.get(v, 0)  # 0: outside the window
+            if a > b:
+                a, b = b, a
+            if a:
+                larger[-1][a] |= 1 << (n - b)
 
     sentinel = (1 << (n - 1)) - 2  # every non-terminal position: bits 1..n-2
     table = [[0] * n for _ in labels]
