@@ -15,6 +15,7 @@ import temposep.solvers.treewidth_dp
 
 from temposep import (
     Instance,
+    TemporalGraph,
     build,
     build_tree_decomposition,
     check_order_compatible,
@@ -213,6 +214,33 @@ def test_ladder_solve_sweeps_forward_and_back_once_before_the_dp(monkeypatch):
     result = solve_auto(inst, td=td)
     assert result.backend == "treewidth-dp"
     assert at_dp == [2] and sorted(sweeps) == [(0, False), (g.n - 1, True)]
+
+
+class _CountingEdges(tuple):
+    """A time-edge tuple that counts the iterations over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("backend", ["static-cut", "search-tree", "interval-dp", "treewidth-dp"])
+def test_every_backend_path_iterates_the_edges_once(backend):
+    # The Instance builds `edge_labels`; after that every per-label reader
+    # takes `g.layer_pairs`, the one grouping of the time-edges by label.
+    labels = (1, 1, 1, 1) if backend == "static-cut" else (1, 2, 1, 2)
+    base = build(5, 2, [(u, u + 1, t) for u, t in enumerate(labels)])
+    edges = _CountingEdges(base.edges)
+    inst = Instance(g=TemporalGraph(base.n, base.tau, edges), s=0, z=4, k=1)
+    hints = {
+        "interval-dp": {"ordering": tuple(range(5))},
+        "treewidth-dp": {"td": build_tree_decomposition(inst.g.underlying(), 0, 4)},
+    }.get(backend, {})
+    edges.iterations = 0
+    assert solve_auto(inst, **hints).backend == backend
+    assert edges.iterations == 1
 
 
 def test_generic_instance_without_hints_uses_search_tree(g1):
