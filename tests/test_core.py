@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from strategies import concat, power, small_graphs
 
 from temposep import TimeEdge, build, from_layers
-from temposep.core import is_connected, reachable
+from temposep.core import adjacency_lists, is_connected, reachable
 from temposep.errors import LabelOutOfRange, SelfLoop, VertexOutOfRange
 
 
@@ -62,6 +62,7 @@ class TestViews:
         assert g.underlying().edges == frozenset({(0, 1)})
 
     def test_views_build_only_labels_with_edges(self, sparse_labels):
+        assert [t for t, _ in sparse_labels.layer_pairs] == [1, 2, 3, 4]
         assert [t for t, _ in sparse_labels.layer_adjacency] == [1, 2, 3, 4]
         sets = sparse_labels.layer_edge_sets
         assert len(sets) == 250000
@@ -74,6 +75,13 @@ class TestViews:
         assert union == g.underlying().edges
         for es in g.layer_edge_sets:
             assert es <= g.underlying().edges
+        grouped = {}
+        for t, u, v in g.edges:
+            grouped.setdefault(t, []).append((u, v))
+        assert g.layer_pairs == tuple((t, tuple(pairs)) for t, pairs in grouped.items())
+        by_label = dict(g.layer_pairs)
+        assert g.layer_edge_sets == tuple(frozenset(by_label.get(t, ())) for t in range(1, g.tau + 1))
+        assert g.layer_adjacency == tuple((t, adjacency_lists(pairs)) for t, pairs in g.layer_pairs)
 
 
 def test_is_connected_on_edge_lists():
