@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from temposep import (
     Instance,
     build,
+    build_tree_decomposition,
     check_order_compatible,
     find_temporal_path,
     is_separator,
@@ -17,7 +18,8 @@ from temposep import (
 )
 from temposep.errors import IncompatibleOrdering, NotAPermutation
 from temposep.generators import GenSpec, UnitIntervalConstraint, generate
-from temposep.oracle import enumerate_temporal_paths
+from temposep.oracle import BRUTE_FORCE_MAX_N, enumerate_temporal_paths
+from temposep.solvers import solve_search_tree, solve_treewidth_dp
 
 
 def unit_interval_corpus(count, *, n_max=8, tau_max=4, seed0=500):
@@ -192,3 +194,22 @@ def test_whenever_identity_is_compatible_dp_matches_oracle(g):
     inst = Instance(g=g, s=0, z=g.n - 1, k=g.n)
     found = solve_interval_dp(inst, tuple(range(g.n)))
     assert found.size == min_separator_bruteforce(inst).size
+
+
+@pytest.mark.parametrize("j", range(20))
+def test_matches_treewidth_dp_and_search_tree_beyond_oracle_scale(j):
+    # The oracle stops at BRUTE_FORCE_MAX_N vertices; above it the treewidth
+    # DP on a min-fill decomposition and the search tree cross-check the size.
+    spec = GenSpec(n=20 + j, tau=3 + j % 2, edge_prob=0.75, constraint=UnitIntervalConstraint(), seed=7000 + j)
+    inst = generate(spec)
+    assert inst.g.n >= BRUTE_FORCE_MAX_N
+    identity = tuple(range(inst.g.n))
+    assert check_order_compatible(inst.g, identity) is None
+    best = solve_interval_dp(inst, identity)
+    by_width = solve_treewidth_dp(inst, build_tree_decomposition(inst.g.underlying(), inst.s, inst.z))
+    assert by_width.size == best.size
+    searched = solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size))
+    assert searched is not None
+    assert solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size - 1)) is None
+    for sep in (best, by_width, searched):
+        assert is_separator(inst, sep.vertices)
