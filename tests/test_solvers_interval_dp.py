@@ -198,8 +198,9 @@ def test_whenever_identity_is_compatible_dp_matches_oracle(g):
 
 @pytest.mark.parametrize("j", range(20))
 def test_matches_treewidth_dp_and_search_tree_beyond_oracle_scale(j):
-    # The oracle stops at BRUTE_FORCE_MAX_N vertices; above it the treewidth
-    # DP on a min-fill decomposition and the search tree cross-check the size.
+    # These graphs start at the oracle's BRUTE_FORCE_MAX_N vertices and grow
+    # past it, so the treewidth DP on a min-fill decomposition and the search
+    # tree cross-check the size instead.
     spec = GenSpec(n=20 + j, tau=3 + j % 2, edge_prob=0.75, constraint=UnitIntervalConstraint(), seed=7000 + j)
     inst = generate(spec)
     assert inst.g.n >= BRUTE_FORCE_MAX_N
