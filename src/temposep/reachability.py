@@ -219,7 +219,9 @@ class Instance(_InstanceFields):
         """`g.edge_labels` with label t of pair (u, v) kept only when
         arr(u) <= t <= dep(v) or arr(v) <= t <= dep(u), and a pair with no
         label left dropped: arr is `arrival`, dep(v) the latest non-strict
-        departure from v towards z (tau+1 for z)."""
+        departure from v towards z (tau+1 for z).  A kept t is at or after
+        both arr(u) and arr(v), since the end reached by t crosses the edge
+        at t, and no label is kept exactly when s cannot reach z."""
         arr, last = self.arrival, self.g.tau + 1
         dep = [last - r for r in _sweep(self.g, self.z, strict=False, reverse=True)[0]]  # -inf: no way to z
         kept = {}

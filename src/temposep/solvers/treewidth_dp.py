@@ -13,17 +13,14 @@ lies on an s->z walk of G, so G-S and G'-S have the same temporal
 (s,z)-paths: G and G' have the same separators and the same minimum.
 
 The tables hold only canonical colorings: a vertex other than s and z is
-A_i only when i is in labels(v), the labels of v's own time-edges in G', and
-i >= arr(v), its earliest arrival from s in the whole input G.  This keeps
-the minimum.  Given any separator S, color each other vertex by its
-earliest arrival from s in G'-S: A_i if it is first reached at label i, Z
-if it is never reached.  That coloring passes every introduce check below,
-and it is canonical: a vertex is first reached over one of its own
-time-edges of G', and G'-S is a subgraph of G, so no arrival in it is
-earlier than arr, and i >= arr(v).  So every separator has a canonical
-coloring, and a vertex on no s->z walk is only ever S or Z.  arr comes from
-one full sweep per instance (`Instance.arrival`), and G' from one reversed
-sweep more; the work estimate and the tables share both.
+A_i only when i is in labels(v), the labels of v's own time-edges in G'.
+This keeps the minimum.  Given any separator S, color each other vertex by
+the first label at which s reaches it in G'-S: A_i if that label is i, Z if
+s never reaches it.  That coloring passes every introduce check below, and
+it is canonical, since a vertex is first reached over one of its own
+time-edges of G'.  So every separator has a canonical coloring, and a vertex
+on no s->z walk is only ever S or Z.  The work estimate and the tables read
+G' alone, one forward and one reversed sweep per instance.
 
 Per tree node x the table D_x maps each coloring of the bag to a smallest set
 of S-vertices over consistent canonical colorings of everything introduced in
@@ -60,8 +57,9 @@ has no edges.
 A NiceTreeDecomposition is valid for the graph it records by construction, so
 its bags cover the instance's edges, and those of G', when each is an edge
 of that graph.  The DP and the work estimate check only that, the terminals
-and the vertex count, before reading a bag.  After that check, an instance whose z the arrival sweep
-never reaches is answered with the empty separator, without filling any table.
+and the vertex count, before reading a bag.  After that check, an instance
+with no walk time-edge, whose z is unreachable, is answered with the empty
+separator, without filling any table.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from __future__ import annotations
 from math import prod
 
 from ..errors import DecompositionMismatch
-from ..reachability import UNREACHED, Instance, Separator
+from ..reachability import Instance, Separator
 from .decomposition import NiceTreeDecomposition
 
 
@@ -152,13 +150,11 @@ def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
 
 
 def _canonical_labels(inst: Instance) -> list[list[int]]:
-    """Per vertex, the ascending labels i of its own walk time-edges with i >=
-    arr(v); empty for a vertex on no s->z walk."""
-    arrival = inst.arrival
+    """labels(v) of the module docstring for each vertex v, ascending."""
     own: list[set[int]] = [set() for _ in range(inst.g.n)]
     for (u, v), labels in inst.walk_labels.items():
-        for w in (u, v):
-            own[w].update(t for t in labels if arrival[w] <= t)
+        own[u].update(labels)
+        own[v].update(labels)
     return [sorted(labels) for labels in own]
 
 
@@ -182,10 +178,10 @@ def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
     """An upper bound on the table cells, summed over all bags.
 
     A bag's table holds at most the product of its vertices' color counts:
-    1 for s and z, and for any other vertex v, S, Z and A_i for each label i
-    of v's own walk time-edges with i >= arr(v), so 2 for a vertex on no
-    s->z walk.  It reads the same labels as the tables, computed once per
-    instance, after the fit check.
+    1 for s and z, and for any other vertex v, S, Z and A_i for i in
+    labels(v) of the module docstring.  It reads the cached
+    `Instance.walk_labels`, after the fit check, and builds labels(v) from
+    it; the tables build them again, so an auto solve builds them twice.
     """
     _check_fit(inst, td)
     colors = [len(labels) + 2 for labels in _canonical_labels(inst)]
@@ -196,7 +192,7 @@ def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
 def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Separator:
     """A minimum separator via the coloring tables, whatever the budget."""
     _check_fit(inst, td)
-    if inst.arrival[inst.z] == UNREACHED:
+    if not inst.walk_labels:
         return Separator(frozenset())
     # The fewest S-vertices, the smallest key on ties.
     _, sep = min(_fill_tables(inst, td).items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
