@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from temposep import Instance, build, find_temporal_path, reachability
 from temposep.errors import TerminalInSeparator, VertexOutOfRange
-from temposep.oracle import temporal_path_exists_exhaustive
-from temposep.reachability import UNREACHED, PathStep, TemporalPath, _sweep, is_valid_path, separates
+from temposep.core import StaticGraph
+from temposep.oracle import min_separator_bruteforce, temporal_path_exists_exhaustive
+from temposep.reachability import UNREACHED, PathStep, TemporalPath, _sweep, is_separator, is_valid_path, separates
+from temposep.solvers.static_cut import static_min_vertex_cut
 
 from expansion import build_expansion
 from strategies import instance_graphs, reachable_with_earliest_arrival, small_graphs
@@ -135,13 +137,26 @@ class TestWalkLabels:
     @settings(max_examples=200)
     def test_pruned_graph_has_the_same_paths_under_any_deletion(self, g, drop):
         s, z = 0, g.n - 1
-        walk = Instance(g, s, z, 0).walk_labels
+        inst = Instance(g, s, z, 0)
+        walk, arr = inst.walk_labels, inst.arrival
         assert all(labels and set(labels) <= set(g.edge_labels[pair]) for pair, labels in walk.items())
+        # What the treewidth DP rests on: no kept label precedes either end's
+        # arrival, and nothing is kept exactly when z is unreachable.
+        assert all(arr[u] <= t and arr[v] <= t for (u, v), labels in walk.items() for t in labels)
+        assert (not walk) == (arr[z] == UNREACHED)
         pruned = build(g.n, g.tau, [(u, v, t) for (u, v), labels in walk.items() for t in labels])
         blocked = frozenset(v for v in drop if v < z)
         found = find_temporal_path(pruned, s, z, blocked=blocked)
         assert (found is None) == (find_temporal_path(g, s, z, blocked=blocked) is None)
         assert found is None or is_valid_path(g, found, s, z)
+
+    @given(instance_graphs(max_n=8, max_tau=4, min_n=3))
+    @settings(max_examples=150)
+    def test_static_cut_of_the_pruned_graph_separates_the_input(self, g):
+        inst = Instance(g, 0, g.n - 1, g.n)
+        cut = static_min_vertex_cut(StaticGraph(g.n, frozenset(inst.walk_labels)), inst.s, inst.z)
+        assert is_separator(inst, cut)
+        assert len(cut) >= min_separator_bruteforce(inst).size
 
 
 class TestEarliestArrival:

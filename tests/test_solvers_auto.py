@@ -133,9 +133,9 @@ def test_work_estimate_counts_canonical_colors_per_bag():
 
 
 def test_work_estimate_drops_labels_before_the_arrival():
-    # s reaches 1 only at label 2, so 1 keeps A_2, S and Z of its labels
-    # {1, 2}, and 2's one edge (label 1) comes too early: s never reaches 2,
-    # which keeps only S and Z.
+    # s reaches 1 only at label 2, so the walk prune keeps A_2, S and Z of
+    # 1's labels {1, 2}, and drops 2's one edge (label 1), which comes too
+    # early: s never reaches 2, which keeps only S and Z.
     g = build(4, 2, [(0, 1, 2), (1, 2, 1), (1, 3, 2)])
     td = build_tree_decomposition(g.underlying(), 0, 3, external=([{0, 3}, {0, 1, 2, 3}], [(0, 1)]))
     assert [set(node.bag) for node in td.nodes] == [{0, 3}, {0, 1, 3}, {0, 1, 2, 3}, {0, 2, 3}, {0, 3}]

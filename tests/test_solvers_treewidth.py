@@ -218,16 +218,14 @@ def brute_force_min_colorings(g, s, z, canonical=True):
     """min |S| over valid whole-graph colorings, per restriction to a bag.
 
     Canonical colorings give a vertex other than s and z the color A_i only
-    when one of its own time-edges has label i and s reaches it by label i
-    with nothing deleted, as the DP tables do.
+    when one of its own time-edges has label i, as the DP tables do.
     """
     tau = g.tau
     verts = [v for v in range(g.n) if v not in (s, z)]
     colors = {v: list(range(tau + 2)) for v in verts}
     if canonical:
-        arrival = reachable_with_earliest_arrival(g, s)
         for v in verts:
-            own = {t for t, a, b in g.edges if v in (a, b) and t >= arrival.get(v, tau + 1)}
+            own = {t for t, a, b in g.edges if v in (a, b)}
             colors[v] = [i - 1 for i in sorted(own)] + [tau, tau + 1]
     results = {}
     for combo in product(*(colors[v] for v in verts)):
@@ -256,8 +254,8 @@ def test_root_table_equals_exhaustive_coloring_minimum(seed):
     whole = brute_force_min_colorings(pruned, inst.s, inst.z)
     root_bag = sorted(td.nodes[td.root].bag)
 
-    # Canonical colorings lose no minimum: the earliest-arrival argument of
-    # the DP's docstring, checked against every coloring.
+    # Canonical colorings lose no minimum: the first-reached argument of the
+    # DP's docstring, checked against every coloring.
     unrestricted = brute_force_min_colorings(pruned, inst.s, inst.z, canonical=False)
     assert whole.keys() <= unrestricted.keys()
     assert min(whole.values()) == min(unrestricted.values())
