@@ -41,12 +41,25 @@ Node rules:
   S-vertices, and on a tie the one where v has the smallest color.
 - join: children share the bag coloring, and the masks are united.  The only
   vertices introduced in both subtrees are those of the bag, whose S-vertices
-  are in both masks, so the union counts each once.  Both children hold the
-  same keys, the canonical bag colorings consistent on the bag's own edges:
-  S is always allowed, so no forgotten vertex rules a key out.  For the same
-  reason no table is empty.
+  are in both masks, so the union counts each once.
 The witness is the root mask with the fewest S-vertices, the smallest key on
 ties.
+
+The tables keep only masks of at most ub S-vertices, where ub is the size of
+the minimum static (s,z)-vertex cut of the underlying graph of G'.  Every
+temporal (s,z)-path of G' is a static path of that graph, so the cut is a
+separator and ub is at least the minimum.  An introduce extends a mask with
+S only when it has fewer than ub S-vertices, a forget is unchanged, and a
+join keeps a key only when both children hold it and the union has at most
+ub.  Masks only grow towards the root: an introduce keeps or extends its
+child's mask, a forget keeps one of its child's, and a join's union contains
+both.  So an entry above ub never leads to one at or below ub, and by
+induction each bounded table is the unbounded one with the masks above ub
+removed (a forget's unbounded winner, when kept, also wins among the kept
+recolorings).  The root's minimum is at most ub, so the witness and its
+tie-break are unchanged.  A join may now find a key on one side only: the
+other side's unbounded entry was above ub, and so is their union, so the
+join drops the key.
 
 Colorings are encoded as radix-(tau+2) integers over the bag in sorted
 vertex order; digit value i-1 means A_i, tau means S, tau+1 means Z.  The
@@ -66,9 +79,11 @@ from __future__ import annotations
 
 from math import prod
 
+from ..core import StaticGraph
 from ..errors import DecompositionMismatch
 from ..reachability import Instance, Separator
 from .decomposition import NiceTreeDecomposition
+from .static_cut import static_min_vertex_cut
 
 
 def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
@@ -85,8 +100,9 @@ def _check_fit(inst: Instance, td: NiceTreeDecomposition) -> None:
         raise DecompositionMismatch("edge ({},{}) is not an edge of the decomposition's graph".format(*min(foreign)))
 
 
-def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
-    """Fill the tables bottom-up, in node-index order; returns the root table."""
+def _fill_tables(inst: Instance, td: NiceTreeDecomposition, ub: int) -> dict[int, int]:
+    """Fill the tables bottom-up, in node-index order, keeping only masks of
+    at most `ub` S-vertices; returns the root table."""
     walk, z, tau = inst.walk_labels, inst.z, inst.g.tau
     base = tau + 2
     own = _canonical_labels(inst)
@@ -121,7 +137,8 @@ def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
                     allowed = memo[w_colors] = _allowed(w_colors, nbr_labels, own[v], unit, tau)
                 high, low = divmod(child_key, unit)
                 shifted = high * high_unit + low
-                table[shifted + s_offset] = sep | v_bit
+                if sep.bit_count() < ub:
+                    table[shifted + s_offset] = sep | v_bit
                 for offset in allowed:
                     table[shifted + offset] = sep
             tables[x] = table
@@ -145,7 +162,12 @@ def _fill_tables(inst: Instance, td: NiceTreeDecomposition) -> dict[int, int]:
         else:  # join
             lt = tables.pop(node.children[0])
             rt = tables.pop(node.children[1])
-            tables[x] = {key: lsep | rt[key] for key, lsep in lt.items()}
+            table = {}
+            for key, lsep in lt.items():
+                rsep = rt.get(key)
+                if rsep is not None and (lsep | rsep).bit_count() <= ub:
+                    table[key] = lsep | rsep
+            tables[x] = table
     return tables[td.root]
 
 
@@ -175,7 +197,8 @@ def _allowed(
 
 
 def treewidth_work_estimate(inst: Instance, td: NiceTreeDecomposition) -> int:
-    """An upper bound on the table cells, summed over all bags.
+    """An upper bound on the table cells, summed over all bags, before the
+    tables drop the masks above the static cut's size.
 
     A bag's table holds at most the product of its vertices' color counts:
     1 for s and z, and for any other vertex v, S, Z and A_i for i in
@@ -194,6 +217,7 @@ def solve_treewidth_dp(inst: Instance, td: NiceTreeDecomposition) -> Separator:
     _check_fit(inst, td)
     if not inst.walk_labels:
         return Separator(frozenset())
+    ub = len(static_min_vertex_cut(StaticGraph(inst.g.n, frozenset(inst.walk_labels)), inst.s, inst.z))
     # The fewest S-vertices, the smallest key on ties.
-    _, sep = min(_fill_tables(inst, td).items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
+    _, sep = min(_fill_tables(inst, td, ub).items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
     return Separator(frozenset(v for v in range(sep.bit_length()) if sep >> v & 1))

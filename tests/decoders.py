@@ -46,7 +46,7 @@ def treewidth_root_table(inst: Instance, td: NiceTreeDecomposition) -> dict[tupl
     root_bag = sorted(td.nodes[td.root].bag)
     return {
         tuple((v, key // base**p % base) for p, v in enumerate(root_bag)): sep.bit_count()
-        for key, sep in _fill_tables(inst, td).items()
+        for key, sep in _fill_tables(inst, td, inst.g.n).items()
     }
 
 

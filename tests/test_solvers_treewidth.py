@@ -287,7 +287,7 @@ def test_root_masks_are_the_s_vertices_and_the_smallest_is_the_witness():
 
     for inst in random_instances(40, n_max=7, tau_max=4, seed0=900):
         td = build_tree_decomposition(inst.g.underlying(), inst.s, inst.z)
-        root = _fill_tables(inst, td)
+        root = _fill_tables(inst, td, inst.g.n)
         base = inst.g.tau + 2
         root_bag = sorted(td.nodes[td.root].bag)
         for key, mask in root.items():
