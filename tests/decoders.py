@@ -39,6 +39,9 @@ def interval_dp_table(inst: Instance, ordering: Sequence[int]) -> tuple[list[lis
 def treewidth_root_table(inst: Instance, td: NiceTreeDecomposition) -> dict[tuple[tuple[int, int], ...], int]:
     """Finite root entries, decoded as ((vertex, color), ...) -> separator size.
 
+    The tables are filled with the bound n, which no mask exceeds, so every
+    entry is kept.
+
     Color indices: i-1 for A_i, tau for S, tau+1 for Z.  For tau >= 1 only:
     at tau = 0 the S digit equals s's A_1 digit.
     """

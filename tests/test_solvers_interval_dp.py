@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from temposep import (
     Instance,
+    StaticGraph,
     build,
     build_tree_decomposition,
     check_order_compatible,
@@ -19,7 +20,7 @@ from temposep import (
 from temposep.errors import IncompatibleOrdering, NotAPermutation
 from temposep.generators import GenSpec, UnitIntervalConstraint, generate
 from temposep.oracle import BRUTE_FORCE_MAX_N, enumerate_temporal_paths
-from temposep.solvers import solve_search_tree, solve_treewidth_dp
+from temposep.solvers import solve_search_tree, solve_treewidth_dp, static_min_vertex_cut
 
 
 def unit_interval_corpus(count, *, n_max=8, tau_max=4, seed0=500):
@@ -200,7 +201,8 @@ def test_whenever_identity_is_compatible_dp_matches_oracle(g):
 def test_matches_treewidth_dp_and_search_tree_beyond_oracle_scale(j):
     # These graphs start at the oracle's BRUTE_FORCE_MAX_N vertices and grow
     # past it, so the treewidth DP on a min-fill decomposition and the search
-    # tree cross-check the size instead.
+    # tree cross-check the size instead, and the walk-pruned static cut, the
+    # treewidth DP's table bound, must be a separator at least that size.
     spec = GenSpec(n=20 + j, tau=3 + j % 2, edge_prob=0.75, constraint=UnitIntervalConstraint(), seed=7000 + j)
     inst = generate(spec)
     assert inst.g.n >= BRUTE_FORCE_MAX_N
@@ -209,6 +211,8 @@ def test_matches_treewidth_dp_and_search_tree_beyond_oracle_scale(j):
     best = solve_interval_dp(inst, identity)
     by_width = solve_treewidth_dp(inst, build_tree_decomposition(inst.g.underlying(), inst.s, inst.z))
     assert by_width.size == best.size
+    walk_cut = static_min_vertex_cut(StaticGraph(inst.g.n, frozenset(inst.walk_labels)), inst.s, inst.z)
+    assert by_width.size <= len(walk_cut) and is_separator(inst, walk_cut)
     searched = solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size))
     assert searched is not None
     assert solve_search_tree(Instance(inst.g, inst.s, inst.z, best.size - 1)) is None

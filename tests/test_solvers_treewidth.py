@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from temposep import (
     Instance,
+    StaticGraph,
     build,
     build_tree_decomposition,
     is_separator,
@@ -23,9 +24,11 @@ from temposep import (
     solve_treewidth_dp,
 )
 from temposep.errors import DecompositionMismatch
+from temposep.generators import XorShift64Star
 from temposep.oracle import Separator
 from temposep.solvers import treewidth_dp
 from temposep.solvers.auto import solve_auto
+from temposep.solvers.static_cut import static_min_vertex_cut
 from temposep.solvers.treewidth_dp import _fill_tables, treewidth_work_estimate
 
 
@@ -171,6 +174,80 @@ def test_a_decomposition_solves_every_subgraph_on_its_vertices(data):
     found = solve_treewidth_dp(inst, td)
     assert found.size == min_separator_bruteforce(inst).size
     assert is_separator(inst, found.vertices)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bounded_tables_are_the_unbounded_ones_without_the_masks_above_the_bound(data):
+    # Masks only grow towards the root, so at every bound the root table
+    # loses exactly its entries above it, on any decomposition.  The first
+    # drawn graph is decomposed by a drawn elimination order.  The second
+    # case glues two drawn graphs at their terminals and hangs their
+    # decompositions, with s and z added to every bag, below one bag {s, z},
+    # whose join unites the separators of both sides.
+    parts = [data.draw(instance_graphs(max_n=6, max_tau=3, min_n=3)) for _ in range(2)]
+    orders = [data.draw(st.permutations(range(part.n))) for part in parts]
+    part_tds = [elimination_decomposition(part.underlying(), order) for part, order in zip(parts, orders)]
+    n = parts[0].n + parts[1].n - 2
+    # Each part's vertex names in the glued graph: s = 0 and z = n-1 shared,
+    # the second part's interior after the first's.
+    names = [[*range(parts[0].n - 1), n - 1], [0, *range(parts[0].n - 1, n - 1), n - 1]]
+    triples = [(name[u], name[v], t) for part, name in zip(parts, names) for t, u, v in part.edges]
+    glued = build(n, max(part.tau for part in parts), triples)
+    bags, tree_edges = [{0, n - 1}], []
+    for (part_bags, part_edges), name in zip(part_tds, names):
+        offset = len(bags)
+        bags += [{name[v] for v in bag} | {0, n - 1} for bag in part_bags]
+        tree_edges += [(offset + a, offset + b) for a, b in part_edges] + [(offset, 0)]
+    for g, external in ((parts[0], part_tds[0]), (glued, (bags, tree_edges))):
+        td = build_tree_decomposition(g.underlying(), 0, g.n - 1, external=external)
+        inst = Instance(g=g, s=0, z=g.n - 1, k=g.n)
+        full = _fill_tables(inst, td, g.n)
+        for bound in range(g.n):
+            kept = {key: mask for key, mask in full.items() if mask.bit_count() <= bound}
+            assert _fill_tables(inst, td, bound) == kept
+
+
+def _seeded_ladder(length: int, seed: int):
+    """A 3 x length grid between s = 0 and z = n-1 whose labels ramp up with
+    the column, 1 to 5, with seeded jitter and an occasional early label
+    that breaks a rail, so the minimum varies."""
+    rng = XorShift64Star(seed)
+    rails, tau, n = 3, 5, 3 * length + 2
+
+    def ramp(i: int) -> int:
+        return 1 + i * tau // length
+
+    def jitter(t: int) -> int:
+        return max(1, min(tau, t))
+
+    triples = []
+    for r in range(rails):
+        triples += [(0, 1 + r, 1), (n - 2 - r, n - 1, tau)]
+        for i in range(length - 1):
+            early = rng.randrange(2 * length) == 0
+            triples.append((1 + i * rails + r, 1 + (i + 1) * rails + r, jitter(ramp(i) - early + rng.randrange(2))))
+    for i in range(length):
+        for r in range(rails - 1):
+            triples.append((1 + i * rails + r, 2 + i * rails + r, jitter(ramp(i) + rng.randrange(3) - 1)))
+    return build(n, tau, triples)
+
+
+def test_bounded_witness_is_the_unbounded_minimum_on_seeded_ladders():
+    # Ladders of 20 to 50 vertices, past the oracle's reach.  The bound is the
+    # walk-pruned static cut that `solve_treewidth_dp` uses, and it must drop
+    # root entries on some ladder, or the prune never fires.
+    shrunk = 0
+    for seed in range(1, 11):
+        g = _seeded_ladder(6 + seed, seed)
+        inst = Instance(g=g, s=0, z=g.n - 1, k=g.n)
+        td = build_tree_decomposition(g.underlying(), 0, g.n - 1)
+        full = _fill_tables(inst, td, g.n)
+        _, mask = min(full.items(), key=lambda entry: (entry[1].bit_count(), entry[0]))
+        assert solve_treewidth_dp(inst, td).vertices == {v for v in range(g.n) if mask >> v & 1}
+        ub = len(static_min_vertex_cut(StaticGraph(g.n, frozenset(inst.walk_labels)), 0, g.n - 1))
+        shrunk += len(_fill_tables(inst, td, ub)) < len(full)
+    assert shrunk
 
 
 def _earliest_arrivals_from(g, start, depart_at_least):
